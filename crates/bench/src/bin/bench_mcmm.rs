@@ -8,7 +8,9 @@
 //!
 //! * **sharing** — the batch did the scenario-invariant work exactly once
 //!   (`mcmm.netlist_loads`, `mcmm.characterizations`,
-//!   `mcmm.schedule_compiles` observability counters all equal 1);
+//!   `mcmm.schedule_compiles` observability counters all equal 1) and ran
+//!   one true-path search per corner, not per scenario (`mcmm.searches`
+//!   equals the corner count);
 //! * **identity** — every scenario's `CertificateSet` digest equals the
 //!   independent run's (the per-scenario byte-identity invariant of
 //!   DESIGN.md §5.12);
@@ -43,6 +45,8 @@ struct ScenarioResult {
 #[derive(Serialize)]
 struct SharedPrep {
     netlist_loads: u64,
+    /// True-path searches: one per corner, shared by its modes.
+    searches: u64,
     characterizations: u64,
     schedule_compiles: u64,
     kernel_compiles: u64,
@@ -72,6 +76,8 @@ struct Report {
     bench: &'static str,
     technology: String,
     batch_threads: usize,
+    /// `std::thread::available_parallelism` of the measuring host.
+    available_parallelism: usize,
     note: &'static str,
     circuits: Vec<CircuitResult>,
 }
@@ -133,6 +139,7 @@ fn main() {
         let counters = obs.metrics_snapshot().counters;
         let prep = SharedPrep {
             netlist_loads: counters["mcmm.netlist_loads"],
+            searches: counters["mcmm.searches"],
             characterizations: counters["mcmm.characterizations"],
             schedule_compiles: counters["mcmm.schedule_compiles"],
             kernel_compiles: counters["mcmm.kernel_compiles"],
@@ -141,6 +148,11 @@ fn main() {
         assert_eq!(prep.netlist_loads, 1, "{name}: netlist loaded once");
         assert_eq!(prep.characterizations, 1, "{name}: characterized once");
         assert_eq!(prep.schedule_compiles, 1, "{name}: schedule compiled once");
+        assert_eq!(
+            prep.searches,
+            corners.len() as u64,
+            "{name}: one search per corner, shared by its modes"
+        );
 
         // The same scenarios as independent invocations, digest-compared.
         let mut singles_sum_s = 0.0;
@@ -210,11 +222,12 @@ fn main() {
         bench: "mcmm",
         technology: tech.name.clone(),
         batch_threads,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         note: "one batch over the corner x mode matrix vs the same scenarios as \
                independent invocations; shared prep is counter-asserted (netlist load, \
-               characterization, schedule compile each exactly once) and every \
-               scenario's certificate digest is asserted equal to its independent \
-               run before timing is reported",
+               characterization, schedule compile each exactly once; one search per \
+               corner) and every scenario's certificate digest is asserted equal to its \
+               independent run before timing is reported",
         circuits: rows,
     };
     std::fs::write(

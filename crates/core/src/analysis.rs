@@ -17,18 +17,19 @@
 
 use std::path::PathBuf;
 
-use sta_cells::{Corner, Library, Technology};
+use sta_cells::{Corner, Library};
 use sta_charlib::{CharConfig, CharError, TimingLibrary};
 use sta_circuits::catalog;
 use sta_netlist::{Netlist, NetlistError};
 use sta_obs::{Observer, SpanGuard};
 
+use crate::arrival::{static_bounds, StaticTiming};
 use crate::enumerate::{EnumerationConfig, EnumerationStats, PathEnumerator};
 use crate::mcmm::BatchOutcome;
 use crate::path::TruePath;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::sdc::{parse_sdc, Constraints, SdcError};
-use crate::slack::{slack_report, SlackReport};
+use crate::slack::SlackReport;
 
 /// Errors from assembling or running an analysis.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,18 +105,13 @@ pub enum RequiredSource {
 /// unconstrained mode, one thread, compiled kernels, 60 ps input slew).
 ///
 /// The operating point and constraints live in typed [`Scenario`]s
-/// (corner = [`crate::CornerDef`], mode = [`crate::Mode`]); the legacy corner/SDC
-/// setters remain as deprecated shims that rewrite the primary scenario.
+/// (corner = [`crate::CornerDef`], mode = [`crate::Mode`]).
 #[derive(Clone, Debug)]
 pub struct AnalysisRequest {
     pub(crate) circuit: String,
     pub(crate) netlist_override: Option<Netlist>,
     /// The scenario set; single-scenario flows use `scenarios[0]`.
     pub(crate) scenarios: Vec<Scenario>,
-    /// Whether a deprecated `.corner()` call pinned the primary corner
-    /// (so a later `.tech()` keeps the explicit point, as the old
-    /// resolve-at-prepare semantics did).
-    primary_corner_explicit: bool,
     pub(crate) n_worst: Option<usize>,
     /// Worker threads *inside* each scenario's enumeration.
     pub(crate) threads: usize,
@@ -141,7 +137,6 @@ impl AnalysisRequest {
             circuit: circuit.to_string(),
             netlist_override: None,
             scenarios: vec![Scenario::nominal()],
-            primary_corner_explicit: false,
             n_worst: None,
             threads: 1,
             batch_threads: 1,
@@ -173,7 +168,6 @@ impl AnalysisRequest {
     /// [`AnalysisError::Scenario`].
     pub fn scenarios(mut self, set: Vec<Scenario>) -> Self {
         self.scenarios = set;
-        self.primary_corner_explicit = true;
         self
     }
 
@@ -195,40 +189,6 @@ impl AnalysisRequest {
     pub fn batch_threads(mut self, threads: usize) -> Self {
         self.batch_threads = threads.max(1);
         self
-    }
-
-    /// Selects the technology node (default 90 nm), keeping an
-    /// explicitly set corner.
-    #[deprecated(note = "use scenarios()/scenario() with a typed CornerDef instead")]
-    pub fn tech(mut self, tech: Technology) -> Self {
-        let primary = self.primary_mut();
-        if primary.corner.name == primary.corner.tech.name {
-            primary.corner.name = tech.name.clone();
-        }
-        primary.corner.tech = tech;
-        if !self.primary_corner_explicit {
-            let primary = self.primary_mut();
-            primary.corner.corner = Corner::nominal(&primary.corner.tech);
-        }
-        self
-    }
-
-    /// Overrides the operating corner (default: nominal of the
-    /// technology).
-    #[deprecated(note = "use scenarios()/scenario() with a typed CornerDef instead")]
-    pub fn corner(mut self, corner: Corner) -> Self {
-        let primary = self.primary_mut();
-        primary.corner.corner = corner;
-        primary.corner.name = format!("{},{}", corner.temperature, corner.vdd);
-        self.primary_corner_explicit = true;
-        self
-    }
-
-    fn primary_mut(&mut self) -> &mut Scenario {
-        if self.scenarios.is_empty() {
-            self.scenarios.push(Scenario::nominal());
-        }
-        &mut self.scenarios[0]
     }
 
     /// Restricts enumeration to the N worst paths (`None` = enumerate
@@ -284,22 +244,6 @@ impl AnalysisRequest {
     /// Sets the primary-input transition time, ps (default 60).
     pub fn input_slew(mut self, slew: f64) -> Self {
         self.input_slew = slew;
-        self
-    }
-
-    /// Sets an explicit required arrival time at the outputs, ps (for
-    /// slack analysis). Takes precedence over SDC-derived requirements.
-    #[deprecated(note = "use scenarios()/scenario() with Mode::with_required instead")]
-    pub fn required(mut self, ps: f64) -> Self {
-        self.primary_mut().mode.required = Some(ps);
-        self
-    }
-
-    /// Attaches SDC constraint text, parsed against the circuit during
-    /// [`AnalysisRequest::prepare`].
-    #[deprecated(note = "use scenarios()/scenario() with Mode::with_sdc instead")]
-    pub fn sdc(mut self, text: &str) -> Self {
-        self.primary_mut().mode.sdc = Some(text.to_string());
         self
     }
 
@@ -376,6 +320,25 @@ impl AnalysisRequest {
             Some(text) => Some(parse_sdc(text, &netlist)?),
             None => None,
         };
+        Ok(AnalysisContext {
+            circuit: self.circuit.clone(),
+            lib,
+            netlist,
+            timing,
+            corner,
+            constraints,
+            required: primary.mode.required,
+            cfg: self.enumeration_config(corner),
+            obs: self.obs.clone(),
+            root,
+        })
+    }
+
+    /// The search configuration at `corner`: the operating point plus
+    /// request-wide settings. It reads no [`crate::Mode`] field, which is
+    /// why a batch runs one search per operating point and shares it
+    /// across that point's modes.
+    pub(crate) fn enumeration_config(&self, corner: Corner) -> EnumerationConfig {
         let mut cfg = EnumerationConfig::new(corner)
             .with_threads(self.threads)
             .with_compiled_kernels(self.compile_kernels)
@@ -387,21 +350,12 @@ impl AnalysisRequest {
             cfg.max_decisions = budget;
         }
         match self.n_worst {
-            Some(n) => cfg = cfg.with_n_worst(n),
-            None => cfg.max_paths = self.full_enum_path_cap,
+            Some(n) => cfg.with_n_worst(n),
+            None => {
+                cfg.max_paths = self.full_enum_path_cap;
+                cfg
+            }
         }
-        Ok(AnalysisContext {
-            circuit: self.circuit.clone(),
-            lib,
-            netlist,
-            timing,
-            corner,
-            constraints,
-            required: primary.mode.required,
-            cfg,
-            obs: self.obs.clone(),
-            root,
-        })
     }
 
     /// [`AnalysisRequest::prepare`] followed by a full true-path
@@ -421,12 +375,13 @@ impl AnalysisRequest {
     /// Runs the whole scenario set as one MCMM batch: scenario-invariant
     /// work (netlist load, per-technology characterization, bitsim
     /// schedule, per-corner kernel compilation, per-mode SDC parsing) is
-    /// done exactly once, then the N×M scenario jobs fan out over
-    /// [`AnalysisRequest::batch_threads`] work-stealing workers. Every
-    /// scenario's paths are byte-identical to an independent
-    /// [`AnalysisRequest::run`] of that scenario at any thread count; the
-    /// merged slack view is canonical in the scenario set (see
-    /// [`crate::MergedSlackReport`]).
+    /// done exactly once, then one job per operating point — a single
+    /// true-path search shared by every mode of that point, plus each
+    /// mode's slack — fans out over [`AnalysisRequest::batch_threads`]
+    /// work-stealing workers. Every scenario's paths are byte-identical
+    /// to an independent [`AnalysisRequest::run`] of that scenario at any
+    /// thread count; the merged slack view is canonical in the scenario
+    /// set (see [`crate::MergedSlackReport`]).
     ///
     /// # Errors
     ///
@@ -484,6 +439,39 @@ pub struct SlackOutcome {
     pub required: f64,
     /// How the requirement was chosen.
     pub required_source: RequiredSource,
+}
+
+impl SlackOutcome {
+    /// Resolves the requirement and derives the slack report from the
+    /// structural bounds of the operating point. The requirement is, in
+    /// order: the explicit value, the tightest SDC output requirement,
+    /// then 90 % of the structural worst arrival. Single runs and batch
+    /// scenarios both resolve here, so their reports agree byte for byte.
+    pub(crate) fn resolve(
+        nl: &Netlist,
+        timing: StaticTiming,
+        explicit: Option<f64>,
+        constraints: Option<&Constraints>,
+    ) -> Self {
+        let structural_worst = timing.worst_arrival(nl);
+        let sdc_required = constraints.and_then(|c| {
+            nl.outputs()
+                .iter()
+                .filter_map(|&o| c.required_at(o))
+                .min_by(f64::total_cmp)
+        });
+        let (required, required_source) = match (explicit, sdc_required) {
+            (Some(r), _) => (r, RequiredSource::Explicit),
+            (None, Some(r)) => (r, RequiredSource::Sdc),
+            (None, None) => (structural_worst * 0.9, RequiredSource::Default),
+        };
+        SlackOutcome {
+            report: SlackReport::from_bounds(nl, timing, required),
+            structural_worst,
+            required,
+            required_source,
+        }
+    }
 }
 
 impl std::fmt::Debug for AnalysisContext {
@@ -557,40 +545,20 @@ impl AnalysisContext {
     /// then the 90 %-of-structural-worst default.
     pub fn slack(&self) -> SlackOutcome {
         let _slack = self.root.child("slack");
-        let probe = slack_report(
+        let timing = static_bounds(
             &self.netlist,
             &self.timing,
             self.corner,
             self.cfg.input_slew,
-            0.0,
+            1.0,
         );
-        let structural_worst = probe.timing.worst_arrival(&self.netlist);
-        let sdc_required = self.constraints.as_ref().and_then(|c| {
-            self.netlist
-                .outputs()
-                .iter()
-                .filter_map(|&o| c.required_at(o))
-                .min_by(f64::total_cmp)
-        });
-        let (required, required_source) = match (self.required, sdc_required) {
-            (Some(r), _) => (r, RequiredSource::Explicit),
-            (None, Some(r)) => (r, RequiredSource::Sdc),
-            (None, None) => (structural_worst * 0.9, RequiredSource::Default),
-        };
-        let report = slack_report(
+        crate::arrival::record_bounds_metrics(&self.obs, &self.netlist, &timing);
+        SlackOutcome::resolve(
             &self.netlist,
-            &self.timing,
-            self.corner,
-            self.cfg.input_slew,
-            required,
-        );
-        crate::arrival::record_bounds_metrics(&self.obs, &self.netlist, &report.timing);
-        SlackOutcome {
-            report,
-            structural_worst,
-            required,
-            required_source,
-        }
+            timing,
+            self.required,
+            self.constraints.as_ref(),
+        )
     }
 
     /// Consumes the context (ending the analysis root span) into a
@@ -640,6 +608,7 @@ pub struct AnalysisOutcome {
 mod tests {
     use super::*;
     use crate::scenario::{CornerDef, Mode};
+    use sta_cells::Technology;
 
     fn cache_dir() -> PathBuf {
         // Share one fast-config cache across the facade tests.
@@ -758,33 +727,6 @@ mod tests {
             .run_batch()
             .unwrap_err();
         assert!(matches!(err, AnalysisError::Scenario(_)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_rewrite_the_primary_scenario() {
-        // tech() then corner(): explicit corner survives.
-        let req = fast_request("c17")
-            .corner(Corner {
-                temperature: 75.0,
-                vdd: 0.95,
-            })
-            .tech(Technology::n65());
-        let primary = &req.scenario_set()[0];
-        assert_eq!(primary.corner.tech.name, "65nm");
-        assert_eq!(primary.corner.corner.temperature, 75.0);
-        // tech() alone: corner follows to nominal of the node.
-        let req = fast_request("c17").tech(Technology::n130());
-        let primary = &req.scenario_set()[0];
-        assert_eq!(primary.corner.corner, Corner::nominal(&Technology::n130()));
-        assert_eq!(primary.corner.name, "130nm");
-        // sdc()/required() land in the primary mode.
-        let req = fast_request("c17")
-            .sdc("create_clock -period 500\n")
-            .required(450.0);
-        let primary = &req.scenario_set()[0];
-        assert_eq!(primary.mode.required, Some(450.0));
-        assert!(primary.mode.sdc.as_deref().unwrap().contains("500"));
     }
 
     #[test]

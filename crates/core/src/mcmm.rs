@@ -10,12 +10,16 @@
 //! | characterized timing    | technology              | per tech    |
 //! | bitsim schedule         | netlist                 | once        |
 //! | compiled delay kernel   | (technology, corner)    | per corner  |
+//! | true-path search        | (technology, corner)    | per corner  |
 //! | parsed SDC constraints  | mode                    | per mode    |
 //!
-//! The N×M scenario jobs then fan out over a crossbeam work-stealing pool
-//! (`batch_threads` workers; the idiom of `crate::parallel`). Every job is
-//! an *independent, deterministic* single-scenario analysis over shared
-//! read-only state, so each scenario's path set — and therefore its
+//! The search reads no [`crate::Mode`] field: a mode only sets the
+//! requirement the slack step applies. So the scenarios are grouped by
+//! operating point, and each group is one job on a crossbeam
+//! work-stealing pool (`batch_threads` workers; the idiom of
+//! `crate::parallel`): one *deterministic* search over shared read-only
+//! state, then each mode's requirement and structural slack from one
+//! bound pass. Each scenario's path set — and therefore its
 //! [`CertificateSet`] bytes — is identical to an independent
 //! single-scenario run at any batch width. The merge layer below is pure
 //! aggregation over finished per-scenario reports; it cannot change any
@@ -32,19 +36,20 @@ use std::time::Instant;
 
 use crossbeam::deque::{Injector, Steal};
 use serde::{Deserialize, Serialize};
-use sta_cells::Library;
+use sta_cells::{Corner, Library};
 use sta_charlib::{CompiledCorner, TimingLibrary};
 use sta_logic::Schedule;
 use sta_netlist::Netlist;
 use sta_obs::LocalSpans;
 
-use crate::analysis::{AnalysisError, AnalysisRequest, RequiredSource};
-use crate::enumerate::{EnumerationConfig, EnumerationStats, PathEnumerator};
+use crate::analysis::{AnalysisError, AnalysisRequest, RequiredSource, SlackOutcome};
+use crate::arrival::static_bounds;
+use crate::enumerate::{EnumerationStats, PathEnumerator};
 use crate::path::TruePath;
 use crate::report::CertificateSet;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::sdc::{parse_sdc, Constraints};
-use crate::slack::{slack_report, SlackReport};
+use crate::slack::SlackReport;
 
 /// One finished scenario of a batch: the scenario description plus the
 /// same results an independent single-scenario run would produce.
@@ -178,20 +183,55 @@ impl BatchOutcome {
     }
 }
 
-/// Everything one scenario job needs, all shared and read-only.
-struct Job {
+/// What a scenario's true-path search depends on: the technology's
+/// characterization and the operating point (the key the compiled kernel
+/// is built for). Scenarios with equal keys share one search.
+///
+/// The key holds no [`crate::Mode`] field because the search reads none.
+/// A future input-delay-aware search must add the mode's launch offsets
+/// (`set_input_delay`) to this key.
+type SearchKey = (String, u64, u64);
+
+fn search_key(s: &Scenario) -> SearchKey {
+    (
+        s.corner.tech.name.clone(),
+        s.corner.corner.temperature.to_bits(),
+        s.corner.corner.vdd.to_bits(),
+    )
+}
+
+/// One scenario of a search group.
+struct Member {
+    /// Submission index (slot and span ordinal).
     index: usize,
     scenario: Scenario,
+    constraints: Option<Arc<Constraints>>,
+}
+
+/// One pool job: the scenarios sharing a search key, in submission
+/// order, and the shared read-only state their search and slack read.
+struct SearchGroup {
+    corner: Corner,
     tlib: Arc<TimingLibrary>,
     kernel: Option<Arc<CompiledCorner>>,
     schedule: Option<Arc<Schedule>>,
-    constraints: Option<Arc<Constraints>>,
+    members: Vec<Member>,
 }
 
 pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisError> {
     let scenarios = req.scenarios.clone();
     if scenarios.is_empty() {
         return Err(AnalysisError::Scenario(ScenarioError::EmptySet));
+    }
+    // Scenario indices grouped by search key, in first-appearance order;
+    // a group's position here is its position in the pool.
+    let mut grouped: Vec<(SearchKey, Vec<usize>)> = Vec::new();
+    for (index, s) in scenarios.iter().enumerate() {
+        let key = search_key(s);
+        match grouped.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, indices)) => indices.push(index),
+            None => grouped.push((key, vec![index])),
+        }
     }
     let obs = req.obs.clone();
     let t0 = Instant::now();
@@ -204,6 +244,7 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
         ],
     );
     obs.counter("mcmm.scenarios").add(scenarios.len() as u64);
+    obs.counter("mcmm.searches").add(grouped.len() as u64);
     // Coordinator-side children get the low ordinals; scenario subtrees
     // start after them. Everything here runs on one thread, so the span
     // skeleton is identical at any batch width.
@@ -259,27 +300,6 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
         Arc::new(Schedule::compile(&netlist, &lib))
     });
 
-    // One compiled kernel per distinct (technology, corner).
-    let mut kernels: Vec<((String, u64, u64), Arc<CompiledCorner>)> = Vec::new();
-    if req.compile_kernels {
-        for s in &scenarios {
-            let key = (
-                s.corner.tech.name.clone(),
-                s.corner.corner.temperature.to_bits(),
-                s.corner.corner.vdd.to_bits(),
-            );
-            if kernels.iter().any(|(k, _)| *k == key) {
-                continue;
-            }
-            let _span = root.child_with("kernel", vec![("corner", s.corner.name.clone())]);
-            coord_children += 1;
-            let compiled = timing_for(&s.corner.tech.name).compile_corner(s.corner.corner);
-            compiled.record_metrics(&obs);
-            obs.counter("mcmm.kernel_compiles").add(1);
-            kernels.push((key, Arc::new(compiled)));
-        }
-    }
-
     // Parse each distinct SDC text once, against the shared netlist.
     let mut parsed_sdc: Vec<(String, Arc<Constraints>)> = Vec::new();
     for s in &scenarios {
@@ -292,65 +312,78 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
             parsed_sdc.push((text.clone(), Arc::new(c)));
         }
     }
-
-    let jobs: Vec<Job> = scenarios
-        .iter()
-        .enumerate()
-        .map(|(index, s)| Job {
-            index,
-            scenario: s.clone(),
-            tlib: timing_for(&s.corner.tech.name),
-            kernel: kernels
+    let member = |index: usize| {
+        let scenario = scenarios[index].clone();
+        let constraints = scenario.mode.sdc.as_ref().map(|text| {
+            parsed_sdc
                 .iter()
-                .find(|(k, _)| {
-                    *k == (
-                        s.corner.tech.name.clone(),
-                        s.corner.corner.temperature.to_bits(),
-                        s.corner.corner.vdd.to_bits(),
-                    )
-                })
-                .map(|(_, k)| k.clone()),
-            schedule: schedule.clone(),
-            constraints: s.mode.sdc.as_ref().map(|text| {
-                parsed_sdc
-                    .iter()
-                    .find(|(t, _)| t == text)
-                    .expect("parsed above")
-                    .1
-                    .clone()
-            }),
-        })
-        .collect();
+                .find(|(t, _)| t == text)
+                .expect("parsed above")
+                .1
+                .clone()
+        });
+        Member {
+            index,
+            scenario,
+            constraints,
+        }
+    };
 
-    // Fan the scenario jobs over a work-stealing pool. Each job is a
+    // One job, and with it one compiled kernel, per search key.
+    let mut groups: Vec<SearchGroup> = Vec::with_capacity(grouped.len());
+    for (_, indices) in grouped {
+        let first = &scenarios[indices[0]];
+        let tlib = timing_for(&first.corner.tech.name);
+        let kernel = req.compile_kernels.then(|| {
+            let _span = root.child_with("kernel", vec![("corner", first.corner.name.clone())]);
+            coord_children += 1;
+            let compiled = tlib.compile_corner(first.corner.corner);
+            compiled.record_metrics(&obs);
+            obs.counter("mcmm.kernel_compiles").add(1);
+            Arc::new(compiled)
+        });
+        groups.push(SearchGroup {
+            corner: first.corner.corner,
+            tlib,
+            kernel,
+            schedule: schedule.clone(),
+            members: indices.into_iter().map(member).collect(),
+        });
+    }
+
+    // Fan the groups over a work-stealing pool. Each group is a
     // self-contained deterministic analysis; the slot vector is indexed
     // by submission order, so collection order is irrelevant.
-    let n_jobs = jobs.len();
-    let workers = req.batch_threads.clamp(1, n_jobs.max(1));
+    let n_scenarios = scenarios.len();
+    let workers = req.batch_threads.clamp(1, groups.len());
     let slots: Mutex<Vec<Option<ScenarioOutcome>>> =
-        Mutex::new((0..n_jobs).map(|_| None).collect());
+        Mutex::new((0..n_scenarios).map(|_| None).collect());
     let root_id = root.id();
     let scenario_ord_base = coord_children;
-    let run_job = |job: Job, local: &mut LocalSpans| {
-        let attrs = vec![("scenario", job.scenario.name())];
-        let outcome = local.time_tree(
+    let run_job = |group: SearchGroup, local: &mut LocalSpans| {
+        let outcomes = run_group(
+            req,
+            &lib,
+            &netlist,
+            &group,
+            local,
             root_id,
-            scenario_ord_base + job.index as u64,
-            "scenario",
-            attrs,
-            |local, span_id| run_scenario(req, &lib, &netlist, &job, local, span_id),
+            scenario_ord_base,
         );
-        slots.lock().expect("no poisoned batch slots")[job.index] = Some(outcome);
+        let mut slots = slots.lock().expect("no poisoned batch slots");
+        for (index, outcome) in outcomes {
+            slots[index] = Some(outcome);
+        }
     };
     if workers <= 1 {
         let mut local = obs.local();
-        for job in jobs {
-            run_job(job, &mut local);
+        for group in groups {
+            run_job(group, &mut local);
         }
     } else {
         let injector = Injector::new();
-        for job in jobs {
-            injector.push(job);
+        for group in groups {
+            injector.push(group);
         }
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -358,7 +391,7 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
                     let mut local = obs.local();
                     loop {
                         match injector.steal() {
-                            Steal::Success(job) => run_job(job, &mut local),
+                            Steal::Success(group) => run_job(group, &mut local),
                             Steal::Empty => break,
                             Steal::Retry => continue,
                         }
@@ -371,7 +404,7 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
         .into_inner()
         .expect("no poisoned batch slots")
         .into_iter()
-        .map(|s| s.expect("every job ran"))
+        .map(|s| s.expect("every scenario ran"))
         .collect();
 
     let merged = {
@@ -389,80 +422,71 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
     })
 }
 
-/// One scenario job: enumeration + slack over shared read-only state.
-/// This must compute exactly what an independent single-scenario
+/// One pool job: a single search and a single bound pass for the group's
+/// operating point, then each member's requirement and slack. Every
+/// member keeps its own `scenario` span subtree at its submission
+/// ordinal; the search is the `enumerate` child of the group's first
+/// member. Each outcome must equal what an independent single-scenario
 /// [`AnalysisRequest::run`] computes — the identity is pinned by
 /// `tests/mcmm_identity.rs` and re-checked by `bench_mcmm`.
-fn run_scenario(
+fn run_group(
     req: &AnalysisRequest,
     lib: &Library,
     netlist: &Netlist,
-    job: &Job,
+    group: &SearchGroup,
     local: &mut LocalSpans,
-    span_id: u64,
-) -> ScenarioOutcome {
-    let mut cfg = EnumerationConfig::new(job.scenario.corner.corner)
-        .with_threads(req.threads)
-        .with_compiled_kernels(req.compile_kernels)
-        .with_bitsim(req.bitsim)
-        .with_learning(req.learning)
-        .with_observer(req.obs.clone());
-    cfg.input_slew = req.input_slew;
-    if let Some(budget) = req.max_decisions {
-        cfg.max_decisions = budget;
-    }
-    match req.n_worst {
-        Some(n) => cfg = cfg.with_n_worst(n),
-        None => cfg.max_paths = req.full_enum_path_cap,
-    }
+    root_id: u64,
+    ord_base: u64,
+) -> Vec<(usize, ScenarioOutcome)> {
     let enumerator = PathEnumerator::with_prebuilt(
         netlist,
         lib,
-        &job.tlib,
-        cfg,
-        job.kernel.clone(),
-        job.schedule.clone(),
+        &group.tlib,
+        req.enumeration_config(group.corner),
+        group.kernel.clone(),
+        group.schedule.clone(),
     );
-    let (paths, stats) = local.time(span_id, 0, "enumerate", Vec::new(), || enumerator.run());
-
-    let (slack, structural_worst, required, required_source) =
-        local.time(span_id, 1, "slack", Vec::new(), || {
-            let probe = slack_report(
-                netlist,
-                &job.tlib,
-                job.scenario.corner.corner,
-                req.input_slew,
-                0.0,
+    let mut search = None;
+    let mut bounds = None;
+    group
+        .members
+        .iter()
+        .map(|m| {
+            let attrs = vec![("scenario", m.scenario.name())];
+            let outcome = local.time_tree(
+                root_id,
+                ord_base + m.index as u64,
+                "scenario",
+                attrs,
+                |local, id| {
+                    let (paths, stats) = search
+                        .get_or_insert_with(|| {
+                            local.time(id, 0, "enumerate", Vec::new(), || enumerator.run())
+                        })
+                        .clone();
+                    let slack = local.time(id, 1, "slack", Vec::new(), || {
+                        let timing = bounds.get_or_insert_with(|| {
+                            static_bounds(netlist, &group.tlib, group.corner, req.input_slew, 1.0)
+                        });
+                        SlackOutcome::resolve(
+                            netlist,
+                            timing.clone(),
+                            m.scenario.mode.required,
+                            m.constraints.as_deref(),
+                        )
+                    });
+                    ScenarioOutcome {
+                        scenario: m.scenario.clone(),
+                        paths,
+                        stats,
+                        slack: slack.report,
+                        structural_worst: slack.structural_worst,
+                        required: slack.required,
+                        required_source: slack.required_source,
+                    }
+                },
             );
-            let structural_worst = probe.timing.worst_arrival(netlist);
-            let sdc_required = job.constraints.as_ref().and_then(|c| {
-                netlist
-                    .outputs()
-                    .iter()
-                    .filter_map(|&o| c.required_at(o))
-                    .min_by(f64::total_cmp)
-            });
-            let (required, source) = match (job.scenario.mode.required, sdc_required) {
-                (Some(r), _) => (r, RequiredSource::Explicit),
-                (None, Some(r)) => (r, RequiredSource::Sdc),
-                (None, None) => (structural_worst * 0.9, RequiredSource::Default),
-            };
-            let report = slack_report(
-                netlist,
-                &job.tlib,
-                job.scenario.corner.corner,
-                req.input_slew,
-                required,
-            );
-            (report, structural_worst, required, source)
-        });
-    ScenarioOutcome {
-        scenario: job.scenario.clone(),
-        paths,
-        stats,
-        slack,
-        structural_worst,
-        required,
-        required_source,
-    }
+            (m.index, outcome)
+        })
+        .collect()
 }

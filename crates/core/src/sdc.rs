@@ -5,14 +5,14 @@
 //!
 //! ```text
 //! create_clock -period 1200 [-name clk]
-//! set_input_delay  120 [get_ports a]     # or: set_input_delay 120 a
-//! set_output_delay 200 [get_ports z]
+//! set_output_delay 200 [get_ports z]     # or: set_output_delay 200 z
 //! set_max_delay 900 -to [get_ports z]
 //! ```
 //!
-//! Everything else (including `-from`/`-through` filters) is rejected with
-//! a precise error rather than silently ignored — constraint files must
-//! not lie.
+//! Everything else (including `-from`/`-through` filters, and
+//! `set_input_delay`, since the true-path search does not model input
+//! launch offsets) is rejected with a precise error rather than silently
+//! ignored — constraint files must not lie.
 
 use std::collections::HashMap;
 
@@ -23,8 +23,6 @@ use sta_netlist::{NetId, Netlist};
 pub struct Constraints {
     /// Clock period, ps (`create_clock -period`).
     pub clock_period: Option<f64>,
-    /// Extra arrival at specific inputs, ps.
-    pub input_delays: HashMap<NetId, f64>,
     /// Required margin before the period at specific outputs, ps.
     pub output_delays: HashMap<NetId, f64>,
     /// Per-output maximum-delay overrides, ps.
@@ -44,11 +42,6 @@ impl Constraints {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Extra arrival budget consumed at `input`.
-    pub fn input_delay(&self, input: NetId) -> f64 {
-        self.input_delays.get(&input).copied().unwrap_or(0.0)
     }
 }
 
@@ -111,14 +104,18 @@ pub fn parse_sdc(text: &str, nl: &Netlist) -> Result<Constraints, SdcError> {
                     })?;
                 out.clock_period = Some(period);
             }
-            "set_input_delay" | "set_output_delay" => {
+            "set_input_delay" => {
+                return Err(SdcError::Unsupported {
+                    line,
+                    message: "set_input_delay is not supported: the true-path search does \
+                              not model input launch offsets"
+                        .into(),
+                })
+            }
+            "set_output_delay" => {
                 let (value, port) = delay_and_port(&tokens, line)?;
                 let net = resolve_port(nl, &port, line)?;
-                if cmd == "set_input_delay" {
-                    out.input_delays.insert(net, value);
-                } else {
-                    out.output_delays.insert(net, value);
-                }
+                out.output_delays.insert(net, value);
             }
             "set_max_delay" => {
                 let value: f64 = tokens.get(1).and_then(|t| t.parse().ok()).ok_or_else(|| {
@@ -216,17 +213,23 @@ mod tests {
         let sdc = "\
 # constraints
 create_clock -period 1200 -name clk
-set_input_delay 100 [get_ports a]
 set_output_delay 150 [get_ports z]
 set_max_delay 900 -to [get_ports z]
 ";
         let c = parse_sdc(sdc, &nl).unwrap();
         assert_eq!(c.clock_period, Some(1200.0));
-        let a = nl.net_by_name("a").unwrap();
         let z = nl.net_by_name("z").unwrap();
-        assert_eq!(c.input_delay(a), 100.0);
         // required = min(period − out_delay, max_delay) = min(1050, 900).
         assert_eq!(c.required_at(z), Some(900.0));
+        // An input launch offset would change the search, which does not
+        // model it: the statement is a typed error, never dropped.
+        let with_input_delay = format!("{sdc}set_input_delay 100 [get_ports a]\n");
+        let err = parse_sdc(&with_input_delay, &nl).unwrap_err();
+        assert!(
+            matches!(&err, SdcError::Unsupported { line: 5, message }
+                if message.contains("input launch offsets")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -243,7 +246,7 @@ set_max_delay 900 -to [get_ports z]
     #[test]
     fn rejects_unknown_ports_and_commands() {
         let nl = tiny();
-        let err = parse_sdc("set_input_delay 10 nope\n", &nl).unwrap_err();
+        let err = parse_sdc("set_output_delay 10 nope\n", &nl).unwrap_err();
         assert!(matches!(err, SdcError::UnknownPort { port, .. } if port == "nope"));
         let err = parse_sdc("set_false_path -from a\n", &nl).unwrap_err();
         assert!(matches!(err, SdcError::Unsupported { .. }));

@@ -25,6 +25,22 @@ pub struct SlackReport {
 }
 
 impl SlackReport {
+    /// Derives the report for the requirement `required` ps at every
+    /// primary output from already-computed structural bounds, so callers
+    /// that evaluate several requirements against one operating point run
+    /// the bound pass once.
+    pub(crate) fn from_bounds(nl: &Netlist, timing: StaticTiming, required: f64) -> Self {
+        let slack = nl
+            .net_ids()
+            .map(|n| required - timing.arrival[n.index()] - timing.remaining[n.index()])
+            .collect();
+        SlackReport {
+            timing,
+            required,
+            slack,
+        }
+    }
+
     /// Slack of one net.
     ///
     /// # Panics
@@ -81,16 +97,11 @@ pub fn slack_report(
     input_slew: f64,
     required: f64,
 ) -> SlackReport {
-    let timing = static_bounds(nl, tlib, corner, input_slew, 1.0);
-    let slack = nl
-        .net_ids()
-        .map(|n| required - timing.arrival[n.index()] - timing.remaining[n.index()])
-        .collect();
-    SlackReport {
-        timing,
+    SlackReport::from_bounds(
+        nl,
+        static_bounds(nl, tlib, corner, input_slew, 1.0),
         required,
-        slack,
-    }
+    )
 }
 
 #[cfg(test)]

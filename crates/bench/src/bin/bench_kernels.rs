@@ -2,17 +2,13 @@
 //!
 //! For each catalog circuit the harness:
 //!
-//! 1. enumerates true paths in both modes — interpreted models vs the
-//!    corner-compiled kernel table — and verifies the two runs produce
-//!    identical path sets and arrivals (the kernels are bit-identical by
-//!    construction, so any divergence is a bug); the timed rounds are
-//!    warmed up and interleaved so clock ramp-up and cache warming do
-//!    not bias one mode;
-//! 2. replays the circuit's real delay-evaluation workload (every arc of
-//!    every emitted path with propagated slews) through the three
-//!    evaluation paths — direct interpreted [`sta_charlib::poly`] walk,
-//!    the hash-keyed `ModelCache`, and the compiled kernel — and reports
-//!    best-of-3 per-eval timings;
+//! 1. enumerates true paths (untimed) to collect the circuit's real
+//!    delay-evaluation workload: every arc of every emitted path with
+//!    propagated slews;
+//! 2. replays that workload through the interpreted
+//!    [`sta_charlib::poly`] walk (`TimingLibrary::delay_slew`, the
+//!    reference the kernels are checked against) and through the
+//!    compiled kernel, and reports best-of-3 per-eval timings;
 //! 3. records kernel compile time and footprint.
 //!
 //! Usage: `bench_kernels [--circuit NAME]... [--out PATH]`
@@ -24,7 +20,6 @@ use std::time::Instant;
 use serde::Serialize;
 use sta_bench::{benchmark, library, timing_library};
 use sta_cells::{Corner, Edge, Technology};
-use sta_charlib::ModelCache;
 use sta_core::{EnumerationConfig, PathEnumerator, TruePath};
 use sta_netlist::CellId;
 
@@ -46,24 +41,9 @@ struct EvalWorkload {
     /// Total evaluations timed per implementation.
     evals: usize,
     interpreted_ns_per_eval: f64,
-    cached_ns_per_eval: f64,
     compiled_ns_per_eval: f64,
     /// Compiled-kernel speedup over the direct interpreted walk.
     speedup_vs_interpreted: f64,
-    /// Compiled-kernel speedup over the `ModelCache` path.
-    speedup_vs_cached: f64,
-}
-
-#[derive(Serialize)]
-struct EndToEnd {
-    interpreted_ms: f64,
-    compiled_ms: f64,
-    speedup: f64,
-    /// Paths, arrivals, and witness vectors agree between the two modes.
-    identical_paths: bool,
-    paths: usize,
-    compiled_evals: u64,
-    fallback_evals: u64,
 }
 
 #[derive(Serialize)]
@@ -76,8 +56,9 @@ struct KernelInfo {
 #[derive(Serialize)]
 struct CircuitReport {
     name: String,
+    /// Paths whose arcs make up the replayed workload.
+    paths: usize,
     eval_workload: EvalWorkload,
-    end_to_end: EndToEnd,
     kernel: KernelInfo,
 }
 
@@ -87,8 +68,8 @@ struct Report {
     circuits: Vec<CircuitReport>,
 }
 
-fn config(name: &str, corner: Corner, kernels: bool) -> EnumerationConfig {
-    let mut cfg = EnumerationConfig::new(corner).with_compiled_kernels(kernels);
+fn config(name: &str, corner: Corner) -> EnumerationConfig {
+    let mut cfg = EnumerationConfig::new(corner);
     // Full enumeration where it is cheap, N-worst where it is not.
     if name == "c17" || name == "c432" {
         cfg.max_paths = Some(100_000);
@@ -96,26 +77,6 @@ fn config(name: &str, corner: Corner, kernels: bool) -> EnumerationConfig {
         cfg = cfg.with_n_worst(50);
     }
     cfg
-}
-
-fn paths_identical(a: &[TruePath], b: &[TruePath]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.source == y.source
-                && x.nodes == y.nodes
-                && x.arcs == y.arcs
-                && x.input_vector == y.input_vector
-                && [(&x.rise, &y.rise), (&x.fall, &y.fall)]
-                    .iter()
-                    .all(|(s, t)| match (s, t) {
-                        (Some(s), Some(t)) => {
-                            s.arrival.to_bits() == t.arrival.to_bits()
-                                && s.slew.to_bits() == t.slew.to_bits()
-                        }
-                        (None, None) => true,
-                        _ => false,
-                    })
-        })
 }
 
 /// Replays every arc of every emitted path with slew propagation,
@@ -210,53 +171,16 @@ fn main() {
         let kernel = tlib.compile_corner(corner);
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        // End-to-end enumeration, both modes. One untimed warmup run per
-        // mode, then the timed rounds ALTERNATE interpreted/compiled (best
-        // of 3 each): timing one mode's rounds back-to-back before the
-        // other's hands whichever goes second a warmed cache hierarchy and
-        // a ramped-up clock, which on short runs (c432 is ~100 ms) is
-        // enough to flip the reported speedup sign.
-        let enum_int = PathEnumerator::new(&nl, lib, tlib, config(name, corner, false));
-        let enum_cmp = PathEnumerator::new(&nl, lib, tlib, config(name, corner, true));
-        black_box(enum_int.run());
-        black_box(enum_cmp.run());
-        let mut int_ms = f64::INFINITY;
-        let mut cmp_ms = f64::INFINITY;
-        let mut int_result = None;
-        let mut cmp_result = None;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let (paths, stats) = enum_int.run();
-            int_ms = int_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            int_result = Some((paths, stats));
-            let t0 = Instant::now();
-            let (paths, stats) = enum_cmp.run();
-            cmp_ms = cmp_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            cmp_result = Some((paths, stats));
-        }
-        let (int_paths, _int_stats) = int_result.expect("ran");
-        let (cmp_paths, cmp_stats) = cmp_result.expect("ran");
-        let identical = paths_identical(&int_paths, &cmp_paths);
-        assert!(
-            identical,
-            "{name}: compiled and interpreted path sets diverge"
-        );
-
-        // Replay the real evaluation workload through the three paths.
-        let input_slew = config(name, corner, true).input_slew;
-        let sites = record_sites(&nl, tlib, corner, input_slew, &cmp_paths);
+        // Replay the real evaluation workload through both paths.
+        let cfg = config(name, corner);
+        let input_slew = cfg.input_slew;
+        let (paths, _) = PathEnumerator::new(&nl, lib, tlib, cfg).run();
+        let sites = record_sites(&nl, tlib, corner, input_slew, &paths);
         assert!(!sites.is_empty(), "{name}: no evaluation sites recorded");
         let rounds = (1_000_000 / sites.len()).max(1);
         let interp_ns = time_evals(&sites, rounds, |s| {
             tlib.delay_slew(s.cell, s.pin, s.vector, s.edge, s.fo, s.slew, corner)
                 .0
-        });
-        let mut cache = ModelCache::new();
-        let cached_ns = time_evals(&sites, rounds, |s| {
-            tlib.delay_slew_cached(
-                &mut cache, s.cell, s.pin, s.vector, s.edge, s.fo, s.slew, corner,
-            )
-            .0
         });
         let compiled_ns = time_evals(&sites, rounds, |s| {
             kernel
@@ -266,23 +190,13 @@ fn main() {
 
         let circuit = CircuitReport {
             name: name.clone(),
+            paths: paths.len(),
             eval_workload: EvalWorkload {
                 sites: sites.len(),
                 evals: rounds * sites.len(),
                 interpreted_ns_per_eval: interp_ns,
-                cached_ns_per_eval: cached_ns,
                 compiled_ns_per_eval: compiled_ns,
                 speedup_vs_interpreted: interp_ns / compiled_ns,
-                speedup_vs_cached: cached_ns / compiled_ns,
-            },
-            end_to_end: EndToEnd {
-                interpreted_ms: int_ms,
-                compiled_ms: cmp_ms,
-                speedup: int_ms / cmp_ms,
-                identical_paths: identical,
-                paths: cmp_paths.len(),
-                compiled_evals: cmp_stats.compiled_evals,
-                fallback_evals: cmp_stats.fallback_evals,
             },
             kernel: KernelInfo {
                 arcs: kernel.num_arcs(),
@@ -291,15 +205,14 @@ fn main() {
             },
         };
         println!(
-            "{name}: eval {:.1} ns interpreted / {:.1} ns cached / {:.1} ns compiled \
-             ({:.2}x vs interpreted), end-to-end {:.1} ms -> {:.1} ms, identical paths: {}",
+            "{name}: eval {:.1} ns interpreted / {:.1} ns compiled ({:.2}x) over {} sites \
+             of {} paths; kernel compile {:.3} ms",
             interp_ns,
-            cached_ns,
             compiled_ns,
             circuit.eval_workload.speedup_vs_interpreted,
-            int_ms,
-            cmp_ms,
-            identical
+            sites.len(),
+            paths.len(),
+            compile_ms
         );
         report.circuits.push(circuit);
     }

@@ -30,7 +30,6 @@ struct ThreadResult {
 #[derive(Serialize)]
 struct EngineConfig {
     n_worst: usize,
-    compiled_kernels: bool,
     bitsim: bool,
 }
 
@@ -117,7 +116,6 @@ fn main() {
         host_parallelism: host,
         engine: EngineConfig {
             n_worst,
-            compiled_kernels: cfg_echo.compile_kernels,
             bitsim: cfg_echo.bitsim,
         },
         note: "Wall-clock is best of 3 after warm-up. Speedup over serial is \

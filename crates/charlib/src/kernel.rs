@@ -7,12 +7,12 @@
 //! `(cell, pin, sensitization vector)` triple — gets a dense integer
 //! [`ArcId`], so the enumeration inner loop resolves a model with two
 //! array indexes instead of a `variant_index[pin][vector]` double
-//! indirection or a hash-keyed [`crate::ModelCache`] probe.
+//! indirection.
 //!
 //! Because the folded kernels share their arithmetic with the
 //! interpreted [`crate::PolyModel::eval`], a compiled run produces
-//! **bit-identical** delays and slews; the cache stays available as a
-//! fallback for uncompiled corners.
+//! **bit-identical** delays and slews; the interpreted models remain the
+//! reference the lint rules and tests compare against.
 
 use serde::{Deserialize, Serialize};
 

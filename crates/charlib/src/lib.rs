@@ -49,6 +49,6 @@ pub use characterize::{
 };
 pub use kernel::{ArcId, CompiledCorner};
 pub use lut::Lut2d;
-pub use model::{ArcModel, ArcRef, ArcVariant, CellTiming, LutArc, ModelCache, TimingLibrary};
+pub use model::{ArcModel, ArcVariant, CellTiming, LutArc, TimingLibrary};
 pub use montecarlo::{DelayDistribution, VariationSampler};
 pub use poly::{CompiledPoly, FitError, PolyModel, Sample};

@@ -1,8 +1,6 @@
 //! The characterized timing library: per-(cell, pin, vector, edge)
 //! polynomial models plus the vector-blind LUT models of the baseline.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use sta_cells::{Corner, Edge, Library, Polarity, Technology};
@@ -224,60 +222,6 @@ impl TimingLibrary {
         cout / self.cell(driver_cell).avg_input_cap
     }
 
-    /// A resolved handle on one (cell, pin, vector) arc variant.
-    ///
-    /// Resolving the double index (`variant_index[pin][vector]` →
-    /// `variants[..]`) once and evaluating through the handle keeps the
-    /// lookup off the hot loop of callers that touch the same arc many
-    /// times (the enumerator's timing advance).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell, pin, or vector index is out of range.
-    pub fn arc_ref(&self, cell: CellId, pin: u8, vector: usize) -> ArcRef<'_> {
-        ArcRef {
-            variant: self.cell(cell).variant(pin, vector),
-        }
-    }
-
-    /// Memoized variant of [`TimingLibrary::delay_slew`].
-    ///
-    /// The cache key covers (cell, pin, vector, edge, fanout bits, input
-    /// slew bits) but **not** the corner: a [`ModelCache`] must only ever
-    /// be used with one corner (the enumerator fixes the corner per run).
-    #[allow(clippy::too_many_arguments)]
-    pub fn delay_slew_cached(
-        &self,
-        cache: &mut ModelCache,
-        cell: CellId,
-        pin: u8,
-        vector: usize,
-        in_edge: Edge,
-        fo: f64,
-        t_in: f64,
-        corner: Corner,
-    ) -> (f64, f64) {
-        let key = ModelKey {
-            cell: cell.index() as u32,
-            pin,
-            edge: matches!(in_edge, Edge::Fall),
-            vector: vector as u16,
-            fo: fo.to_bits(),
-            t_in: t_in.to_bits(),
-        };
-        if let Some(&hit) = cache.map.get(&key) {
-            cache.hits += 1;
-            return hit;
-        }
-        cache.misses += 1;
-        let out = self.delay_slew(cell, pin, vector, in_edge, fo, t_in, corner);
-        if cache.map.len() >= ModelCache::CAPACITY {
-            cache.map.clear();
-        }
-        cache.map.insert(key, out);
-        out
-    }
-
     /// Sanity check: the library covers every cell id used by `lib`.
     pub fn covers(&self, lib: &Library) -> bool {
         lib.iter().all(|c| {
@@ -285,78 +229,6 @@ impl TimingLibrary {
                 .get(c.id().index())
                 .is_some_and(|t| t.cell == c.id() && t.name == c.name())
         })
-    }
-}
-
-/// A resolved (cell, pin, vector) arc handle (see
-/// [`TimingLibrary::arc_ref`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ArcRef<'a> {
-    variant: &'a ArcVariant,
-}
-
-impl ArcRef<'_> {
-    /// Output polarity of the arc under its vector.
-    pub fn polarity(&self) -> Polarity {
-        self.variant.polarity
-    }
-
-    /// Evaluates (delay, slew) for the given input edge.
-    pub fn eval(&self, in_edge: Edge, fo: f64, t_in: f64, corner: Corner) -> (f64, f64) {
-        self.variant.for_edge(in_edge).eval(fo, t_in, corner)
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct ModelKey {
-    cell: u32,
-    pin: u8,
-    /// `true` = falling input edge.
-    edge: bool,
-    vector: u16,
-    fo: u64,
-    t_in: u64,
-}
-
-/// A memo table over [`TimingLibrary::delay_slew`] evaluations, keyed by
-/// (cell, pin, vector, edge, exact `fo` bits, exact `t_in` bits).
-///
-/// The enumeration DFS revisits the same arc with the same incoming slew
-/// whenever sibling branches reconverge on a sub-path, so exact-bits
-/// memoization has a high hit rate without any approximation. One cache
-/// per worker thread — no sharing, no locks. The corner is *not* part of
-/// the key; use one cache per corner.
-#[derive(Clone, Debug, Default)]
-pub struct ModelCache {
-    map: HashMap<ModelKey, (f64, f64)>,
-    /// Lookups answered from the table.
-    pub hits: u64,
-    /// Lookups that fell through to polynomial evaluation.
-    pub misses: u64,
-}
-
-impl ModelCache {
-    /// Entry cap; the table is cleared (not evicted per-entry) when full.
-    const CAPACITY: usize = 1 << 20;
-
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all memoized entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Number of memoized entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -454,32 +326,6 @@ mod tests {
         assert!(s > 0.0);
         let (dl, _) = tlib.lut_delay_slew(CellId::from_index(0), 0, Edge::Fall, 2.0, 50.0);
         assert!((dl - (12.0 + 6.0 + 5.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cached_eval_matches_direct_and_counts_hits() {
-        let tlib = TimingLibrary {
-            tech: Technology::n90(),
-            cells: vec![dummy_cell_timing(0, "X", 2, 2)],
-        };
-        let corner = Corner::nominal(&tlib.tech);
-        let cid = CellId::from_index(0);
-        let mut cache = ModelCache::new();
-        let direct = tlib.delay_slew(cid, 1, 0, Edge::Rise, 2.0, 50.0, corner);
-        let first = tlib.delay_slew_cached(&mut cache, cid, 1, 0, Edge::Rise, 2.0, 50.0, corner);
-        let second = tlib.delay_slew_cached(&mut cache, cid, 1, 0, Edge::Rise, 2.0, 50.0, corner);
-        assert_eq!(direct, first);
-        assert_eq!(first, second);
-        assert_eq!((cache.hits, cache.misses), (1, 1));
-        // Different edge / vector are distinct entries.
-        tlib.delay_slew_cached(&mut cache, cid, 1, 1, Edge::Rise, 2.0, 50.0, corner);
-        tlib.delay_slew_cached(&mut cache, cid, 1, 0, Edge::Fall, 2.0, 50.0, corner);
-        assert_eq!(cache.misses, 3);
-        assert_eq!(cache.len(), 3);
-        // The resolved handle agrees with the indexed lookup.
-        let arc = tlib.arc_ref(cid, 1, 0);
-        assert_eq!(arc.eval(Edge::Rise, 2.0, 50.0, corner), direct);
-        assert_eq!(arc.polarity(), Polarity::Inverting);
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub enum RequiredSource {
 /// [`AnalysisRequest::run`], or a whole MCMM scenario set for
 /// [`AnalysisRequest::run_batch`]. All setters are chainable; the
 /// defaults reproduce the engine's standard configuration (nominal 90 nm,
-/// unconstrained mode, one thread, compiled kernels, 60 ps input slew).
+/// unconstrained mode, one thread, 60 ps input slew).
 ///
 /// The operating point and constraints live in typed [`Scenario`]s
 /// (corner = [`crate::CornerDef`], mode = [`crate::Mode`]).
@@ -117,7 +117,6 @@ pub struct AnalysisRequest {
     pub(crate) threads: usize,
     /// Concurrent scenario jobs in [`AnalysisRequest::run_batch`].
     pub(crate) batch_threads: usize,
-    pub(crate) compile_kernels: bool,
     pub(crate) bitsim: bool,
     pub(crate) learning: bool,
     /// Path cap applied only in full-enumeration mode (no `n_worst`).
@@ -140,7 +139,6 @@ impl AnalysisRequest {
             n_worst: None,
             threads: 1,
             batch_threads: 1,
-            compile_kernels: true,
             bitsim: true,
             learning: true,
             full_enum_path_cap: None,
@@ -201,12 +199,6 @@ impl AnalysisRequest {
     /// Sets the enumeration worker-thread count (default 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the corner-compiled delay kernels (default on).
-    pub fn compiled_kernels(mut self, on: bool) -> Self {
-        self.compile_kernels = on;
         self
     }
 
@@ -290,7 +282,6 @@ impl AnalysisRequest {
                 ("circuit", self.circuit.clone()),
                 ("tech", tech.name.clone()),
                 ("threads", self.threads.to_string()),
-                ("kernels", self.compile_kernels.to_string()),
                 ("bitsim", self.bitsim.to_string()),
                 ("learning", self.learning.to_string()),
             ],
@@ -341,7 +332,6 @@ impl AnalysisRequest {
     pub(crate) fn enumeration_config(&self, corner: Corner) -> EnumerationConfig {
         let mut cfg = EnumerationConfig::new(corner)
             .with_threads(self.threads)
-            .with_compiled_kernels(self.compile_kernels)
             .with_bitsim(self.bitsim)
             .with_learning(self.learning)
             .with_observer(self.obs.clone());
@@ -424,9 +414,8 @@ pub struct EnumerationRun {
     pub paths: Vec<TruePath>,
     /// Engine statistics.
     pub stats: EnumerationStats,
-    /// `(arcs, coefficients)` of the compiled kernel table, when kernel
-    /// compilation was enabled.
-    pub kernel: Option<(usize, usize)>,
+    /// `(arcs, coefficients)` of the compiled kernel table.
+    pub kernel: (usize, usize),
 }
 
 /// Result of a structural slack analysis through the context.
@@ -525,10 +514,9 @@ impl AnalysisContext {
             }
             e
         };
-        let kernel = enumr.kernel().map(|k| {
-            k.record_metrics(&self.obs);
-            (k.num_arcs(), k.num_coefficients())
-        });
+        let k = enumr.kernel();
+        k.record_metrics(&self.obs);
+        let kernel = (k.num_arcs(), k.num_coefficients());
         let (paths, stats) = {
             let _enumerate = self.root.child("enumerate");
             enumr.run()
@@ -598,8 +586,8 @@ pub struct AnalysisOutcome {
     pub paths: Vec<TruePath>,
     /// Engine statistics.
     pub stats: EnumerationStats,
-    /// `(arcs, coefficients)` of the compiled kernel table, if enabled.
-    pub kernel: Option<(usize, usize)>,
+    /// `(arcs, coefficients)` of the compiled kernel table.
+    pub kernel: (usize, usize),
     /// Wall-clock enumeration time, seconds.
     pub elapsed_s: f64,
 }
@@ -631,7 +619,7 @@ mod tests {
     #[test]
     fn facade_matches_direct_engine_use() {
         let outcome = fast_request("c17").run().unwrap();
-        assert!(outcome.kernel.is_some());
+        assert!(outcome.kernel.0 > 0);
         // Reproduce by hand: same library, same config.
         let lib = Library::standard();
         let nl = catalog::mapped("c17", &lib).unwrap().unwrap();

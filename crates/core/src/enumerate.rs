@@ -20,15 +20,16 @@ use std::sync::Arc;
 
 use serde::Serialize;
 use sta_cells::{Corner, Edge, Library, Polarity};
-use sta_charlib::{CompiledCorner, ModelCache, TimingLibrary};
-use sta_logic::{toggle_analysis, Dual, ImplicationEngine, Mask, Schedule, Toggle, TriVal, V9};
+use sta_charlib::{CompiledCorner, TimingLibrary};
+use sta_logic::{Dual, ImplicationEngine, Mask, Schedule, Toggle, TriVal, V9};
 
 use crate::bitsim::BitsimFilter;
 use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch};
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
-use crate::arrival::{static_bounds, ArcBounds};
+use crate::arrival::ArcBounds;
 use crate::learn::{self, ConeScratch, NogoodKey, NogoodStore, NogoodView};
+use crate::parallel::RunBudget;
 use crate::path::{LaunchTiming, PathArc, PiValue, TruePath};
 
 /// Configuration of a true-path enumeration run.
@@ -44,11 +45,12 @@ pub struct EnumerationConfig {
     /// Safety margin of the static pruning bound (only used with
     /// `n_worst`).
     pub prune_margin: f64,
-    /// Abort the run after this many search decisions (0 = unlimited).
-    /// When hit, [`EnumerationStats::truncated`] is set.
+    /// Abort the run after this many search decisions (0 = unlimited),
+    /// counted over the whole run at any thread count. When hit,
+    /// [`EnumerationStats::truncated`] is set.
     pub max_decisions: u64,
-    /// Stop after this many emitted paths (safety valve for pathological
-    /// circuits).
+    /// Stop after this many emitted paths, counted over the whole run
+    /// (safety valve for pathological circuits).
     pub max_paths: Option<usize>,
     /// Effort cap per justification call (0 = unlimited). Refutations of
     /// unsatisfiable requirement sets over reconvergent XOR logic are
@@ -56,21 +58,14 @@ pub struct EnumerationConfig {
     /// branch is dropped and counted in
     /// [`EnumerationStats::justify_aborts`].
     pub justify_decision_limit: u64,
-    /// Worker threads for the enumeration (1 = the serial engine). With
-    /// more than one thread the search roots — (primary input, launch
-    /// gate, sensitization vector) triples — are distributed over a
-    /// work-stealing pool; the emitted path set of
-    /// [`PathEnumerator::run`] is identical to the serial one at any
-    /// thread count (see the `parallel` module). `max_decisions` /
-    /// `max_paths` budgets apply per root task rather than globally in
-    /// parallel mode.
+    /// Worker threads for the enumeration. The search roots — (primary
+    /// input, launch gate, sensitization vector) triples — are
+    /// distributed over a work-stealing pool (see the `parallel`
+    /// module); a pool of one runs on the caller's thread. The emitted
+    /// path set of an untruncated [`PathEnumerator::run`] is identical
+    /// at any thread count; a budget-truncated one is reproducible at one
+    /// thread and schedule-dependent above.
     pub threads: usize,
-    /// Fold the timing library into a [`CompiledCorner`] kernel table at
-    /// setup and evaluate delays through it (bit-identical to the
-    /// interpreted models — see `sta_charlib::kernel`). Disable to force
-    /// the interpreted `ModelCache` path, e.g. to time the two against
-    /// each other.
-    pub compile_kernels: bool,
     /// Pre-filter justification branch candidates through the 64-lane
     /// bit-parallel forward simulation (`sta_logic::bitsim`) before they
     /// reach the exact implication engine. Refutation-only: the emitted
@@ -80,10 +75,10 @@ pub struct EnumerationConfig {
     /// Conflict-driven nogood learning plus the per-source dominance cut
     /// (see `sta_core::learn`). Refutation-only and bound-safe: the
     /// emitted path set and every certificate byte are identical either
-    /// way whenever the global `max_decisions` budget does not bite
-    /// (skipped refutations spend no decisions, so a budget-truncated
-    /// run can truncate at a different point). Disable to time the
-    /// unpruned search.
+    /// way whenever the `max_decisions` budget does not bite (skipped
+    /// refutations spend no decisions, so a budget-truncated run can
+    /// truncate at a different point). Disable to time the unpruned
+    /// search.
     pub learning: bool,
     /// Restricts the run to a subset of the primary inputs: entry `i`
     /// gates the source at position `i` of `Netlist::inputs()`. `None`
@@ -93,11 +88,11 @@ pub struct EnumerationConfig {
     /// threshold* (or in full enumeration) — the property the ECO
     /// incremental re-analysis relies on (see `sta_core::eco`).
     pub source_filter: Option<Arc<Vec<bool>>>,
-    /// Isolate the N-worst admission threshold per source: the threshold
-    /// and admitted-arrival set reset at every source switch (serial) and
-    /// the shared bound is per source (parallel), so each source's
-    /// emitted superset contains its own N worst paths and is independent
-    /// of which other sources run. Costs pruning power on multi-source
+    /// Isolate the N-worst admission threshold per source: each worker
+    /// resets its threshold and admitted-arrival set at every source
+    /// switch and shares a per-source bound, so each source's emitted
+    /// superset contains its own N worst paths and is independent of
+    /// which other sources run. Costs pruning power on multi-source
     /// runs; the point is cacheability, not speed.
     pub per_source_n_worst: bool,
     /// Observability handle. Disabled by default; when enabled the run
@@ -121,7 +116,6 @@ impl PartialEq for EnumerationConfig {
             && self.max_paths == other.max_paths
             && self.justify_decision_limit == other.justify_decision_limit
             && self.threads == other.threads
-            && self.compile_kernels == other.compile_kernels
             && self.bitsim == other.bitsim
             && self.learning == other.learning
             && self.source_filter == other.source_filter
@@ -142,7 +136,6 @@ impl EnumerationConfig {
             max_paths: None,
             justify_decision_limit: 20_000,
             threads: 1,
-            compile_kernels: true,
             bitsim: true,
             learning: true,
             source_filter: None,
@@ -157,16 +150,9 @@ impl EnumerationConfig {
         self
     }
 
-    /// Sets the worker thread count (values below 1 mean serial).
+    /// Sets the worker thread count (values below 1 mean one).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the corner-compiled kernel table (on by
-    /// default).
-    pub fn with_compiled_kernels(mut self, on: bool) -> Self {
-        self.compile_kernels = on;
         self
     }
 
@@ -232,15 +218,9 @@ pub struct EnumerationStats {
     /// Justification candidate enumerations answered from the per-worker
     /// memo table (see `sta_core::justify::JustifyCache`).
     pub justify_cache_hits: u64,
-    /// Delay-model evaluations answered from the per-worker memo table
-    /// (see `sta_charlib::ModelCache`).
-    pub model_cache_hits: u64,
     /// Arc evaluations (one per alive polarity) served by the
     /// corner-compiled kernel table.
     pub compiled_evals: u64,
-    /// Arc evaluations that fell back to the interpreted models (kernel
-    /// compilation disabled).
-    pub fallback_evals: u64,
     /// 64-lane bit-parallel program executions by the justification
     /// pre-filter (one per polarity/timeframe plane).
     pub bitsim_words: u64,
@@ -288,7 +268,7 @@ impl EnumerationStats {
     /// Folds another run's (or worker's) counters into this one. All
     /// counters are sums except the scratch high-water marks (maxima) and
     /// `truncated` (an OR). Used to aggregate per-worker statistics after
-    /// a parallel run.
+    /// a multi-threaded run.
     pub fn merge(&mut self, other: &EnumerationStats) {
         self.paths += other.paths;
         self.input_vectors += other.input_vectors;
@@ -297,9 +277,7 @@ impl EnumerationStats {
         self.pruned += other.pruned;
         self.justify_aborts += other.justify_aborts;
         self.justify_cache_hits += other.justify_cache_hits;
-        self.model_cache_hits += other.model_cache_hits;
         self.compiled_evals += other.compiled_evals;
-        self.fallback_evals += other.fallback_evals;
         self.bitsim_words += other.bitsim_words;
         self.bitsim_lanes_filtered += other.bitsim_lanes_filtered;
         self.bitsim_exact_calls_saved += other.bitsim_exact_calls_saved;
@@ -328,12 +306,11 @@ pub struct PathEnumerator<'a> {
     pub(crate) lib: &'a Library,
     pub(crate) tlib: &'a TimingLibrary,
     pub(crate) cfg: EnumerationConfig,
-    /// Corner-compiled kernel table (`None` when disabled), built once at
-    /// construction — or injected pre-built via
-    /// [`PathEnumerator::with_prebuilt`], e.g. by the timing daemon which
-    /// keeps it resident across requests — and shared read-only by every
-    /// worker.
-    pub(crate) kernel: Option<Arc<CompiledCorner>>,
+    /// Corner-compiled kernel table, built once at construction — or
+    /// injected pre-built via [`PathEnumerator::with_prebuilt`], e.g. by
+    /// the timing daemon which keeps it resident across requests — and
+    /// shared read-only by every worker.
+    pub(crate) kernel: Arc<CompiledCorner>,
     /// Compiled forward-simulation program for the bit-parallel
     /// justification pre-filter (`None` when disabled), built once at
     /// construction (or injected pre-built) and shared read-only by every
@@ -358,17 +335,18 @@ impl<'a> PathEnumerator<'a> {
         tlib: &'a TimingLibrary,
         cfg: EnumerationConfig,
     ) -> Self {
-        Self::with_prebuilt(nl, lib, tlib, cfg, None, None)
+        let kernel = Arc::new(tlib.compile_corner(cfg.corner));
+        Self::with_prebuilt(nl, lib, tlib, cfg, kernel, None)
     }
 
     /// Like [`PathEnumerator::new`], but reuses caller-owned compiled
-    /// state instead of rebuilding it: a corner-compiled kernel table
+    /// state instead of rebuilding it: the corner-compiled kernel table
     /// (valid for a (timing library, corner) pair — it does not depend on
-    /// the netlist, so it survives ECO edits) and/or a compiled bitsim
-    /// schedule (netlist-dependent; rebuild after an edit). Either `None`
-    /// falls back to compiling fresh when the corresponding config flag is
-    /// on. This is what lets the timing daemon pay compilation once per
-    /// loaded circuit rather than once per request.
+    /// the netlist, so it survives ECO edits) and optionally a compiled
+    /// bitsim schedule (netlist-dependent; rebuild after an edit; `None`
+    /// compiles one fresh when bitsim is on). This is what lets the
+    /// timing daemon pay compilation once per loaded circuit rather than
+    /// once per request.
     ///
     /// # Panics
     ///
@@ -378,7 +356,7 @@ impl<'a> PathEnumerator<'a> {
         lib: &'a Library,
         tlib: &'a TimingLibrary,
         cfg: EnumerationConfig,
-        kernel: Option<Arc<CompiledCorner>>,
+        kernel: Arc<CompiledCorner>,
         schedule: Option<Arc<Schedule>>,
     ) -> Self {
         assert_eq!(nl.topo_gates().len(), nl.num_gates(), "netlist has a cycle");
@@ -387,9 +365,6 @@ impl<'a> PathEnumerator<'a> {
                 .all(|g| matches!(nl.gate(g).kind(), GateKind::Cell(_))),
             "netlist must be technology-mapped"
         );
-        let kernel = cfg
-            .compile_kernels
-            .then(|| kernel.unwrap_or_else(|| Arc::new(tlib.compile_corner(cfg.corner))));
         let schedule = cfg
             .bitsim
             .then(|| schedule.unwrap_or_else(|| Arc::new(Schedule::compile(nl, lib))));
@@ -404,15 +379,15 @@ impl<'a> PathEnumerator<'a> {
         }
     }
 
-    /// The corner-compiled kernel table, if kernel compilation is enabled.
-    pub fn kernel(&self) -> Option<&CompiledCorner> {
-        self.kernel.as_deref()
+    /// The corner-compiled kernel table.
+    pub fn kernel(&self) -> &CompiledCorner {
+        &self.kernel
     }
 
     /// Shared handle on the kernel table (for callers that keep it
     /// resident across enumerator rebuilds, e.g. the timing daemon).
-    pub fn kernel_arc(&self) -> Option<Arc<CompiledCorner>> {
-        self.kernel.clone()
+    pub fn kernel_arc(&self) -> Arc<CompiledCorner> {
+        Arc::clone(&self.kernel)
     }
 
     /// Shared handle on the compiled bitsim schedule, if bitsim is
@@ -435,8 +410,8 @@ impl<'a> PathEnumerator<'a> {
     /// Runs the enumeration and returns the discovered true paths (sorted
     /// by the canonical order of [`TruePath::canonical_cmp`]: descending
     /// worst arrival with deterministic tie-breaking) together with run
-    /// statistics. The returned path set is identical at any
-    /// [`EnumerationConfig::threads`] setting.
+    /// statistics. Unless a budget truncates the run, the returned path
+    /// set is identical at any [`EnumerationConfig::threads`] setting.
     pub fn run(&self) -> (Vec<TruePath>, EnumerationStats) {
         let mut collected: Vec<TruePath> = Vec::new();
         let stats = self.run_with(|p| collected.push(p));
@@ -456,192 +431,49 @@ impl<'a> PathEnumerator<'a> {
     /// search, but paths below the final threshold may reach the sink —
     /// the sink sees a superset of the N worst.
     pub fn run_with(&self, mut sink: impl FnMut(TruePath)) -> EnumerationStats {
-        let stats = if self.cfg.threads > 1 {
-            crate::parallel::run_parallel(self, &mut sink)
-        } else {
-            self.run_serial(&mut sink)
-        };
+        let stats = crate::parallel::run(self, &mut sink);
         self.ingest_stats(&stats);
         stats
     }
 
-    /// The serial engine behind [`PathEnumerator::run_with`].
-    fn run_serial(&self, sink: &mut dyn FnMut(TruePath)) -> EnumerationStats {
-        let nogoods = self.cfg.learning.then(|| {
-            self.nogood_store
-                .clone()
-                .unwrap_or_else(|| Arc::new(NogoodStore::new()))
-        });
-        let mut search = Search {
-            nl: self.nl,
-            lib: self.lib,
-            tlib: self.tlib,
-            cfg: &self.cfg,
-            kernel: self.kernel.as_deref(),
-            eng: ImplicationEngine::new(self.nl, self.lib),
-            remaining: self.prune_bounds(),
-            fanouts: self.fanouts(),
-            is_output: self.output_flags(),
-            reach: Vec::new(),
-            obligations: Vec::new(),
-            delays_r: Vec::new(),
-            delays_f: Vec::new(),
-            sink,
-            emitted: 0,
-            worst_arrivals: Vec::new(),
-            threshold: f64::NEG_INFINITY,
-            shared_bound: None,
-            justify_cache: JustifyCache::new(),
-            model_cache: ModelCache::new(),
-            side_scratch: Vec::new(),
-            justify_todo: Vec::new(),
-            justify_scratch: JustifyScratch::default(),
-            filter: self.schedule.as_deref().map(BitsimFilter::new),
-            learn_eng: self
-                .cfg
-                .learning
-                .then(|| ImplicationEngine::new(self.nl, self.lib)),
-            nogoods,
-            nogood_view: NogoodView::new(),
-            cone_scratch: ConeScratch::default(),
-            learn_todo: Vec::new(),
-            learn_scratch: JustifyScratch::default(),
-            arc_bounds: self.learn_arc_bounds(),
-            tight_rem: None,
-            stats: EnumerationStats::default(),
-            progress: self.cfg.obs.progress(),
-            justify_hist: self.cfg.obs.histogram("justify.decisions_per_call"),
-            path_len_hist: self.cfg.obs.histogram("enumerate.path_gates"),
-            bound_updates: self.cfg.obs.counter("enumerate.bound_updates"),
-        };
-        // Path stacks live outside the source loop: one allocation for the
-        // whole run.
-        let mut nodes: Vec<NetId> = Vec::new();
-        let mut arcs: Vec<PathArc> = Vec::new();
-        if let Some(f) = &self.cfg.source_filter {
-            assert_eq!(
-                f.len(),
-                self.nl.inputs().len(),
-                "source filter length must match the primary-input count"
-            );
-        }
-        for (pi_pos, &src) in self.nl.inputs().iter().enumerate() {
-            if search.stats.truncated {
-                break;
-            }
-            if let Some(f) = &self.cfg.source_filter {
-                if !f[pi_pos] {
-                    continue;
-                }
-            }
-            if self.cfg.per_source_n_worst {
-                // Threshold isolation: this source's admissions must not
-                // be pruned by what other sources emitted (and vice
-                // versa), so each source's emitted superset is a function
-                // of that source alone.
-                search.threshold = f64::NEG_INFINITY;
-                search.worst_arrivals.clear();
-            }
-            // Per-source static toggle analysis: O(1) refutation of
-            // stable-value requirements on nets that provably toggle
-            // (crucial on reconvergent XOR logic).
-            let deltas = toggle_analysis(self.nl, self.lib, src);
-            search.reach = sensitizable_reach(self.nl, self.lib, &deltas, &search.is_output);
-            search.tight_rem = search.arc_bounds.as_ref().map(|ab| {
-                crate::arrival::tightened_remaining(
-                    self.nl,
-                    self.lib,
-                    ab,
-                    &deltas,
-                    &search.is_output,
-                )
-            });
-            search.eng.set_toggles(Some(deltas));
-            if !search.reach[src.index()] {
-                search.eng.set_toggles(None);
-                continue;
-            }
-            let mark = search.eng.mark();
-            let conflicts = search.eng.assign(src, Dual::transition(false), Mask::BOTH);
-            let mask = Mask::BOTH.minus(conflicts);
-            if mask.any() {
-                let timing = PolTimings::launch(self.cfg.input_slew);
-                search.dfs(src, false, mask, timing, &mut nodes, &mut arcs);
-            }
-            search.eng.rollback(mark);
-            search.eng.set_toggles(None);
-            search.obligations.clear();
-        }
-        search.stats.justify_cache_hits = search.justify_cache.hits;
-        search.stats.model_cache_hits = search.model_cache.hits;
-        if let Some(f) = &search.filter {
-            search.stats.bitsim_words = f.words;
-            search.stats.bitsim_lanes_filtered = f.lanes_filtered;
-            search.stats.bitsim_exact_calls_saved = f.exact_calls_saved;
-        }
-        search.stats
-    }
-
     /// Static pruning bounds for N-worst mode (`None` in full
-    /// enumeration). Computed through the kernel table when one exists —
-    /// the two variants are bit-identical, so pruning never depends on the
-    /// kernel setting.
+    /// enumeration), computed through the kernel table.
     pub(crate) fn prune_bounds(&self) -> Option<Vec<f64>> {
         self.cfg.n_worst.map(|_| {
-            let timing = match &self.kernel {
-                Some(k) => crate::arrival::static_bounds_compiled(
-                    self.nl,
-                    self.tlib,
-                    k,
-                    self.cfg.input_slew,
-                    self.cfg.prune_margin,
-                ),
-                None => static_bounds(
-                    self.nl,
-                    self.tlib,
-                    self.cfg.corner,
-                    self.cfg.input_slew,
-                    self.cfg.prune_margin,
-                ),
-            };
+            let timing = crate::arrival::static_bounds_compiled(
+                self.nl,
+                self.tlib,
+                &self.kernel,
+                self.cfg.input_slew,
+                self.cfg.prune_margin,
+            );
             crate::arrival::record_bounds_metrics(&self.cfg.obs, self.nl, &timing);
             timing.remaining
         })
     }
 
     /// Per-arc delay bound table of the dominance cut (`None` unless
-    /// learning and N-worst mode are both on), computed once per run and
-    /// shared read-only by every worker. Goes through the kernel table
-    /// when one exists — the two variants are bit-identical, so the cut
-    /// never depends on the kernel setting.
+    /// learning and N-worst mode are both on), computed once per run
+    /// through the kernel table and shared read-only by every worker.
     pub(crate) fn learn_arc_bounds(&self) -> Option<Arc<ArcBounds>> {
         // The swept bound evaluates the model over the whole clamped slew
         // domain, so it needs only the small wiggle margin, not the
         // conservative `prune_margin` of the single-point static pass.
         (self.cfg.learning && self.cfg.n_worst.is_some()).then(|| {
-            Arc::new(match &self.kernel {
-                Some(k) => crate::arrival::arc_bounds_compiled(
-                    self.nl,
-                    self.tlib,
-                    k,
-                    self.cfg.input_slew,
-                    crate::arrival::ARC_SWEEP_MARGIN,
-                ),
-                None => crate::arrival::arc_bounds(
-                    self.nl,
-                    self.tlib,
-                    self.cfg.corner,
-                    self.cfg.input_slew,
-                    crate::arrival::ARC_SWEEP_MARGIN,
-                ),
-            })
+            Arc::new(crate::arrival::arc_bounds_compiled(
+                self.nl,
+                self.tlib,
+                &self.kernel,
+                self.cfg.input_slew,
+                crate::arrival::ARC_SWEEP_MARGIN,
+            ))
         })
     }
 
     /// Folds a finished run's statistics into the observer's metrics
     /// registry, and registers the full enumeration metric name set —
-    /// including the parallel-only counters — so that manifests from runs
-    /// at different thread counts stay structurally identical. Pure
+    /// including the per-worker counters — so that every manifest has the
+    /// same structure, even for a run with no root tasks. Pure
     /// side-state: a disabled observer makes this a no-op.
     fn ingest_stats(&self, stats: &EnumerationStats) {
         let obs = &self.cfg.obs;
@@ -658,12 +490,8 @@ impl<'a> PathEnumerator<'a> {
             .add(stats.justify_aborts);
         obs.counter("enumerate.justify_cache_hits")
             .add(stats.justify_cache_hits);
-        obs.counter("enumerate.model_cache_hits")
-            .add(stats.model_cache_hits);
         obs.counter("enumerate.compiled_evals")
             .add(stats.compiled_evals);
-        obs.counter("enumerate.fallback_evals")
-            .add(stats.fallback_evals);
         obs.counter("bitsim.words").add(stats.bitsim_words);
         obs.counter("bitsim.lanes_filtered")
             .add(stats.bitsim_lanes_filtered);
@@ -689,8 +517,9 @@ impl<'a> PathEnumerator<'a> {
             .set(stats.scratch_side_hwm as f64);
         obs.gauge("enumerate.scratch_path_hwm")
             .set(stats.scratch_path_hwm as f64);
-        // Touching a handle registers the name; serial runs register the
-        // parallel counters too (at zero) for structural identity.
+        // Touching a handle registers the name; a run without root tasks
+        // registers the worker counters too (at zero) for structural
+        // identity.
         obs.counter("parallel.steals");
         obs.counter("parallel.tasks");
         obs.counter("enumerate.bound_updates");
@@ -812,11 +641,9 @@ impl PolTimings {
 pub(crate) struct Search<'a, 'b> {
     pub(crate) nl: &'a Netlist,
     pub(crate) lib: &'a Library,
-    pub(crate) tlib: &'a TimingLibrary,
     pub(crate) cfg: &'a EnumerationConfig,
-    /// Corner-compiled kernels (`None` falls back to the interpreted
-    /// models through [`ModelCache`]).
-    pub(crate) kernel: Option<&'a CompiledCorner>,
+    /// Corner-compiled delay kernels.
+    pub(crate) kernel: &'a CompiledCorner,
     pub(crate) eng: ImplicationEngine<'a>,
     pub(crate) remaining: Option<Vec<f64>>,
     /// Equivalent fanout per gate (precomputed).
@@ -832,21 +659,19 @@ pub(crate) struct Search<'a, 'b> {
     pub(crate) delays_f: Vec<f64>,
     /// Where emitted paths go.
     pub(crate) sink: &'b mut dyn FnMut(TruePath),
-    /// Paths handed to the sink so far.
-    pub(crate) emitted: usize,
+    /// The run-wide decision and path tally every worker spends from.
+    pub(crate) budget: &'a RunBudget,
     /// Worst arrivals of admitted paths (threshold bookkeeping in N-worst
     /// mode).
     pub(crate) worst_arrivals: Vec<f64>,
     /// N-worst admission threshold (−∞ until the set is full).
     pub(crate) threshold: f64,
-    /// Globally-tightest published N-worst threshold, shared by all
-    /// workers of a parallel run (total-order f64 encoding, monotone
-    /// `fetch_max`; see the `parallel` module). `None` in serial runs.
-    pub(crate) shared_bound: Option<&'a AtomicU64>,
+    /// Tightest published N-worst threshold, shared by all workers of the
+    /// run (total-order f64 encoding, monotone `fetch_max`; see the
+    /// `parallel` module).
+    pub(crate) shared_bound: &'a AtomicU64,
     /// Memo table over justification candidate enumeration.
     pub(crate) justify_cache: JustifyCache,
-    /// Memo table over delay-model evaluations.
-    pub(crate) model_cache: ModelCache,
     /// Shared stack of pending side assignments: each [`Search::try_arc`]
     /// activation appends its slice and truncates on exit, so the hot loop
     /// never allocates.
@@ -862,9 +687,9 @@ pub(crate) struct Search<'a, 'b> {
     /// with learning off). Reset before and after every replay; never
     /// carries search state.
     pub(crate) learn_eng: Option<ImplicationEngine<'a>>,
-    /// Shared learned-nogood store (`None` with learning off). Serial
-    /// runs own theirs; parallel workers clone one `Arc` (see
-    /// `sta_core::learn` for the sharing and soundness story).
+    /// Shared learned-nogood store (`None` with learning off); every
+    /// worker clones one `Arc` (see `sta_core::learn` for the sharing and
+    /// soundness story).
     pub(crate) nogoods: Option<Arc<NogoodStore>>,
     /// Per-worker epoch-validated read cache over the store.
     pub(crate) nogood_view: NogoodView,
@@ -904,49 +729,27 @@ impl Search<'_, '_> {
     /// drops a path that belongs in the final N — see the `parallel`
     /// module docs for the full argument.
     pub(crate) fn effective_threshold(&self) -> f64 {
-        match self.shared_bound {
-            Some(bound) => self.threshold.max(crate::parallel::decode_bound(
-                bound.load(std::sync::atomic::Ordering::Relaxed),
-            )),
-            None => self.threshold,
-        }
+        self.threshold.max(crate::parallel::decode_bound(
+            self.shared_bound.load(std::sync::atomic::Ordering::Relaxed),
+        ))
     }
 
     fn publish_threshold(&self) {
-        if let Some(bound) = self.shared_bound {
-            if self.threshold > f64::NEG_INFINITY {
-                bound.fetch_max(
-                    crate::parallel::encode_bound(self.threshold),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
+        if self.threshold > f64::NEG_INFINITY {
+            self.shared_bound.fetch_max(
+                crate::parallel::encode_bound(self.threshold),
+                std::sync::atomic::Ordering::Relaxed,
+            );
         }
     }
 
+    /// Checks the run-wide budget, latching `stats.truncated` once it has
+    /// tripped.
     pub(crate) fn budget_exhausted(&mut self) -> bool {
-        if self.cfg.max_decisions != 0 && self.stats.decisions >= self.cfg.max_decisions {
+        if self.budget.exhausted() {
             self.stats.truncated = true;
         }
-        if let Some(mp) = self.cfg.max_paths {
-            if self.emitted >= mp {
-                self.stats.truncated = true;
-            }
-        }
         self.stats.truncated
-    }
-
-    fn dfs(
-        &mut self,
-        net: NetId,
-        parity: bool,
-        mask: Mask,
-        timing: PolTimings,
-        nodes: &mut Vec<NetId>,
-        arcs: &mut Vec<PathArc>,
-    ) {
-        nodes.clear();
-        arcs.clear();
-        self.dfs_inner(net, parity, mask, timing, nodes, arcs);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1030,9 +833,9 @@ impl Search<'_, '_> {
         nodes: &mut Vec<NetId>,
         arcs: &mut Vec<PathArc>,
     ) {
-        // Root-task boundary (serial and parallel alike): the filter's
-        // probing throttle must not carry state between tasks, or its
-        // counters would depend on how tasks are sharded across workers.
+        // Root-task boundary: the filter's probing throttle must not carry
+        // state between tasks, or its counters would depend on how tasks
+        // are sharded across workers.
         if arcs.is_empty() {
             if let Some(f) = self.filter.as_mut() {
                 f.reset_throttle();
@@ -1059,6 +862,7 @@ impl Search<'_, '_> {
             }
         }
         self.stats.decisions += 1;
+        self.budget.spend(1);
         let cell_id = cell_of(self.nl, gate);
         let cell = self.lib.cell(cell_id);
         let sv = &cell.vectors_of(pin)[vector];
@@ -1170,10 +974,9 @@ impl Search<'_, '_> {
         self.eng.rollback(mark);
     }
 
-    /// Adds the arc's polynomial delay/slew per alive polarity and pushes
-    /// the per-gate delay entries. The corner-compiled kernel table and
-    /// the interpreted `ModelCache` path share the same Horner arithmetic,
-    /// so the two branches produce bit-identical numbers.
+    /// Adds the arc's polynomial delay/slew per alive polarity, evaluated
+    /// through the corner-compiled kernels, and pushes the per-gate delay
+    /// entries.
     #[allow(clippy::too_many_arguments)]
     fn advance_timing(
         &mut self,
@@ -1186,51 +989,26 @@ impl Search<'_, '_> {
         timing: PolTimings,
     ) -> PolTimings {
         let fo = self.fanouts[gate.index()];
+        let kernel = self.kernel;
+        let arc = kernel.arc_id(cell_id, pin, vector);
+        let step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
+            if !alive {
+                return 0.0;
+            }
+            let in_edge = if parity { launch.invert() } else { launch };
+            let (d, s) = kernel.eval(arc, in_edge, fo, state.slew);
+            // Clamp against degenerate extrapolation: delays and slews
+            // are physical quantities.
+            let d = d.max(0.1);
+            let s = s.max(0.5);
+            state.arrival += d;
+            state.slew = s;
+            d
+        };
         let mut out = timing;
-        let (dr, df);
-        if let Some(kernel) = self.kernel {
-            let arc = kernel.arc_id(cell_id, pin, vector);
-            let step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
-                if !alive {
-                    return 0.0;
-                }
-                let in_edge = if parity { launch.invert() } else { launch };
-                let (d, s) = kernel.eval(arc, in_edge, fo, state.slew);
-                // Clamp against degenerate extrapolation: delays and slews
-                // are physical quantities.
-                let d = d.max(0.1);
-                let s = s.max(0.5);
-                state.arrival += d;
-                state.slew = s;
-                d
-            };
-            dr = step(&mut out.r, Edge::Rise, mask.r);
-            df = step(&mut out.f, Edge::Fall, mask.f);
-            self.stats.compiled_evals += u64::from(mask.r) + u64::from(mask.f);
-        } else {
-            let tlib = self.tlib;
-            let corner = self.cfg.corner;
-            let cache = &mut self.model_cache;
-            let mut step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
-                if !alive {
-                    return 0.0;
-                }
-                let in_edge = if parity { launch.invert() } else { launch };
-                let (d, s) = tlib.delay_slew_cached(
-                    cache, cell_id, pin, vector, in_edge, fo, state.slew, corner,
-                );
-                // Clamp against degenerate extrapolation: delays and slews
-                // are physical quantities.
-                let d = d.max(0.1);
-                let s = s.max(0.5);
-                state.arrival += d;
-                state.slew = s;
-                d
-            };
-            dr = step(&mut out.r, Edge::Rise, mask.r);
-            df = step(&mut out.f, Edge::Fall, mask.f);
-            self.stats.fallback_evals += u64::from(mask.r) + u64::from(mask.f);
-        }
+        let dr = step(&mut out.r, Edge::Rise, mask.r);
+        let df = step(&mut out.f, Edge::Fall, mask.f);
+        self.stats.compiled_evals += u64::from(mask.r) + u64::from(mask.f);
         self.delays_r.push(dr);
         self.delays_f.push(df);
         out
@@ -1322,7 +1100,7 @@ impl Search<'_, '_> {
             }
             self.note_emission(&path);
             self.worst_arrivals.push(w);
-            self.emitted += 1;
+            self.budget.admit();
             (self.sink)(path);
             // Keep the threshold set loosely bounded; refresh the
             // admission threshold from the current N-th worst.
@@ -1342,7 +1120,7 @@ impl Search<'_, '_> {
             }
         } else {
             self.note_emission(&path);
-            self.emitted += 1;
+            self.budget.admit();
             (self.sink)(path);
         }
     }
@@ -1521,6 +1299,7 @@ impl Search<'_, '_> {
         );
         self.justify_todo = todo;
         self.stats.decisions += budget.decisions;
+        self.budget.spend(budget.decisions);
         self.stats.justify_decisions += budget.decisions;
         if matches!(out, JustifyOutcome::Unsatisfiable) {
             self.stats.justify_unsat_decisions += budget.decisions;
@@ -1529,23 +1308,13 @@ impl Search<'_, '_> {
             p.decisions
                 .fetch_add(budget.decisions, std::sync::atomic::Ordering::Relaxed);
         }
-        if self.cfg.max_decisions != 0 && self.stats.decisions >= self.cfg.max_decisions {
-            self.stats.truncated = true;
-        }
+        // Latch truncation now: a long call may have spent the run's last
+        // decisions.
+        self.budget_exhausted();
         match out {
             JustifyOutcome::Satisfied(m) => (Some(m), false),
             JustifyOutcome::BudgetExhausted => {
                 self.stats.justify_aborts += 1;
-                if std::env::var_os("STA_DEBUG_JUSTIFY").is_some() {
-                    eprintln!(
-                        "justify abort: {} backtracks, obligations {:?}",
-                        budget.backtracks,
-                        self.obligations
-                            .iter()
-                            .map(|n| self.nl.net_label(*n))
-                            .collect::<Vec<_>>()
-                    );
-                }
                 (None, false)
             }
             JustifyOutcome::Unsatisfiable => (None, true),

@@ -83,8 +83,8 @@
 //! deltas are per-source, so proofs never transfer across sources, and
 //! the arc key keeps the candidate lists short and aligned with the one
 //! call site that consults them. Within a source the same arc is tried
-//! from many partial paths (serial) and many root tasks (parallel);
-//! that is the reuse being harvested.
+//! from many partial paths and, across workers, many root tasks; that
+//! is the reuse being harvested.
 //!
 //! # Extraction: most general candidate first
 //!
@@ -117,12 +117,12 @@
 //! never *results*, which is why the store needs no cross-thread
 //! ordering beyond the locks themselves.
 //!
-//! The only engine-visible coupling is the global decision budget
+//! The only engine-visible coupling is the run-wide decision budget
 //! (`EnumerationConfig::max_decisions`): skipped justification calls do
 //! not spend decisions, so a run that *truncates on that budget* can
 //! truncate at a different point with learning on. The catalog budgets
 //! are far above what any pinned circuit spends; byte identity is
-//! guaranteed whenever the global budget does not bite.
+//! guaranteed whenever the budget does not bite.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -194,7 +194,7 @@ pub struct Nogood {
 }
 
 /// Sharded, epoch-published store of learned nogoods, shared by every
-/// worker of a run (and used single-threaded by the serial engine).
+/// worker of a run.
 #[derive(Debug)]
 pub struct NogoodStore {
     shards: Vec<RwLock<HashMap<NogoodKey, Arc<Vec<Nogood>>>>>,

@@ -213,7 +213,7 @@ struct Member {
 struct SearchGroup {
     corner: Corner,
     tlib: Arc<TimingLibrary>,
-    kernel: Option<Arc<CompiledCorner>>,
+    kernel: Arc<CompiledCorner>,
     schedule: Option<Arc<Schedule>>,
     members: Vec<Member>,
 }
@@ -334,14 +334,14 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
     for (_, indices) in grouped {
         let first = &scenarios[indices[0]];
         let tlib = timing_for(&first.corner.tech.name);
-        let kernel = req.compile_kernels.then(|| {
+        let kernel = {
             let _span = root.child_with("kernel", vec![("corner", first.corner.name.clone())]);
             coord_children += 1;
             let compiled = tlib.compile_corner(first.corner.corner);
             compiled.record_metrics(&obs);
             obs.counter("mcmm.kernel_compiles").add(1);
             Arc::new(compiled)
-        });
+        };
         groups.push(SearchGroup {
             corner: first.corner.corner,
             tlib,

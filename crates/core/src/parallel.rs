@@ -1,55 +1,64 @@
-//! Parallel true-path enumeration over a work-stealing pool.
+//! The true-path enumeration engine: root tasks over a work-stealing pool.
 //!
 //! The search space of the single-pass algorithm shards naturally into
 //! **root tasks**: one per (primary input, launch-gate, sensitization
 //! vector) triple, i.e. one per first arc out of a source. Each subtree is
 //! independent given a private implication engine, so the tasks are
 //! distributed over a crossbeam deque pool (global FIFO injector,
-//! per-worker deques, random-victim stealing) and every worker runs the
-//! unchanged serial [`Search`] machinery with its own engine and its own
-//! justification / delay-model memo tables.
+//! per-worker FIFO deques, stealing from siblings) and every worker runs
+//! the [`Search`] machinery with its own engine and its own justification
+//! memo table. `threads = 1` is a pool of one: its worker runs on the
+//! caller's thread, with no spawn and no channel.
 //!
 //! # Deterministic merge
 //!
-//! Tasks are generated in the exact order the serial engine would open
-//! them and carry a sequence number. Workers buffer the paths of one task
-//! and send `(seq, paths)` over a channel; the coordinator releases
-//! buffers to the caller's sink strictly in sequence order. In full
-//! enumeration this makes the `run_with` stream — and therefore the
-//! `run` result — byte-identical to the serial engine at any thread
-//! count.
+//! Tasks are generated in depth-first opening order (sources in
+//! primary-input order, then fanout arcs, then vectors) and carry a
+//! sequence number. Workers buffer the paths of one task and send
+//! `(seq, paths)` over a channel; the coordinator releases buffers to the
+//! caller's sink strictly in sequence order. A lone worker takes its
+//! tasks in sequence order, so it streams straight to the sink. In full
+//! enumeration this makes the `run_with` stream — and therefore the `run`
+//! result — byte-identical at any thread count.
 //!
 //! # Shared pruning bound (N-worst mode)
 //!
-//! Each worker keeps the serial engine's local admission threshold (its
-//! N-th-largest admitted arrival) and additionally publishes it to an
-//! `AtomicU64` holding a total-order encoding of the `f64` bound
-//! (monotone `fetch_max`, relaxed ordering — the bound is a pure
-//! performance hint and never affects correctness). Soundness: a worker's
-//! N-th-largest admitted arrival never exceeds the global N-th-largest
-//! `T` (its admissions are a subset of all paths), so the effective
-//! threshold `max(local, shared)` is always ≤ `T`; with tie-inclusive
-//! admission (`w < threshold` rejects, ties pass) every path with
-//! arrival ≥ `T` reaches the sink under any schedule. `run` then sorts by
-//! the canonical total order of [`TruePath::canonical_cmp`] and truncates
-//! to N — identical output to serial, though the *superset* streamed by
-//! `run_with` (and the search-effort counters) may differ with the
+//! Each worker keeps a local admission threshold (its N-th-largest
+//! admitted arrival) and additionally publishes it to an `AtomicU64`
+//! holding a total-order encoding of the `f64` bound (monotone
+//! `fetch_max`, relaxed ordering — the bound is a pure performance hint
+//! and never affects correctness). Soundness: a worker's N-th-largest
+//! admitted arrival never exceeds the global N-th-largest `T` (its
+//! admissions are a subset of all paths), so the effective threshold
+//! `max(local, shared)` is always ≤ `T`; with tie-inclusive admission
+//! (`w < threshold` rejects, ties pass) every path with arrival ≥ `T`
+//! reaches the sink under any schedule. `run` then sorts by the canonical
+//! total order of [`TruePath::canonical_cmp`] and truncates to N —
+//! identical output at any thread count, though the *superset* streamed
+//! by `run_with` (and the search-effort counters) may differ with the
 //! schedule.
 //!
 //! # Budgets
 //!
-//! `max_decisions` / `max_paths` are enforced **per root task** here (the
-//! serial engine enforces them globally); a parallel run is still
-//! deterministic for a fixed configuration, but when a budget actually
-//! bites, the truncation point differs from the serial engine's.
+//! `max_decisions` and `max_paths` bound the whole run at every thread
+//! count: every worker adds its decisions and admitted paths to one
+//! [`RunBudget`] tally, checks it wherever the search checks its budget,
+//! and runs no further root task once it has tripped. A worker can
+//! overshoot by the work in flight when the budget trips — one arc
+//! decision plus one justification call, which stops one decision past
+//! `justify_decision_limit` — and admit one path past `max_paths`. At one
+//! thread the trip point, and with it every byte of a truncated result,
+//! is reproducible; above one it depends on the schedule, and so does
+//! which paths a truncated run emits.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use sta_cells::Library;
-use sta_charlib::{ModelCache, TimingLibrary};
+use sta_charlib::CompiledCorner;
 use sta_logic::{toggle_analysis, Dual, ImplicationEngine, Mask, Toggle};
 use sta_netlist::{GateId, NetId, Netlist};
 
@@ -79,10 +88,51 @@ pub(crate) fn decode_bound(e: u64) -> f64 {
     f64::from_bits(if e >> 63 == 1 { e & !(1 << 63) } else { !e })
 }
 
+/// Run-wide budget tally shared by every worker: the decisions spent and
+/// the paths admitted so far, checked against the configuration's
+/// `max_decisions` / `max_paths` (see the module docs). The counters
+/// publish no other data, so relaxed ordering suffices.
+pub(crate) struct RunBudget {
+    max_decisions: u64,
+    max_paths: Option<usize>,
+    decisions: AtomicU64,
+    paths: AtomicUsize,
+}
+
+impl RunBudget {
+    fn new(cfg: &EnumerationConfig) -> Self {
+        RunBudget {
+            max_decisions: cfg.max_decisions,
+            max_paths: cfg.max_paths,
+            decisions: AtomicU64::new(0),
+            paths: AtomicUsize::new(0),
+        }
+    }
+
+    /// Adds `decisions` to the run's tally.
+    pub(crate) fn spend(&self, decisions: u64) {
+        self.decisions.fetch_add(decisions, Relaxed);
+    }
+
+    /// Counts one path handed to the sink.
+    pub(crate) fn admit(&self) {
+        self.paths.fetch_add(1, Relaxed);
+    }
+
+    /// Whether either limit has been reached (`max_decisions == 0` is
+    /// unlimited).
+    pub(crate) fn exhausted(&self) -> bool {
+        (self.max_decisions != 0 && self.decisions.load(Relaxed) >= self.max_decisions)
+            || self
+                .max_paths
+                .is_some_and(|mp| self.paths.load(Relaxed) >= mp)
+    }
+}
+
 /// One shard of the search: the first arc out of a source, identified by
-/// its position in the serial engine's opening order.
+/// its position in the depth-first opening order.
 struct RootTask {
-    /// Position in serial order — the merge key.
+    /// Position in opening order — the merge key.
     seq: usize,
     /// Index into the plan list.
     src: usize,
@@ -107,11 +157,10 @@ struct SrcPlan {
 struct WorkerCtx<'a> {
     nl: &'a Netlist,
     lib: &'a Library,
-    tlib: &'a TimingLibrary,
     cfg: &'a EnumerationConfig,
     /// Corner-compiled kernel table, folded once by the enumerator and
     /// shared read-only by every worker.
-    kernel: Option<&'a sta_charlib::CompiledCorner>,
+    kernel: &'a CompiledCorner,
     /// Compiled bit-parallel simulation program, built once by the
     /// enumerator; each worker wraps it in its own `BitsimFilter`.
     schedule: Option<&'a sta_logic::Schedule>,
@@ -126,6 +175,7 @@ struct WorkerCtx<'a> {
     /// [`EnumerationConfig::per_source_n_worst`] isolates the admission
     /// threshold per source. `None` otherwise.
     src_bounds: Option<&'a [AtomicU64]>,
+    budget: &'a RunBudget,
     /// Shared learned-nogood store, cloned into every worker's `Search`
     /// so clauses learned on one worker prune the others. `None` when
     /// `cfg.learning` is off.
@@ -136,11 +186,8 @@ struct WorkerCtx<'a> {
 }
 
 /// Runs the enumeration of `enumr` over `cfg.threads` workers, streaming
-/// emitted paths to `sink` in the serial engine's order.
-pub(crate) fn run_parallel(
-    enumr: &PathEnumerator<'_>,
-    sink: &mut dyn FnMut(TruePath),
-) -> EnumerationStats {
+/// emitted paths to `sink` in task order.
+pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) -> EnumerationStats {
     let nl = enumr.nl;
     let lib = enumr.lib;
     let is_output = enumr.output_flags();
@@ -154,8 +201,8 @@ pub(crate) fn run_parallel(
             .unwrap_or_else(|| Arc::new(NogoodStore::new()))
     });
 
-    // Plan phase: replicate the serial per-source setup and enumerate the
-    // root arcs in serial order.
+    // Plan phase: the per-source setup, and the root arcs in opening
+    // order.
     let mut plans: Vec<SrcPlan> = Vec::new();
     let mut tasks: Vec<RootTask> = Vec::new();
     let mut eng = ImplicationEngine::new(nl, lib);
@@ -172,6 +219,9 @@ pub(crate) fn run_parallel(
                 continue;
             }
         }
+        // Per-source static toggle analysis: O(1) refutation of
+        // stable-value requirements on nets that provably toggle
+        // (crucial on reconvergent XOR logic).
         let deltas = toggle_analysis(nl, lib, src);
         let reach = sensitizable_reach(nl, lib, &deltas, &is_output);
         if !reach[src.index()] {
@@ -224,8 +274,6 @@ pub(crate) fn run_parallel(
     for t in tasks {
         injector.push(t);
     }
-    let locals: Vec<Worker<RootTask>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<RootTask>> = locals.iter().map(Worker::stealer).collect();
     let shared_bound = AtomicU64::new(encode_bound(f64::NEG_INFINITY));
     // Per-source bounds for threshold isolation (see the config docs):
     // one atomic per planned source, so workers on the same source still
@@ -235,12 +283,12 @@ pub(crate) fn run_parallel(
             .map(|_| AtomicU64::new(encode_bound(f64::NEG_INFINITY)))
             .collect()
     });
+    let budget = RunBudget::new(&enumr.cfg);
     let ctx = WorkerCtx {
         nl,
         lib,
-        tlib: enumr.tlib,
         cfg: &enumr.cfg,
-        kernel: enumr.kernel.as_deref(),
+        kernel: &enumr.kernel,
         schedule: enumr.schedule.as_deref(),
         plans: &plans,
         remaining: &remaining,
@@ -249,10 +297,18 @@ pub(crate) fn run_parallel(
         injector: &injector,
         shared_bound: &shared_bound,
         src_bounds: src_bounds.as_deref(),
+        budget: &budget,
         nogoods,
         arc_bounds,
     };
 
+    if threads == 1 {
+        // A pool of one: the worker runs here and takes the tasks in
+        // sequence order, so its paths go straight to the sink.
+        return worker_loop(&ctx, Worker::new_fifo(), &[], sink, |_| true);
+    }
+    let locals: Vec<Worker<RootTask>> = (0..threads).map(|_| Worker::new_fifo()).collect();
+    let stealers: Vec<Stealer<RootTask>> = locals.iter().map(Worker::stealer).collect();
     let (tx, rx) = mpsc::channel::<(usize, Vec<TruePath>)>();
     let result = crossbeam::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
@@ -260,34 +316,36 @@ pub(crate) fn run_parallel(
             let tx = tx.clone();
             let ctx = &ctx;
             let stealers = &stealers;
-            handles.push(s.spawn(move |_| worker_loop(ctx, local, stealers, tx)));
+            handles.push(s.spawn(move |_| {
+                // The task buffer the search writes into; shipped to the
+                // coordinator with the task's sequence number.
+                let buf = RefCell::new(Vec::new());
+                worker_loop(
+                    ctx,
+                    local,
+                    stealers,
+                    &mut |p| buf.borrow_mut().push(p),
+                    |seq| tx.send((seq, buf.take())).is_ok(),
+                )
+            }));
         }
         drop(tx);
 
         // Reorder window: release task buffers to the sink strictly in
-        // serial (seq) order.
+        // sequence order. Tasks the budget cut never arrive; whatever
+        // waits behind such a gap is released in order once every worker
+        // has finished (or died — the joins below re-raise its panic).
         let mut pending: BTreeMap<usize, Vec<TruePath>> = BTreeMap::new();
         let mut next = 0usize;
-        let mut received = 0usize;
-        while received < n_tasks {
-            let Ok((seq, paths)) = rx.recv() else {
-                // Senders gone early: a worker died; the scope will
-                // re-raise its panic after the joins below.
-                break;
-            };
-            received += 1;
+        for (seq, paths) in rx {
             pending.insert(seq, paths);
             while let Some(batch) = pending.remove(&next) {
-                for p in batch {
-                    sink(p);
-                }
+                batch.into_iter().for_each(&mut *sink);
                 next += 1;
             }
         }
-        for (_, batch) in std::mem::take(&mut pending) {
-            for p in batch {
-                sink(p);
-            }
+        for batch in pending.into_values() {
+            batch.into_iter().for_each(&mut *sink);
         }
 
         let mut total = EnumerationStats::default();
@@ -339,24 +397,19 @@ fn next_task(
     None
 }
 
+/// One worker: claims root tasks until none is left or the run budget has
+/// tripped, handing emitted paths to `sink` and calling `task_done` with
+/// each finished task's sequence number (`false` stops the worker).
 fn worker_loop(
     ctx: &WorkerCtx<'_>,
     local: Worker<RootTask>,
     stealers: &[Stealer<RootTask>],
-    tx: mpsc::Sender<(usize, Vec<TruePath>)>,
+    sink: &mut dyn FnMut(TruePath),
+    mut task_done: impl FnMut(usize) -> bool,
 ) -> EnumerationStats {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    // The task buffer the Search sink writes into; drained after every
-    // task and shipped to the coordinator with the task's sequence number.
-    let buf: Rc<RefCell<Vec<TruePath>>> = Rc::new(RefCell::new(Vec::new()));
-    let buf_sink = Rc::clone(&buf);
-    let mut sink = move |p: TruePath| buf_sink.borrow_mut().push(p);
     let mut search = Search {
         nl: ctx.nl,
         lib: ctx.lib,
-        tlib: ctx.tlib,
         cfg: ctx.cfg,
         kernel: ctx.kernel,
         eng: ImplicationEngine::new(ctx.nl, ctx.lib),
@@ -367,13 +420,12 @@ fn worker_loop(
         obligations: Vec::new(),
         delays_r: Vec::new(),
         delays_f: Vec::new(),
-        sink: &mut sink,
-        emitted: 0,
+        sink,
+        budget: ctx.budget,
         worst_arrivals: Vec::new(),
         threshold: f64::NEG_INFINITY,
-        shared_bound: Some(ctx.shared_bound),
+        shared_bound: ctx.shared_bound,
         justify_cache: JustifyCache::new(),
-        model_cache: ModelCache::new(),
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
         justify_scratch: JustifyScratch::default(),
@@ -399,13 +451,15 @@ fn worker_loop(
     // here and bumped lock-free inside the task loop.
     let steals = ctx.cfg.obs.counter("parallel.steals");
     let tasks_done = ctx.cfg.obs.counter("parallel.tasks");
-    let mut total = EnumerationStats::default();
     let mut current_src: Option<usize> = None;
     let mut mask = Mask::NONE;
     // Path stacks live outside the task loop: one allocation per worker.
     let mut nodes: Vec<NetId> = Vec::new();
     let mut arcs: Vec<PathArc> = Vec::new();
     while let Some(task) = next_task(&local, ctx.injector, stealers, &steals) {
+        if search.budget_exhausted() {
+            break;
+        }
         tasks_done.inc();
         let plan = &ctx.plans[task.src];
         if current_src != Some(task.src) {
@@ -430,16 +484,13 @@ fn worker_loop(
                 // source's own atomic.
                 search.threshold = f64::NEG_INFINITY;
                 search.worst_arrivals.clear();
-                search.shared_bound = Some(&bounds[task.src]);
+                search.shared_bound = &bounds[task.src];
             }
             current_src = Some(task.src);
         }
-        // Budgets apply per root task (see the module docs).
-        search.stats = EnumerationStats::default();
-        search.emitted = 0;
         let timing = PolTimings::launch(ctx.cfg.input_slew);
-        // Mirror of the serial root-node prune check (preferring the
-        // per-source tightened bound, exactly like `dfs_inner`).
+        // The root-node prune check of `dfs_inner` (preferring the
+        // per-source tightened bound).
         let prune = match search.tight_rem.as_ref().or(search.remaining.as_ref()) {
             Some(rem) => {
                 let threshold = search.effective_threshold();
@@ -466,20 +517,17 @@ fn worker_loop(
                 &mut arcs,
             );
         }
-        total.merge(&search.stats);
-        let paths = std::mem::take(&mut *buf.borrow_mut());
-        if tx.send((task.seq, paths)).is_err() {
+        if !task_done(task.seq) {
             break;
         }
     }
-    total.justify_cache_hits = search.justify_cache.hits;
-    total.model_cache_hits = search.model_cache.hits;
+    search.stats.justify_cache_hits = search.justify_cache.hits;
     if let Some(f) = &search.filter {
-        total.bitsim_words = f.words;
-        total.bitsim_lanes_filtered = f.lanes_filtered;
-        total.bitsim_exact_calls_saved = f.exact_calls_saved;
+        search.stats.bitsim_words = f.words;
+        search.stats.bitsim_lanes_filtered = f.lanes_filtered;
+        search.stats.bitsim_exact_calls_saved = f.exact_calls_saved;
     }
-    total
+    search.stats
 }
 
 #[cfg(test)]

@@ -111,8 +111,8 @@ impl TruePath {
     /// (pin/vector). Two distinct emissions never compare equal — the
     /// (nodes, arcs) pair identifies one search branch — so sorting a
     /// result set by this order is deterministic regardless of the order
-    /// the paths were discovered in. This is what makes parallel
-    /// enumeration byte-identical to serial after the final sort.
+    /// the paths were discovered in. This is what makes enumeration
+    /// byte-identical at any thread count after the final sort.
     pub fn canonical_cmp(&self, other: &TruePath) -> std::cmp::Ordering {
         other
             .worst_arrival()

@@ -10,9 +10,9 @@ use sta_cells::{Corner, Library, Technology};
 use sta_charlib::{characterize_cached, CharConfig, CompiledCorner, TimingLibrary};
 use sta_circuits::{catalog, resize_gate, rewire_net, swap_gate, GateEdit};
 use sta_core::{
-    arc_intervals, arc_intervals_compiled, dirty_sources, slack_report, static_bounds,
-    static_bounds_compiled, AnalysisRequest, CertificateSet, CornerDef, EnumerationConfig, Mode,
-    PathEnumerator, Scenario, SourceCache, TruePath, ARC_SWEEP_MARGIN,
+    arc_intervals_compiled, dirty_sources, slack_report, static_bounds_compiled, AnalysisRequest,
+    CertificateSet, CornerDef, EnumerationConfig, Mode, PathEnumerator, Scenario, SourceCache,
+    TruePath, ARC_SWEEP_MARGIN,
 };
 use sta_logic::Schedule;
 use sta_netlist::Netlist;
@@ -83,7 +83,7 @@ struct CircuitSession {
     netlist: Netlist,
     tlib: Arc<TimingLibrary>,
     /// Corner kernel table: netlist-independent, survives every edit.
-    kernel: Option<Arc<CompiledCorner>>,
+    kernel: Arc<CompiledCorner>,
     /// Bitsim schedule: netlist-dependent, rebuilt once per edit.
     schedule: Option<Arc<Schedule>>,
     cache: SourceCache,
@@ -761,22 +761,13 @@ impl Server {
         let mut enclosed = 0u64;
         for name in &names {
             let session = self.session(name)?;
-            let arcs = match &session.kernel {
-                Some(k) => arc_intervals_compiled(
-                    &session.netlist,
-                    &session.tlib,
-                    k,
-                    input_slew,
-                    ARC_SWEEP_MARGIN,
-                ),
-                None => arc_intervals(
-                    &session.netlist,
-                    &session.tlib,
-                    session.corner,
-                    input_slew,
-                    ARC_SWEEP_MARGIN,
-                ),
-            };
+            let arcs = arc_intervals_compiled(
+                &session.netlist,
+                &session.tlib,
+                &session.kernel,
+                input_slew,
+                ARC_SWEEP_MARGIN,
+            );
             let outcome = sta_lint::audit_certificates(
                 &session.netlist,
                 name,
@@ -801,22 +792,13 @@ impl Server {
             report.extend(outcome.diagnostics);
             let hull = sta_lint::hull(&session.netlist, &arcs, input_slew);
             let prune_margin = EnumerationConfig::new(session.corner).prune_margin;
-            let st = match &session.kernel {
-                Some(k) => static_bounds_compiled(
-                    &session.netlist,
-                    &session.tlib,
-                    k,
-                    input_slew,
-                    prune_margin,
-                ),
-                None => static_bounds(
-                    &session.netlist,
-                    &session.tlib,
-                    session.corner,
-                    input_slew,
-                    prune_margin,
-                ),
-            };
+            let st = static_bounds_compiled(
+                &session.netlist,
+                &session.tlib,
+                &session.kernel,
+                input_slew,
+                prune_margin,
+            );
             report.extend(sta_lint::audit_structural_dominance(
                 name,
                 &session.netlist,

@@ -7,9 +7,10 @@
 //!   on `std::thread::scope`.
 //! * [`deque`] — `Injector` / `Worker` / `Stealer` work-stealing queues.
 //!   The shim backs them with mutex-guarded `VecDeque`s rather than
-//!   lock-free Chase–Lev deques; same semantics (FIFO injector, LIFO
-//!   worker, FIFO steal), more contention under heavy stealing — fine for
-//!   the coarse-grained root tasks the enumerator distributes.
+//!   lock-free Chase–Lev deques; same semantics (FIFO injector, FIFO or
+//!   LIFO worker by constructor, FIFO steal), more contention under heavy
+//!   stealing — fine for the coarse-grained root tasks the enumerator
+//!   distributes.
 
 #![forbid(unsafe_code)]
 use std::any::Any;
@@ -141,11 +142,9 @@ pub mod deque {
             if moved.is_empty() {
                 return Steal::Empty;
             }
-            let mut dst = locked(&dest.q);
-            for t in moved {
-                dst.push_back(t);
-            }
-            let first = dst.pop_back().expect("just pushed at least one task");
+            let mut moved = moved.into_iter();
+            let first = moved.next().expect("moved at least one task");
+            locked(&dest.q).extend(moved);
             Steal::Success(first)
         }
 
@@ -155,34 +154,49 @@ pub mod deque {
         }
     }
 
-    /// A per-thread queue; the owner pushes and pops at the back (LIFO),
-    /// stealers take from the front (FIFO).
+    /// A per-thread queue. The owner pushes at the back and pops from the
+    /// front ([`Worker::new_fifo`]) or the back ([`Worker::new_lifo`]);
+    /// stealers always take from the front.
     #[derive(Debug)]
     pub struct Worker<T> {
         q: Arc<Mutex<VecDeque<T>>>,
+        lifo: bool,
     }
 
     impl<T> Worker<T> {
-        /// Creates an empty FIFO worker queue.
-        pub fn new_fifo() -> Self {
+        fn with_flavor(lifo: bool) -> Self {
             Worker {
                 q: Arc::new(Mutex::new(VecDeque::new())),
+                lifo,
             }
         }
 
-        /// Creates an empty LIFO worker queue.
-        pub fn new_lifo() -> Self {
-            Self::new_fifo()
+        /// Creates an empty FIFO worker queue: `pop` returns the oldest
+        /// task.
+        pub fn new_fifo() -> Self {
+            Self::with_flavor(false)
         }
 
-        /// Pushes a task onto the owner's end.
+        /// Creates an empty LIFO worker queue: `pop` returns the newest
+        /// task.
+        pub fn new_lifo() -> Self {
+            Self::with_flavor(true)
+        }
+
+        /// Pushes a task onto the back of the queue.
         pub fn push(&self, task: T) {
             locked(&self.q).push_back(task);
         }
 
-        /// Pops a task from the owner's end.
+        /// Pops a task: the oldest for a FIFO worker, the newest for a
+        /// LIFO one.
         pub fn pop(&self) -> Option<T> {
-            locked(&self.q).pop_back()
+            let mut q = locked(&self.q);
+            if self.lifo {
+                q.pop_back()
+            } else {
+                q.pop_front()
+            }
         }
 
         /// Creates a stealer handle for other threads.
@@ -233,28 +247,52 @@ pub mod deque {
         }
 
         #[test]
-        fn worker_lifo_stealer_fifo() {
+        fn fifo_worker_pops_oldest_stealer_takes_oldest() {
             let w = Worker::new_fifo();
             let s = w.stealer();
-            w.push(1);
-            w.push(2);
-            w.push(3);
-            assert_eq!(s.steal().success(), Some(1)); // oldest
-            assert_eq!(w.pop(), Some(3)); // newest
+            for i in 1..=4 {
+                w.push(i);
+            }
+            assert_eq!(s.steal().success(), Some(1));
             assert_eq!(w.pop(), Some(2));
+            assert_eq!(w.pop(), Some(3));
+            assert_eq!(s.steal().success(), Some(4));
             assert_eq!(w.pop(), None);
         }
 
         #[test]
-        fn steal_batch_moves_work() {
+        fn lifo_worker_pops_newest_stealer_takes_oldest() {
+            let w = Worker::new_lifo();
+            let s = w.stealer();
+            for i in 1..=4 {
+                w.push(i);
+            }
+            assert_eq!(s.steal().success(), Some(1));
+            assert_eq!(w.pop(), Some(4));
+            assert_eq!(w.pop(), Some(3));
+            assert_eq!(s.steal().success(), Some(2));
+            assert_eq!(w.pop(), None);
+        }
+
+        #[test]
+        fn steal_batch_and_pop_keeps_injector_order() {
             let inj = Injector::new();
             for i in 0..8 {
                 inj.push(i);
             }
             let w = Worker::new_fifo();
-            let got = inj.steal_batch_and_pop(&w).success();
-            assert!(got.is_some());
-            assert!(!w.is_empty());
+            // Half the queue moves: the first task is returned, the rest
+            // land in the worker in order; the injector keeps the tail.
+            assert_eq!(inj.steal_batch_and_pop(&w).success(), Some(0));
+            let drained: Vec<i32> = std::iter::from_fn(|| w.pop()).collect();
+            assert_eq!(drained, vec![1, 2, 3]);
+            assert_eq!(inj.steal().success(), Some(4));
+            // A one-task queue still yields that task.
+            let single = Injector::new();
+            single.push(9);
+            assert_eq!(single.steal_batch_and_pop(&w).success(), Some(9));
+            assert!(w.is_empty());
+            assert!(single.steal_batch_and_pop(&w).is_empty());
         }
     }
 }

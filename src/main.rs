@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sta-repro list                                  # catalog benchmarks
-//! sta-repro analyze  <circuit> [--tech T] [--nworst N] [--threads W] [--no-kernels] [--no-bitsim]
+//! sta-repro analyze  <circuit> [--tech T] [--nworst N] [--threads W] [--no-bitsim]
 //! sta-repro slack    <circuit> [--tech T] [--required PS] [--sdc FILE]
 //! sta-repro baseline <circuit> [--tech T] [--k K] [--limit B]
 //! sta-repro cell     <name>    [--tech T]         # vectors + delays
@@ -31,9 +31,9 @@ use sta_cells::{Corner, Edge, Library, Technology};
 use sta_charlib::{characterize_cached, CharConfig, CharError, TimingLibrary};
 use sta_circuits::{catalog, map_netlist, resize_gate};
 use sta_core::{
-    arc_intervals, arc_intervals_compiled, dirty_sources, static_bounds, static_bounds_compiled,
-    AnalysisContext, AnalysisError, AnalysisRequest, CertificateSet, CornerDef, EnumerationConfig,
-    Mode, PathEnumerator, RequiredSource, Scenario, SdcError, SourceCache, ARC_SWEEP_MARGIN,
+    arc_intervals_compiled, dirty_sources, static_bounds_compiled, AnalysisContext, AnalysisError,
+    AnalysisRequest, CertificateSet, CornerDef, EnumerationConfig, Mode, PathEnumerator,
+    RequiredSource, Scenario, SdcError, SourceCache, ARC_SWEEP_MARGIN,
 };
 use sta_esim::cellsim::{cell_input_cap, simulate_arc, Drive};
 use sta_lint::{
@@ -160,10 +160,9 @@ fn print_usage() {
          commands:\n\
            list                                  list catalog benchmarks\n\
            analyze  <circuit> [--tech T] [--corner C] [--corners C,..] [--modes F,..]\n\
-                    [--nworst N] [--threads W] [--batch-threads B] [--no-kernels]\n\
-                    [--no-bitsim] [--no-learning] run the single-pass true-path STA\n\
-                    (--no-kernels disables the corner-compiled delay kernels;\n\
-                    --no-bitsim disables the 64-lane bit-parallel justification\n\
+                    [--nworst N] [--threads W] [--batch-threads B] [--no-bitsim]\n\
+                    [--no-learning] run the single-pass true-path STA\n\
+                    (--no-bitsim disables the 64-lane bit-parallel justification\n\
                     pre-filter; --no-learning disables nogood learning and\n\
                     dominance pruning — results are identical either way;\n\
                     --corners/--modes run the whole MCMM matrix as one batch\n\
@@ -239,7 +238,6 @@ struct Opts {
     limit: u64,
     out: Option<String>,
     required: Option<f64>,
-    no_kernels: bool,
     no_bitsim: bool,
     no_learning: bool,
     format: OutputFormat,
@@ -276,7 +274,6 @@ impl Opts {
             limit: 1000,
             out: None,
             required: None,
-            no_kernels: false,
             no_bitsim: false,
             no_learning: false,
             format: OutputFormat::Human,
@@ -321,7 +318,6 @@ impl Opts {
                 "--required" => {
                     opts.required = Some(parse_num(&value("--required")?, "--required")?);
                 }
-                "--no-kernels" => opts.no_kernels = true,
                 "--no-bitsim" => opts.no_bitsim = true,
                 "--no-learning" => opts.no_learning = true,
                 "--format" => {
@@ -395,7 +391,6 @@ impl Opts {
             m.insert("batch_threads".to_string(), self.batch_threads.to_string());
         }
         m.insert("threads".to_string(), self.threads.to_string());
-        m.insert("kernels".to_string(), (!self.no_kernels).to_string());
         m.insert("bitsim".to_string(), (!self.no_bitsim).to_string());
         m.insert("learning".to_string(), (!self.no_learning).to_string());
         m.insert(
@@ -595,8 +590,8 @@ fn scenario_matrix(opts: &Opts) -> Result<Vec<Scenario>, CliError> {
     Ok(Scenario::matrix(&corners, &modes))
 }
 
-/// The shared request preamble: circuit, scenario matrix, threading,
-/// kernels, the bit-parallel pre-filter and the session's observer.
+/// The shared request preamble: circuit, scenario matrix, threading, the
+/// bit-parallel pre-filter and the session's observer.
 fn base_request(
     circuit: &str,
     opts: &Opts,
@@ -617,7 +612,6 @@ fn base_request(
         .scenarios(scenarios)
         .threads(opts.threads)
         .batch_threads(opts.batch_threads)
-        .compiled_kernels(!opts.no_kernels)
         .bitsim(!opts.no_bitsim)
         .learning(!opts.no_learning)
         .char_config(if opts.fast_char {
@@ -765,9 +759,8 @@ fn cmd_analyze(opts: &Opts, args: &[String]) -> Result<(), CliError> {
         .n_worst(opts.nworst)
         .full_enum_path_cap(Some(500_000))
         .run()?;
-    if let Some((arcs, coefficients)) = outcome.kernel {
-        eprintln!("compiled {arcs} delay kernels ({coefficients} coefficients) for the corner");
-    }
+    let (arcs, coefficients) = outcome.kernel;
+    eprintln!("compiled {arcs} delay kernels ({coefficients} coefficients) for the corner");
     let shown = opts.nworst.unwrap_or(10);
     match opts.format {
         OutputFormat::Human => {
@@ -784,11 +777,8 @@ fn cmd_analyze(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                 }
             );
             println!(
-                "  kernel evals: {} compiled / {} interpreted, model cache hits {}, \
-                 scratch high-water: {} side / {} path",
+                "  kernel evals: {}, scratch high-water: {} side / {} path",
                 outcome.stats.compiled_evals,
-                outcome.stats.fallback_evals,
-                outcome.stats.model_cache_hits,
                 outcome.stats.scratch_side_hwm,
                 outcome.stats.scratch_path_hwm
             );
@@ -836,13 +826,10 @@ fn cmd_analyze(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                     ])
                 })
                 .collect();
-            let kernel = match outcome.kernel {
-                Some((arcs, coefficients)) => jmap(vec![
-                    ("arcs", Value::UInt(arcs as u64)),
-                    ("coefficients", Value::UInt(coefficients as u64)),
-                ]),
-                None => Value::Null,
-            };
+            let kernel = jmap(vec![
+                ("arcs", Value::UInt(arcs as u64)),
+                ("coefficients", Value::UInt(coefficients as u64)),
+            ]);
             print_json(&jmap(vec![
                 (
                     "schema_version",
@@ -1112,9 +1099,9 @@ fn record_audit_severities(obs: &Observer, findings: &[sta_lint::Diagnostic]) {
 
 /// One circuit's `--audit-flow` pass (see DESIGN.md §5.11):
 ///
-/// * **AI leg** — builds the swept two-sided arc envelopes (compiled
-///   when the run itself would use compiled kernels, so the audit sees
-///   the same delay tables the search sees), re-derives single-source
+/// * **AI leg** — builds the swept two-sided arc envelopes through the
+///   compiled kernels (so the audit sees the same delay tables the
+///   search sees), re-derives single-source
 ///   abstract intervals, and checks every enumerated certificate for
 ///   enclosure (AI001/AI003/AI004) plus the structural pruning bound
 ///   against the interval hull (AI002).
@@ -1133,11 +1120,9 @@ fn audit_flow_circuit(
     let mut findings = Vec::new();
     // The corner kernel depends only on (timing library, corner): one
     // compile covers both the pristine and the edited netlist.
-    let kernel = (!opts.no_kernels).then(|| ctx.timing.compile_corner(ctx.corner));
-    let intervals_for = |nl: &Netlist| match &kernel {
-        Some(k) => arc_intervals_compiled(nl, &ctx.timing, k, slew, ARC_SWEEP_MARGIN),
-        None => arc_intervals(nl, &ctx.timing, ctx.corner, slew, ARC_SWEEP_MARGIN),
-    };
+    let kernel = ctx.timing.compile_corner(ctx.corner);
+    let intervals_for =
+        |nl: &Netlist| arc_intervals_compiled(nl, &ctx.timing, &kernel, slew, ARC_SWEEP_MARGIN);
 
     // AI001/AI003/AI004: every certificate inside its source's intervals.
     let run = ctx.enumerate();
@@ -1160,10 +1145,7 @@ fn audit_flow_circuit(
     // AI002: the search's own pruning bound must dominate the hull.
     let hull = sta_lint::hull(&ctx.netlist, &arcs, slew);
     let prune_margin = ctx.config().prune_margin;
-    let st = match &kernel {
-        Some(k) => static_bounds_compiled(&ctx.netlist, &ctx.timing, k, slew, prune_margin),
-        None => static_bounds(&ctx.netlist, &ctx.timing, ctx.corner, slew, prune_margin),
-    };
+    let st = static_bounds_compiled(&ctx.netlist, &ctx.timing, &kernel, slew, prune_margin);
     findings.extend(sta_lint::audit_structural_dominance(
         name,
         &ctx.netlist,
@@ -1176,7 +1158,6 @@ fn audit_flow_circuit(
     let per_source_cfg = {
         let mut cfg = EnumerationConfig::new(ctx.corner)
             .with_threads(opts.threads)
-            .with_compiled_kernels(!opts.no_kernels)
             .with_bitsim(!opts.no_bitsim)
             .with_learning(!opts.no_learning)
             .with_per_source_n_worst(true)

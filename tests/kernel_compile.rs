@@ -3,11 +3,12 @@
 //! The kernel layer (`sta_charlib::kernel`) folds every fitted 4-variable
 //! polynomial at the corner's fixed `(T, VDD)` into a dense 2-D Horner
 //! table. The design invariant is **bit-identity**: the folded kernels
-//! share their arithmetic with `PolyModel::eval`, so a compiled
-//! enumeration must reproduce the interpreted engine's path sets and
-//! arrivals exactly, at any thread count. These tests pin that invariant
-//! on every arc of a characterized library (property-based, random
-//! operating points) and end-to-end on catalog circuits.
+//! share their arithmetic with `PolyModel::eval`, so every delay the
+//! search accumulates must equal the interpreted reference exactly, at
+//! any thread count. These tests pin that invariant on every arc of a
+//! characterized library (property-based, random operating points) and
+//! end-to-end on catalog circuits against the interpreted stand-alone
+//! path delay calculator.
 
 use std::sync::OnceLock;
 
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use sta_cells::{Corner, Edge, Library, Technology};
 use sta_charlib::{characterize, CharConfig, TimingLibrary};
 use sta_circuits::catalog;
-use sta_core::{EnumerationConfig, EnumerationStats, PathEnumerator, TruePath};
+use sta_core::{path_delay, EnumerationConfig, EnumerationStats, PathEnumerator, TruePath};
 
 fn setup() -> (&'static Library, &'static TimingLibrary, Technology) {
     static LIB: OnceLock<Library> = OnceLock::new();
@@ -27,10 +28,6 @@ fn setup() -> (&'static Library, &'static TimingLibrary, Technology) {
         characterize(lib, &tech, &CharConfig::fast()).expect("characterization succeeds")
     });
     (lib, tlib, tech)
-}
-
-fn bytes(paths: &[TruePath]) -> String {
-    serde_json::to_string(paths).expect("paths serialize")
 }
 
 proptest! {
@@ -83,63 +80,62 @@ fn run(
     lib: &Library,
     tlib: &TimingLibrary,
     cfg: &EnumerationConfig,
-    kernels: bool,
     threads: usize,
 ) -> (Vec<TruePath>, EnumerationStats) {
-    let cfg = cfg
-        .clone()
-        .with_compiled_kernels(kernels)
-        .with_threads(threads);
-    PathEnumerator::new(nl, lib, tlib, cfg).run()
+    PathEnumerator::new(nl, lib, tlib, cfg.clone().with_threads(threads)).run()
 }
 
-/// A compiled run reproduces the interpreted engine's path set — nodes,
-/// arcs, witness vectors, and every arrival/slew bit — serially and at
-/// several thread counts, in full enumeration and N-worst mode.
+/// Every emitted path's timing — per launch edge, the arrival, the output
+/// slew and each gate delay — equals the interpreted stand-alone
+/// calculator `path_delay` bit for bit, at several thread counts, in full
+/// enumeration and N-worst mode. `path_delay` walks the interpreted
+/// models with the same clamps and summation order as the search's
+/// kernel-driven timing advance, so this pins both the kernels and the
+/// incremental bookkeeping against the reference.
 #[test]
-fn compiled_runs_reproduce_interpreted_path_sets() {
+fn emitted_timing_matches_interpreted_path_delay_bitwise() {
     let (lib, tlib, tech) = setup();
+    let corner = Corner::nominal(&tech);
     for (name, nworst) in [("c17", None), ("sample", None), ("c432", Some(20))] {
         let nl = catalog::mapped(name, lib).unwrap().unwrap();
-        let mut cfg = EnumerationConfig::new(Corner::nominal(&tech));
+        let mut cfg = EnumerationConfig::new(corner);
         if let Some(n) = nworst {
             cfg = cfg.with_n_worst(n);
         }
-        let (interpreted, int_stats) = run(&nl, lib, tlib, &cfg, false, 1);
-        assert!(
-            !interpreted.is_empty(),
-            "{name}: interpreted run found paths"
-        );
-        assert_eq!(int_stats.compiled_evals, 0);
-        assert!(int_stats.fallback_evals > 0);
-        let reference = bytes(&interpreted);
         for threads in [1, 2, 3] {
-            let (compiled, stats) = run(&nl, lib, tlib, &cfg, true, threads);
-            assert_eq!(
-                bytes(&compiled),
-                reference,
-                "{name}: compiled x{threads} diverged from the interpreted engine"
-            );
-            assert_eq!(stats.fallback_evals, 0, "{name}: kernel table not used");
+            let (paths, stats) = run(&nl, lib, tlib, &cfg, threads);
+            assert!(!paths.is_empty(), "{name} x{threads}: no paths");
             assert!(stats.compiled_evals > 0, "{name}: kernel table not used");
+            for p in &paths {
+                for (launch, timing) in [(Edge::Rise, &p.rise), (Edge::Fall, &p.fall)] {
+                    let Some(t) = timing else { continue };
+                    let reference =
+                        path_delay(&nl, tlib, p, launch, cfg.input_slew, corner).unwrap();
+                    let what = format!("{name} x{threads} {:?} {launch:?}", p.nodes);
+                    assert_eq!(t.arrival.to_bits(), reference.total.to_bits(), "{what}");
+                    let (_, last_slew) = *reference.stages.last().expect("non-empty path");
+                    assert_eq!(t.slew.to_bits(), last_slew.to_bits(), "{what}");
+                    let delays: Vec<u64> = t.gate_delays.iter().map(|d| d.to_bits()).collect();
+                    let expected: Vec<u64> =
+                        reference.stages.iter().map(|(d, _)| d.to_bits()).collect();
+                    assert_eq!(delays, expected, "{what}");
+                }
+            }
         }
     }
 }
 
-/// The kernel/scratch stats counters are wired through both engines:
-/// compiled and interpreted runs take the same decisions, and the scratch
-/// high-water marks are plausible (path HWM covers the longest path).
+/// The kernel/scratch stats counters are wired through the engine: the
+/// kernel table served the evaluations, and the scratch high-water marks
+/// are plausible (path HWM covers the longest path).
 #[test]
 fn kernel_stats_are_consistent() {
     let (lib, tlib, tech) = setup();
     let nl = catalog::mapped("c17", lib).unwrap().unwrap();
     let cfg = EnumerationConfig::new(Corner::nominal(&tech));
-    let (paths, compiled) = run(&nl, lib, tlib, &cfg, true, 1);
-    let (_, interpreted) = run(&nl, lib, tlib, &cfg, false, 1);
-    assert_eq!(compiled.decisions, interpreted.decisions);
-    assert_eq!(compiled.compiled_evals, interpreted.fallback_evals);
-    assert_eq!(compiled.scratch_path_hwm, interpreted.scratch_path_hwm);
+    let (paths, stats) = run(&nl, lib, tlib, &cfg, 1);
+    assert!(stats.compiled_evals > 0);
     let longest = paths.iter().map(|p| p.nodes.len()).max().unwrap();
-    assert!(compiled.scratch_path_hwm >= longest);
-    assert!(compiled.scratch_side_hwm > 0, "c17 has side inputs");
+    assert!(stats.scratch_path_hwm >= longest);
+    assert!(stats.scratch_side_hwm > 0, "c17 has side inputs");
 }

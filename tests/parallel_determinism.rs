@@ -1,10 +1,11 @@
-//! Parallel enumeration is byte-identical to the serial engine.
+//! Enumeration is byte-identical at any thread count.
 //!
 //! The work-stealing pool (see `sta-core`'s `parallel` module) claims
 //! that `PathEnumerator::run` produces the same path list at any thread
 //! count, and that in full enumeration even the `run_with` *stream* is
 //! identical. These tests pin both claims on catalog circuits and on
-//! randomly generated logic.
+//! randomly generated logic, and pin the run-wide budget rule: a
+//! truncated run is reproducible at one thread and bounded at any.
 
 use std::sync::OnceLock;
 
@@ -47,39 +48,38 @@ fn bytes(paths: &[TruePath]) -> String {
 }
 
 /// Full enumeration: identical path lists at 1/2/4 threads on catalog
-/// circuits, and the `run_with` stream itself is in serial order.
+/// circuits, and the `run_with` stream itself is in the 1-thread order.
 #[test]
 fn full_enumeration_is_byte_identical_across_thread_counts() {
     let (lib, tlib, tech) = setup();
     for name in ["c17", "sample"] {
         let nl = catalog::mapped(name, lib).unwrap().unwrap();
         let cfg = EnumerationConfig::new(Corner::nominal(&tech));
-        let (serial, serial_stats) = run_at(&nl, lib, tlib, &cfg, 1);
-        assert!(!serial.is_empty(), "{name}: serial run found paths");
+        let (one, one_stats) = run_at(&nl, lib, tlib, &cfg, 1);
+        assert!(!one.is_empty(), "{name}: 1-thread run found paths");
         for threads in [2, 4] {
             let (par, par_stats) = run_at(&nl, lib, tlib, &cfg, threads);
             assert_eq!(
-                bytes(&serial),
+                bytes(&one),
                 bytes(&par),
-                "{name}: {threads}-thread run() differs from serial"
+                "{name}: {threads}-thread run() differs from 1 thread"
             );
             // Search effort is schedule-independent in full enumeration;
-            // only the cache-hit counters depend on how the roots were
+            // only the cache-hit counter depends on how the roots were
             // partitioned over workers.
             let mut normalized = par_stats;
-            normalized.justify_cache_hits = serial_stats.justify_cache_hits;
-            normalized.model_cache_hits = serial_stats.model_cache_hits;
-            assert_eq!(serial_stats, normalized, "{name}: {threads}-thread stats");
+            normalized.justify_cache_hits = one_stats.justify_cache_hits;
+            assert_eq!(one_stats, normalized, "{name}: {threads}-thread stats");
 
-            // The streamed emission order equals the serial order, not
+            // The streamed emission order equals the 1-thread order, not
             // just the sorted result.
-            let mut serial_stream = Vec::new();
-            PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_with(|p| serial_stream.push(p));
+            let mut one_stream = Vec::new();
+            PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_with(|p| one_stream.push(p));
             let mut par_stream = Vec::new();
             PathEnumerator::new(&nl, lib, tlib, cfg.clone().with_threads(threads))
                 .run_with(|p| par_stream.push(p));
             assert_eq!(
-                bytes(&serial_stream),
+                bytes(&one_stream),
                 bytes(&par_stream),
                 "{name}: {threads}-thread run_with stream differs"
             );
@@ -95,25 +95,81 @@ fn n_worst_is_byte_identical_across_thread_counts() {
     for (name, n) in [("c17", 3), ("c432", 40)] {
         let nl = catalog::mapped(name, lib).unwrap().unwrap();
         let cfg = EnumerationConfig::new(Corner::nominal(&tech)).with_n_worst(n);
-        let (serial, _) = run_at(&nl, lib, tlib, &cfg, 1);
-        assert_eq!(serial.len(), n, "{name}: expected {n} worst paths");
+        let (one, _) = run_at(&nl, lib, tlib, &cfg, 1);
+        assert_eq!(one.len(), n, "{name}: expected {n} worst paths");
         for threads in [2, 4] {
             let (par, _) = run_at(&nl, lib, tlib, &cfg, threads);
             assert_eq!(
-                bytes(&serial),
+                bytes(&one),
                 bytes(&par),
-                "{name}: {threads}-thread n-worst run differs from serial"
+                "{name}: {threads}-thread n-worst run differs from 1 thread"
             );
         }
+    }
+}
+
+/// `max_decisions` bounds the whole run: at one thread a truncated run is
+/// reproducible byte for byte, and at any thread count the decisions
+/// spent overshoot the budget by at most the work each worker has in
+/// flight when it trips — one arc decision and one justification call,
+/// which stops one decision past `justify_decision_limit`.
+#[test]
+fn decision_budget_bounds_the_whole_run() {
+    let (lib, tlib, tech) = setup();
+    let nl = catalog::mapped("c432", lib).unwrap().unwrap();
+    let mut cfg = EnumerationConfig::new(Corner::nominal(&tech)).with_n_worst(10);
+    cfg.max_decisions = 5_000;
+    // A small per-call cap keeps the bound tight enough that a budget
+    // applied per root task instead of per run overshoots it.
+    cfg.justify_decision_limit = 1_000;
+    let (a, a_stats) = run_at(&nl, lib, tlib, &cfg, 1);
+    let (b, b_stats) = run_at(&nl, lib, tlib, &cfg, 1);
+    assert!(a_stats.truncated && b_stats.truncated, "budget must bite");
+    assert_eq!(bytes(&a), bytes(&b), "1-thread truncated runs differ");
+    assert_eq!(a_stats.decisions, b_stats.decisions);
+    for threads in [2, 4] {
+        let (_, stats) = run_at(&nl, lib, tlib, &cfg, threads);
+        assert!(stats.truncated, "{threads} threads: budget must bite");
+        let bound = cfg.max_decisions + threads as u64 * (cfg.justify_decision_limit + 2);
+        assert!(
+            stats.decisions <= bound,
+            "{threads} threads: {} decisions exceed {bound}",
+            stats.decisions
+        );
+    }
+}
+
+/// `max_paths` bounds the whole run: at one thread a truncated run stops
+/// at exactly the cap and is reproducible byte for byte; at any thread
+/// count each worker admits at most one path past it.
+#[test]
+fn path_budget_bounds_the_whole_run() {
+    let (lib, tlib, tech) = setup();
+    let nl = catalog::mapped("c432", lib).unwrap().unwrap();
+    let mut cfg = EnumerationConfig::new(Corner::nominal(&tech));
+    cfg.max_paths = Some(100);
+    let (a, a_stats) = run_at(&nl, lib, tlib, &cfg, 1);
+    let (b, b_stats) = run_at(&nl, lib, tlib, &cfg, 1);
+    assert!(a_stats.truncated && b_stats.truncated, "budget must bite");
+    assert_eq!(a.len(), 100);
+    assert_eq!(bytes(&a), bytes(&b), "1-thread truncated runs differ");
+    for threads in [2, 4] {
+        let (paths, stats) = run_at(&nl, lib, tlib, &cfg, threads);
+        assert!(stats.truncated, "{threads} threads: budget must bite");
+        assert!(
+            paths.len() < 100 + threads,
+            "{threads} threads: {} paths past the cap",
+            paths.len()
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random mapped logic: a 2-thread full enumeration equals serial.
+    /// Random mapped logic: a 2-thread full enumeration equals 1 thread.
     #[test]
-    fn random_logic_parallel_matches_serial(
+    fn random_logic_two_threads_match_one(
         seed in 0u64..1_000,
         gates in 10usize..40,
         inputs in 3usize..6,
@@ -130,8 +186,8 @@ proptest! {
         let raw = random_logic(&params);
         let nl = map_netlist(&raw, lib).expect("mapping succeeds");
         let cfg = EnumerationConfig::new(Corner::nominal(&tech));
-        let (serial, _) = run_at(&nl, lib, tlib, &cfg, 1);
+        let (one, _) = run_at(&nl, lib, tlib, &cfg, 1);
         let (par, _) = run_at(&nl, lib, tlib, &cfg, 2);
-        prop_assert_eq!(bytes(&serial), bytes(&par), "seed {}", seed);
+        prop_assert_eq!(bytes(&one), bytes(&par), "seed {}", seed);
     }
 }

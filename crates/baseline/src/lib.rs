@@ -45,7 +45,7 @@ pub mod sensitize;
 pub mod structural;
 
 pub use lutdelay::{lut_path_delay, LutPathDelay};
-pub use sensitize::{sensitize_path, sensitize_path_with, Classification, SensitizationResult};
+pub use sensitize::{sensitize_path, Classification, SensitizationResult};
 pub use structural::{k_longest, lut_gate_bounds, StructuralPath};
 
 use sta_cells::{Edge, Library};
@@ -62,10 +62,6 @@ pub struct BaselineConfig {
     /// Input transition time at the PIs, in tenths of ps (stored as an
     /// integer to keep the config `Eq`; 600 = 60.0 ps).
     pub input_slew_tenths: u32,
-    /// Pre-filter justification candidates through the 64-lane
-    /// bit-parallel simulation (see `sta_core::bitsim`). Verdicts and
-    /// witnesses are identical either way.
-    pub bitsim: bool,
 }
 
 impl BaselineConfig {
@@ -75,15 +71,7 @@ impl BaselineConfig {
             k_paths,
             backtrack_limit,
             input_slew_tenths: 600,
-            bitsim: true,
         }
-    }
-
-    /// Enables or disables the bit-parallel justification pre-filter (on
-    /// by default). Never changes any verdict.
-    pub fn with_bitsim(mut self, on: bool) -> Self {
-        self.bitsim = on;
-        self
     }
 
     /// The input slew in ps.
@@ -150,11 +138,8 @@ pub fn run_baseline(
     let structural = k_longest(nl, tlib, cfg.k_paths, cfg.input_slew());
     let mut paths = Vec::with_capacity(structural.len());
     let (mut num_true, mut num_false, mut num_backtrack_limited) = (0, 0, 0);
-    // One compiled program and one filter reused across every path.
-    let schedule = cfg.bitsim.then(|| sta_logic::Schedule::compile(nl, lib));
-    let mut filter = schedule.as_ref().map(sta_core::BitsimFilter::new);
     for path in structural {
-        let sens = sensitize_path_with(nl, lib, &path, cfg.backtrack_limit, filter.as_mut());
+        let sens = sensitize_path(nl, lib, &path, cfg.backtrack_limit);
         match sens.classification {
             Classification::True => num_true += 1,
             Classification::False => num_false += 1,

@@ -15,9 +15,8 @@
 //!   exactly the misidentification the paper measures ("#False paths").
 
 use sta_cells::Library;
-use sta_core::justify::{justify_filtered, JustifyBudget, JustifyOutcome};
+use sta_core::justify::{justify, JustifyBudget, JustifyOutcome};
 use sta_core::path::PiValue;
-use sta_core::BitsimFilter;
 use sta_logic::{Dual, ImplicationEngine, Mask, TriVal, V9};
 use sta_netlist::{GateKind, NetId, Netlist};
 
@@ -63,24 +62,6 @@ pub fn sensitize_path(
     lib: &Library,
     path: &StructuralPath,
     backtrack_limit: u64,
-) -> SensitizationResult {
-    sensitize_path_with(nl, lib, path, backtrack_limit, None)
-}
-
-/// [`sensitize_path`] with an optional bit-parallel justification
-/// pre-filter (see `sta_core::bitsim`). The verdict, witness and
-/// backtrack count are identical with or without the filter — it only
-/// skips exact-engine work on candidates that provably conflict.
-///
-/// # Panics
-///
-/// Panics if the path references unmapped gates.
-pub fn sensitize_path_with(
-    nl: &Netlist,
-    lib: &Library,
-    path: &StructuralPath,
-    backtrack_limit: u64,
-    filter: Option<&mut BitsimFilter<'_>>,
 ) -> SensitizationResult {
     let mut eng = ImplicationEngine::new(nl, lib);
     eng.set_toggles(Some(sta_logic::toggle_analysis(nl, lib, path.source())));
@@ -150,7 +131,7 @@ pub fn sensitize_path_with(
 
     // Justify everything with the bounded budget.
     let mut budget = JustifyBudget::with_backtrack_limit(backtrack_limit);
-    match justify_filtered(&mut eng, nl, obligations, mask, &mut budget, filter) {
+    match justify(&mut eng, nl, obligations, mask, &mut budget) {
         JustifyOutcome::Satisfied(m) => {
             let input_vector = nl
                 .inputs()

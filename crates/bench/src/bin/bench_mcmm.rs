@@ -7,10 +7,10 @@
 //! things are checked before any latency is reported:
 //!
 //! * **sharing** — the batch did the scenario-invariant work exactly once
-//!   (`mcmm.netlist_loads`, `mcmm.characterizations`,
-//!   `mcmm.schedule_compiles` observability counters all equal 1) and ran
-//!   one true-path search per corner, not per scenario (`mcmm.searches`
-//!   equals the corner count);
+//!   (the `mcmm.netlist_loads` and `mcmm.characterizations`
+//!   observability counters both equal 1) and ran one true-path search
+//!   per corner, not per scenario (`mcmm.searches` equals the corner
+//!   count);
 //! * **identity** — every scenario's `CertificateSet` digest equals the
 //!   independent run's (the per-scenario byte-identity invariant of
 //!   DESIGN.md §5.12);
@@ -48,7 +48,6 @@ struct SharedPrep {
     /// True-path searches: one per corner, shared by its modes.
     searches: u64,
     characterizations: u64,
-    schedule_compiles: u64,
     kernel_compiles: u64,
     sdc_parses: u64,
 }
@@ -141,13 +140,11 @@ fn main() {
             netlist_loads: counters["mcmm.netlist_loads"],
             searches: counters["mcmm.searches"],
             characterizations: counters["mcmm.characterizations"],
-            schedule_compiles: counters["mcmm.schedule_compiles"],
             kernel_compiles: counters["mcmm.kernel_compiles"],
             sdc_parses: counters["mcmm.sdc_parses"],
         };
         assert_eq!(prep.netlist_loads, 1, "{name}: netlist loaded once");
         assert_eq!(prep.characterizations, 1, "{name}: characterized once");
-        assert_eq!(prep.schedule_compiles, 1, "{name}: schedule compiled once");
         assert_eq!(
             prep.searches,
             corners.len() as u64,
@@ -224,9 +221,9 @@ fn main() {
         batch_threads,
         available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         note: "one batch over the corner x mode matrix vs the same scenarios as \
-               independent invocations; shared prep is counter-asserted (netlist load, \
-               characterization, schedule compile each exactly once; one search per \
-               corner) and every scenario's certificate digest is asserted equal to its \
+               independent invocations; shared prep is counter-asserted (netlist load \
+               and characterization each exactly once; one search per corner) and \
+               every scenario's certificate digest is asserted equal to its \
                independent run before timing is reported",
         circuits: rows,
     };

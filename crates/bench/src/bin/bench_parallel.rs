@@ -30,7 +30,6 @@ struct ThreadResult {
 #[derive(Serialize)]
 struct EngineConfig {
     n_worst: usize,
-    bitsim: bool,
 }
 
 #[derive(Serialize)]
@@ -109,15 +108,11 @@ fn main() {
         });
     }
 
-    let cfg_echo = EnumerationConfig::new(corner).with_n_worst(n_worst);
     let report = Report {
         bench: "parallel_enum",
         technology: tech.name.clone(),
         host_parallelism: host,
-        engine: EngineConfig {
-            n_worst,
-            bitsim: cfg_echo.bitsim,
-        },
+        engine: EngineConfig { n_worst },
         note: "Wall-clock is best of 3 after warm-up. Speedup over serial is \
                bounded by the host's available parallelism; on a single-core \
                host all thread counts measure the serial runtime plus pool \

@@ -117,7 +117,6 @@ pub struct AnalysisRequest {
     pub(crate) threads: usize,
     /// Concurrent scenario jobs in [`AnalysisRequest::run_batch`].
     pub(crate) batch_threads: usize,
-    pub(crate) bitsim: bool,
     pub(crate) learning: bool,
     /// Path cap applied only in full-enumeration mode (no `n_worst`).
     pub(crate) full_enum_path_cap: Option<usize>,
@@ -139,7 +138,6 @@ impl AnalysisRequest {
             n_worst: None,
             threads: 1,
             batch_threads: 1,
-            bitsim: true,
             learning: true,
             full_enum_path_cap: None,
             max_decisions: None,
@@ -199,13 +197,6 @@ impl AnalysisRequest {
     /// Sets the enumeration worker-thread count (default 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the bit-parallel justification pre-filter
-    /// (default on). Never changes any computed result.
-    pub fn bitsim(mut self, on: bool) -> Self {
-        self.bitsim = on;
         self
     }
 
@@ -282,7 +273,6 @@ impl AnalysisRequest {
                 ("circuit", self.circuit.clone()),
                 ("tech", tech.name.clone()),
                 ("threads", self.threads.to_string()),
-                ("bitsim", self.bitsim.to_string()),
                 ("learning", self.learning.to_string()),
             ],
         );
@@ -332,7 +322,6 @@ impl AnalysisRequest {
     pub(crate) fn enumeration_config(&self, corner: Corner) -> EnumerationConfig {
         let mut cfg = EnumerationConfig::new(corner)
             .with_threads(self.threads)
-            .with_bitsim(self.bitsim)
             .with_learning(self.learning)
             .with_observer(self.obs.clone());
         cfg.input_slew = self.input_slew;
@@ -363,8 +352,8 @@ impl AnalysisRequest {
     }
 
     /// Runs the whole scenario set as one MCMM batch: scenario-invariant
-    /// work (netlist load, per-technology characterization, bitsim
-    /// schedule, per-corner kernel compilation, per-mode SDC parsing) is
+    /// work (netlist load, per-technology characterization, per-corner
+    /// kernel compilation, per-mode SDC parsing) is
     /// done exactly once, then one job per operating point — a single
     /// true-path search shared by every mode of that point, plus each
     /// mode's slack — fans out over [`AnalysisRequest::batch_threads`]
@@ -507,12 +496,15 @@ impl AnalysisContext {
     ) -> EnumerationRun {
         let enumr = {
             let _compile = self.root.child("compile");
-            let mut e =
-                PathEnumerator::new(&self.netlist, &self.lib, &self.timing, self.cfg.clone());
-            if let Some(store) = store {
-                e.set_nogood_store(store);
-            }
-            e
+            let kernel = std::sync::Arc::new(self.timing.compile_corner(self.cfg.corner));
+            PathEnumerator::with_prebuilt(
+                &self.netlist,
+                &self.lib,
+                &self.timing,
+                self.cfg.clone(),
+                kernel,
+                store,
+            )
         };
         let k = enumr.kernel();
         k.record_metrics(&self.obs);

@@ -21,9 +21,8 @@ use std::sync::Arc;
 use serde::Serialize;
 use sta_cells::{Corner, Edge, Library, Polarity};
 use sta_charlib::{CompiledCorner, TimingLibrary};
-use sta_logic::{Dual, ImplicationEngine, Mask, Schedule, Toggle, TriVal, V9};
+use sta_logic::{Dual, ImplicationEngine, Mask, Toggle, TriVal, V9};
 
-use crate::bitsim::BitsimFilter;
 use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch};
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
@@ -66,12 +65,6 @@ pub struct EnumerationConfig {
     /// at any thread count; a budget-truncated one is reproducible at one
     /// thread and schedule-dependent above.
     pub threads: usize,
-    /// Pre-filter justification branch candidates through the 64-lane
-    /// bit-parallel forward simulation (`sta_logic::bitsim`) before they
-    /// reach the exact implication engine. Refutation-only: the emitted
-    /// path set and every certificate byte are identical either way (see
-    /// `sta_core::bitsim`); disable to time the exact engine alone.
-    pub bitsim: bool,
     /// Conflict-driven nogood learning plus the per-source dominance cut
     /// (see `sta_core::learn`). Refutation-only and bound-safe: the
     /// emitted path set and every certificate byte are identical either
@@ -116,7 +109,6 @@ impl PartialEq for EnumerationConfig {
             && self.max_paths == other.max_paths
             && self.justify_decision_limit == other.justify_decision_limit
             && self.threads == other.threads
-            && self.bitsim == other.bitsim
             && self.learning == other.learning
             && self.source_filter == other.source_filter
             && self.per_source_n_worst == other.per_source_n_worst
@@ -136,7 +128,6 @@ impl EnumerationConfig {
             max_paths: None,
             justify_decision_limit: 20_000,
             threads: 1,
-            bitsim: true,
             learning: true,
             source_filter: None,
             per_source_n_worst: false,
@@ -153,13 +144,6 @@ impl EnumerationConfig {
     /// Sets the worker thread count (values below 1 mean one).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the bit-parallel justification pre-filter (on
-    /// by default). Never changes what the run computes.
-    pub fn with_bitsim(mut self, on: bool) -> Self {
-        self.bitsim = on;
         self
     }
 
@@ -216,19 +200,11 @@ pub struct EnumerationStats {
     /// subtrees are conservatively discarded).
     pub justify_aborts: u64,
     /// Justification candidate enumerations answered from the per-worker
-    /// memo table (see `sta_core::justify::JustifyCache`).
+    /// memo table over candidate enumeration (`sta_core::justify`).
     pub justify_cache_hits: u64,
     /// Arc evaluations (one per alive polarity) served by the
     /// corner-compiled kernel table.
     pub compiled_evals: u64,
-    /// 64-lane bit-parallel program executions by the justification
-    /// pre-filter (one per polarity/timeframe plane).
-    pub bitsim_words: u64,
-    /// Candidate lanes the pre-filter killed, summed over polarity planes.
-    pub bitsim_lanes_filtered: u64,
-    /// Justification candidates refuted in every alive polarity — exact
-    /// implication-engine attempts skipped entirely.
-    pub bitsim_exact_calls_saved: u64,
     /// Nogoods learned, verified and stored (see `sta_core::learn`).
     pub learn_stored: u64,
     /// Justification calls skipped because a stored nogood refuted every
@@ -278,9 +254,6 @@ impl EnumerationStats {
         self.justify_aborts += other.justify_aborts;
         self.justify_cache_hits += other.justify_cache_hits;
         self.compiled_evals += other.compiled_evals;
-        self.bitsim_words += other.bitsim_words;
-        self.bitsim_lanes_filtered += other.bitsim_lanes_filtered;
-        self.bitsim_exact_calls_saved += other.bitsim_exact_calls_saved;
         self.learn_stored += other.learn_stored;
         self.learn_hits += other.learn_hits;
         self.learn_decisions_saved += other.learn_decisions_saved;
@@ -311,13 +284,8 @@ pub struct PathEnumerator<'a> {
     /// the timing daemon which keeps it resident across requests — and
     /// shared read-only by every worker.
     pub(crate) kernel: Arc<CompiledCorner>,
-    /// Compiled forward-simulation program for the bit-parallel
-    /// justification pre-filter (`None` when disabled), built once at
-    /// construction (or injected pre-built) and shared read-only by every
-    /// worker.
-    pub(crate) schedule: Option<Arc<Schedule>>,
     /// Caller-injected nogood store (see
-    /// [`PathEnumerator::set_nogood_store`]); when `None` and learning is
+    /// [`PathEnumerator::with_prebuilt`]); when `None` and learning is
     /// on, each run creates its own.
     pub(crate) nogood_store: Option<Arc<NogoodStore>>,
 }
@@ -339,14 +307,20 @@ impl<'a> PathEnumerator<'a> {
         Self::with_prebuilt(nl, lib, tlib, cfg, kernel, None)
     }
 
-    /// Like [`PathEnumerator::new`], but reuses caller-owned compiled
-    /// state instead of rebuilding it: the corner-compiled kernel table
-    /// (valid for a (timing library, corner) pair — it does not depend on
-    /// the netlist, so it survives ECO edits) and optionally a compiled
-    /// bitsim schedule (netlist-dependent; rebuild after an edit; `None`
-    /// compiles one fresh when bitsim is on). This is what lets the
-    /// timing daemon pay compilation once per loaded circuit rather than
-    /// once per request.
+    /// Like [`PathEnumerator::new`], but reuses caller-owned state
+    /// instead of building it: the corner-compiled kernel table (valid
+    /// for a (timing library, corner) pair — it does not depend on the
+    /// netlist, so it survives ECO edits; this is what lets the timing
+    /// daemon pay compilation once per loaded circuit rather than once
+    /// per request) and optionally a shared nogood store.
+    ///
+    /// A caller-owned `nogood_store` lets the caller inspect what was
+    /// learned afterwards (the lint LEARN rules replay every stored
+    /// clause); it is ignored when [`EnumerationConfig::learning`] is
+    /// off, and `None` gives each run a store of its own. Sharing a warm
+    /// store across runs is sound — clauses are verified against the
+    /// netlist and source, not any per-run state — but each run's
+    /// `learn.*` counters then reflect the warm start.
     ///
     /// # Panics
     ///
@@ -357,7 +331,7 @@ impl<'a> PathEnumerator<'a> {
         tlib: &'a TimingLibrary,
         cfg: EnumerationConfig,
         kernel: Arc<CompiledCorner>,
-        schedule: Option<Arc<Schedule>>,
+        nogood_store: Option<Arc<NogoodStore>>,
     ) -> Self {
         assert_eq!(nl.topo_gates().len(), nl.num_gates(), "netlist has a cycle");
         assert!(
@@ -365,17 +339,13 @@ impl<'a> PathEnumerator<'a> {
                 .all(|g| matches!(nl.gate(g).kind(), GateKind::Cell(_))),
             "netlist must be technology-mapped"
         );
-        let schedule = cfg
-            .bitsim
-            .then(|| schedule.unwrap_or_else(|| Arc::new(Schedule::compile(nl, lib))));
         PathEnumerator {
             nl,
             lib,
             tlib,
             cfg,
             kernel,
-            schedule,
-            nogood_store: None,
+            nogood_store,
         }
     }
 
@@ -388,23 +358,6 @@ impl<'a> PathEnumerator<'a> {
     /// resident across enumerator rebuilds, e.g. the timing daemon).
     pub fn kernel_arc(&self) -> Arc<CompiledCorner> {
         Arc::clone(&self.kernel)
-    }
-
-    /// Shared handle on the compiled bitsim schedule, if bitsim is
-    /// enabled.
-    pub fn schedule_arc(&self) -> Option<Arc<Schedule>> {
-        self.schedule.clone()
-    }
-
-    /// Installs a caller-owned shared nogood store for the next run(s),
-    /// letting the caller inspect what was learned afterwards (the lint
-    /// LEARN rules replay every stored clause). Ignored when
-    /// [`EnumerationConfig::learning`] is off. Sharing a warm store
-    /// across runs is sound — clauses are verified against the netlist
-    /// and source, not any per-run state — but each run's `learn.*`
-    /// counters then reflect the warm start.
-    pub fn set_nogood_store(&mut self, store: Arc<NogoodStore>) {
-        self.nogood_store = Some(store);
     }
 
     /// Runs the enumeration and returns the discovered true paths (sorted
@@ -492,11 +445,6 @@ impl<'a> PathEnumerator<'a> {
             .add(stats.justify_cache_hits);
         obs.counter("enumerate.compiled_evals")
             .add(stats.compiled_evals);
-        obs.counter("bitsim.words").add(stats.bitsim_words);
-        obs.counter("bitsim.lanes_filtered")
-            .add(stats.bitsim_lanes_filtered);
-        obs.counter("bitsim.exact_calls_saved")
-            .add(stats.bitsim_exact_calls_saved);
         obs.counter("learn.nogoods_stored").add(stats.learn_stored);
         obs.counter("learn.hits").add(stats.learn_hits);
         obs.counter("learn.decisions_saved")
@@ -680,9 +628,6 @@ pub(crate) struct Search<'a, 'b> {
     pub(crate) justify_todo: Vec<NetId>,
     /// Reusable buffers of the justification search itself.
     pub(crate) justify_scratch: JustifyScratch,
-    /// Bit-parallel justification pre-filter (`None` when disabled); its
-    /// counters are copied into [`EnumerationStats`] after the run.
-    pub(crate) filter: Option<BitsimFilter<'a>>,
     /// Scratch engine for learn-time nogood verification replays (`None`
     /// with learning off). Reset before and after every replay; never
     /// carries search state.
@@ -833,14 +778,6 @@ impl Search<'_, '_> {
         nodes: &mut Vec<NetId>,
         arcs: &mut Vec<PathArc>,
     ) {
-        // Root-task boundary: the filter's probing throttle must not carry
-        // state between tasks, or its counters would depend on how tasks
-        // are sharded across workers.
-        if arcs.is_empty() {
-            if let Some(f) = self.filter.as_mut() {
-                f.reset_throttle();
-            }
-        }
         // Dominance cut (learning + N-worst only): if even the most
         // optimistic completion through this arc — current worst alive
         // arrival, plus this arc's delay bound, plus the tightened
@@ -1295,7 +1232,6 @@ impl Search<'_, '_> {
             Some(&mut self.justify_cache),
             &mut self.justify_scratch,
             Some(&self.justify_hist),
-            self.filter.as_mut(),
         );
         self.justify_todo = todo;
         self.stats.decisions += budget.decisions;

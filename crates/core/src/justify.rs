@@ -14,6 +14,12 @@
 //! and a superset of a failed candidate only adds constraints — and it
 //! avoids the exponential thrash of full-pattern enumeration on wide
 //! gates.
+//!
+//! Every branch candidate goes through the exact [`ImplicationEngine`]:
+//! assign, propagate, detect a conflict, roll back. The decision and
+//! backtrack counters therefore count real engine attempts, and budget
+//! trip points rest on them (DESIGN.md §5.9b says why no batch screen
+//! sits in front of the engine).
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -21,8 +27,6 @@ use std::rc::Rc;
 use sta_cells::Library;
 use sta_logic::{eval_expr_v9, eval_prim_v9, Dual, ImplicationEngine, Mask, V9};
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
-
-use crate::bitsim::BitsimFilter;
 
 /// One alternative side-input assignment set justifying an obligation.
 type Candidate = Vec<(NetId, bool)>;
@@ -56,15 +60,13 @@ impl CandKey {
 /// arcs re-justify the same side-input obligations), so one per-worker
 /// cache removes most of that work.
 #[derive(Clone, Default)]
-pub struct JustifyCache {
+pub(crate) struct JustifyCache {
     /// Candidate sets are shared out by `Rc` so a cache hit in the search
     /// hot loop is a reference-count bump, not a deep clone of nested
     /// vectors (the cache is per-worker and never crosses threads).
     map: HashMap<CandKey, Rc<Candidates>>,
     /// Lookups answered from the table.
-    pub hits: u64,
-    /// Lookups that fell through to candidate enumeration.
-    pub misses: u64,
+    pub(crate) hits: u64,
 }
 
 impl JustifyCache {
@@ -72,13 +74,8 @@ impl JustifyCache {
     const CAPACITY: usize = 1 << 18;
 
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Drops all memoized entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -155,67 +152,12 @@ pub enum JustifyOutcome {
 pub fn justify(
     eng: &mut ImplicationEngine<'_>,
     nl: &Netlist,
-    todo: Vec<NetId>,
+    mut todo: Vec<NetId>,
     mask: Mask,
     budget: &mut JustifyBudget,
 ) -> JustifyOutcome {
-    justify_with_cache(eng, nl, todo, mask, budget, None)
-}
-
-/// [`justify`] with an optional candidate memo table (see
-/// [`JustifyCache`]). The cache only memoizes pure candidate enumeration,
-/// so the search outcome and the witness left on the trail are identical
-/// with and without it.
-pub fn justify_with_cache(
-    eng: &mut ImplicationEngine<'_>,
-    nl: &Netlist,
-    todo: Vec<NetId>,
-    mask: Mask,
-    budget: &mut JustifyBudget,
-    cache: Option<&mut JustifyCache>,
-) -> JustifyOutcome {
-    let mut todo = todo;
     let mut scratch = JustifyScratch::default();
-    justify_in(
-        eng,
-        nl,
-        &mut todo,
-        mask,
-        budget,
-        cache,
-        &mut scratch,
-        None,
-        None,
-    )
-}
-
-/// [`justify`] with an optional bit-parallel candidate pre-filter (see
-/// [`BitsimFilter`]). The filter only discards branch candidates the exact
-/// engine would refute anyway, and its skipped attempts are counted into
-/// the budget exactly as the engine's immediate-conflict path would have
-/// counted them, so the outcome, the witness, and the budget state are
-/// identical with and without it.
-pub fn justify_filtered(
-    eng: &mut ImplicationEngine<'_>,
-    nl: &Netlist,
-    todo: Vec<NetId>,
-    mask: Mask,
-    budget: &mut JustifyBudget,
-    filter: Option<&mut BitsimFilter<'_>>,
-) -> JustifyOutcome {
-    let mut todo = todo;
-    let mut scratch = JustifyScratch::default();
-    justify_in(
-        eng,
-        nl,
-        &mut todo,
-        mask,
-        budget,
-        None,
-        &mut scratch,
-        None,
-        filter,
-    )
+    justify_in(eng, nl, &mut todo, mask, budget, None, &mut scratch, None)
 }
 
 /// Allocation-reusing entry point: the obligation list and the search
@@ -223,6 +165,8 @@ pub fn justify_filtered(
 /// enumeration hot loop) keeps one set of buffers alive across millions of
 /// calls. `todo` is left in an unspecified state.
 ///
+/// `cache`, when present, memoizes candidate enumeration (see
+/// [`JustifyCache`]); it changes neither the outcome nor the witness.
 /// `effort_hist`, when present, receives this call's decision count — a
 /// per-call effort distribution for the observability layer. The tap is
 /// write-only: it cannot influence the outcome or the witness.
@@ -236,22 +180,12 @@ pub(crate) fn justify_in(
     mut cache: Option<&mut JustifyCache>,
     scratch: &mut JustifyScratch,
     effort_hist: Option<&sta_obs::Histogram>,
-    mut filter: Option<&mut BitsimFilter<'_>>,
 ) -> JustifyOutcome {
     let decisions_at_entry = budget.decisions;
     let mark = eng.mark();
     let lib = eng.library();
     let ctx = Ctx { nl, lib };
-    let out = justify_rec(
-        eng,
-        &ctx,
-        todo,
-        mask,
-        budget,
-        &mut cache,
-        scratch,
-        &mut filter,
-    );
+    let out = justify_rec(eng, &ctx, todo, mask, budget, &mut cache, scratch);
     if !matches!(out, JustifyOutcome::Satisfied(_)) {
         eng.rollback(mark);
     }
@@ -277,7 +211,7 @@ pub(crate) fn proves_unsat(
     scratch: &mut JustifyScratch,
 ) -> bool {
     let mark = eng.mark();
-    let out = justify_in(eng, nl, todo, mask, budget, None, scratch, None, None);
+    let out = justify_in(eng, nl, todo, mask, budget, None, scratch, None);
     if matches!(out, JustifyOutcome::Satisfied(_)) {
         eng.rollback(mark);
     }
@@ -332,7 +266,6 @@ fn cached_candidates(
             c.hits += 1;
             return Rc::clone(hit);
         }
-        c.misses += 1;
         let cands = Rc::new(minimal_candidates(eng, ctx, gate, free, mask));
         if c.map.len() >= JustifyCache::CAPACITY {
             c.map.clear();
@@ -343,7 +276,6 @@ fn cached_candidates(
     Rc::new(minimal_candidates(eng, ctx, gate, free, mask))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn justify_rec(
     eng: &mut ImplicationEngine<'_>,
     ctx: &Ctx<'_>,
@@ -352,7 +284,6 @@ fn justify_rec(
     budget: &mut JustifyBudget,
     cache: &mut Option<&mut JustifyCache>,
     scratch: &mut JustifyScratch,
-    filter: &mut Option<&mut BitsimFilter<'_>>,
 ) -> JustifyOutcome {
     let nl = ctx.nl;
     let mut alive = mask;
@@ -428,33 +359,14 @@ fn justify_rec(
         }
         let (gate, cands) = branch.expect("pending implies a branch point");
         let out_net = nl.gate(gate).output();
-        // Batch-refute candidates through the bit-parallel forward
-        // simulator before touching the exact engine. `refuted` lanes are
-        // candidates the engine is certain to reject in every alive
-        // polarity (see `crate::bitsim` for the soundness argument); for
-        // those the loop below replays the engine's immediate-conflict
-        // counter sequence — decision, then backtrack — without the
-        // assignment, so budgets trip at exactly the same point either
-        // way.
-        let refuted: u64 = match filter.as_deref_mut() {
-            Some(f) => f.refute_candidates(eng, &cands, alive),
-            None => 0,
-        };
         // Each candidate extends the shared obligation list in place;
         // truncating back to `saved` on failure restores exactly the state
         // the next candidate must see (the recursion only ever appends).
         let saved = todo.len();
-        for (ci, cand) in cands.iter().enumerate() {
+        for cand in cands.iter() {
             budget.decisions += 1;
             if budget.decisions > budget.max_decisions {
                 return JustifyOutcome::BudgetExhausted;
-            }
-            if ci < 64 && refuted & (1u64 << ci) != 0 {
-                budget.backtracks += 1;
-                if budget.backtracks > budget.max_backtracks {
-                    return JustifyOutcome::BudgetExhausted;
-                }
-                continue;
             }
             let mark = eng.mark();
             let mut alive2 = alive;
@@ -473,7 +385,7 @@ fn justify_rec(
                 if ok_r && ok_f {
                     todo.push(out_net);
                     todo.extend(cand.iter().map(|&(n, _)| n));
-                    match justify_rec(eng, ctx, todo, alive2, budget, cache, scratch, filter) {
+                    match justify_rec(eng, ctx, todo, alive2, budget, cache, scratch) {
                         JustifyOutcome::Satisfied(m) if m.any() => {
                             return JustifyOutcome::Satisfied(m)
                         }
@@ -737,13 +649,15 @@ mod tests {
             let mut eng = ImplicationEngine::new(&nl, &lib);
             eng.assign(z, Dual::stable(true), Mask::BOTH);
             let mut budget = JustifyBudget::unbounded();
-            let out = justify_with_cache(
+            let out = justify_in(
                 &mut eng,
                 &nl,
-                vec![z],
+                &mut vec![z],
                 Mask::BOTH,
                 &mut budget,
                 Some(&mut cache),
+                &mut JustifyScratch::default(),
+                None,
             );
             assert_eq!(out, JustifyOutcome::Satisfied(Mask::BOTH));
             assert_eq!(eng.value(a), Dual::stable(true));

@@ -67,8 +67,7 @@
 //! like a nogood hit (the branch is dropped). The emitted path set is
 //! therefore unchanged — only the work spent refuting it.
 //!
-//! Two rules keep the claim byte-exact, mirroring the bit-parallel
-//! filter's discipline (see `crate::bitsim`):
+//! Two rules keep the claim byte-exact:
 //!
 //! * **Full-kill only.** A hit is acted on only when *every* alive
 //!   polarity is refuted by some stored nogood. Narrowing the alive mask

@@ -52,7 +52,6 @@
 
 pub mod analysis;
 pub mod arrival;
-pub mod bitsim;
 pub mod delaycalc;
 pub mod eco;
 pub mod enumerate;
@@ -76,15 +75,12 @@ pub use arrival::{
     record_bounds_metrics, static_bounds, static_bounds_compiled, tightened_remaining, ArcBounds,
     ArcInterval, ArcIntervals, StaticTiming, ARC_SWEEP_MARGIN,
 };
-pub use bitsim::BitsimFilter;
 pub use delaycalc::{path_delay, path_delay_compiled, DelayCalcError, PathDelayBreakdown};
 pub use eco::{
     corrupt_source_cache, dirty_sources, fanin_cone, fanout_cone, CacheCorruption, SourceCache,
 };
 pub use enumerate::{EnumerationConfig, EnumerationStats, PathEnumerator};
-pub use justify::{
-    justify, justify_filtered, justify_with_cache, JustifyBudget, JustifyCache, JustifyOutcome,
-};
+pub use justify::{justify, JustifyBudget, JustifyOutcome};
 pub use learn::{Nogood, NogoodKey, NogoodStore, NogoodView};
 pub use mcmm::{BatchOutcome, MergedEndpoint, MergedSlackReport, ScenarioOutcome};
 pub use path::{group_by_structure, LaunchTiming, PathArc, PathGroup, PiValue, TruePath};

@@ -8,7 +8,6 @@
 //! |-------------------------|-------------------------|-------------|
 //! | cell library + netlist  | circuit                 | once        |
 //! | characterized timing    | technology              | per tech    |
-//! | bitsim schedule         | netlist                 | once        |
 //! | compiled delay kernel   | (technology, corner)    | per corner  |
 //! | true-path search        | (technology, corner)    | per corner  |
 //! | parsed SDC constraints  | mode                    | per mode    |
@@ -38,7 +37,6 @@ use crossbeam::deque::{Injector, Steal};
 use serde::{Deserialize, Serialize};
 use sta_cells::{Corner, Library};
 use sta_charlib::{CompiledCorner, TimingLibrary};
-use sta_logic::Schedule;
 use sta_netlist::Netlist;
 use sta_obs::LocalSpans;
 
@@ -214,7 +212,6 @@ struct SearchGroup {
     corner: Corner,
     tlib: Arc<TimingLibrary>,
     kernel: Arc<CompiledCorner>,
-    schedule: Option<Arc<Schedule>>,
     members: Vec<Member>,
 }
 
@@ -292,14 +289,6 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
             .clone()
     };
 
-    // One bitsim schedule: netlist-dependent, corner-independent.
-    let schedule = req.bitsim.then(|| {
-        let _span = root.child("schedule");
-        coord_children += 1;
-        obs.counter("mcmm.schedule_compiles").add(1);
-        Arc::new(Schedule::compile(&netlist, &lib))
-    });
-
     // Parse each distinct SDC text once, against the shared netlist.
     let mut parsed_sdc: Vec<(String, Arc<Constraints>)> = Vec::new();
     for s in &scenarios {
@@ -346,7 +335,6 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
             corner: first.corner.corner,
             tlib,
             kernel,
-            schedule: schedule.clone(),
             members: indices.into_iter().map(member).collect(),
         });
     }
@@ -444,7 +432,7 @@ fn run_group(
         &group.tlib,
         req.enumeration_config(group.corner),
         group.kernel.clone(),
-        group.schedule.clone(),
+        None,
     );
     let mut search = None;
     let mut bounds = None;

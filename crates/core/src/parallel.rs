@@ -161,9 +161,6 @@ struct WorkerCtx<'a> {
     /// Corner-compiled kernel table, folded once by the enumerator and
     /// shared read-only by every worker.
     kernel: &'a CompiledCorner,
-    /// Compiled bit-parallel simulation program, built once by the
-    /// enumerator; each worker wraps it in its own `BitsimFilter`.
-    schedule: Option<&'a sta_logic::Schedule>,
     plans: &'a [SrcPlan],
     remaining: &'a Option<Vec<f64>>,
     fanouts: &'a [f64],
@@ -289,7 +286,6 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
         lib,
         cfg: &enumr.cfg,
         kernel: &enumr.kernel,
-        schedule: enumr.schedule.as_deref(),
         plans: &plans,
         remaining: &remaining,
         fanouts: &fanouts,
@@ -429,7 +425,6 @@ fn worker_loop(
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
         justify_scratch: JustifyScratch::default(),
-        filter: ctx.schedule.map(crate::bitsim::BitsimFilter::new),
         learn_eng: ctx
             .cfg
             .learning
@@ -522,11 +517,6 @@ fn worker_loop(
         }
     }
     search.stats.justify_cache_hits = search.justify_cache.hits;
-    if let Some(f) = &search.filter {
-        search.stats.bitsim_words = f.words;
-        search.stats.bitsim_lanes_filtered = f.lanes_filtered;
-        search.stats.bitsim_exact_calls_saved = f.exact_calls_saved;
-    }
     search.stats
 }
 

@@ -1,12 +1,12 @@
 //! `SCHEDxxx`: validity of the compiled bit-parallel simulation program.
 //!
-//! The batch pre-filter (`sta_core::bitsim`) and the batch certificate
-//! replay ([`crate::verify_paths`]) both trust a [`Schedule`]: a flat
-//! opcode program whose single forward sweep must visit every gate after
-//! all of its operands. If compilation ever emitted an op out of
-//! dependency order, the simulator would silently read stale `X` words
-//! and every verdict derived from it would be garbage — so the check is
-//! an [`Severity::Error`](crate::Severity::Error), not a warning.
+//! The batch certificate replay ([`crate::verify_paths`]) trusts a
+//! [`Schedule`]: a flat opcode program whose single forward sweep must
+//! visit every gate after all of its operands. If compilation ever
+//! emitted an op out of dependency order, the simulator would silently
+//! read stale `X` words and every verdict derived from it would be
+//! garbage — so the check is an
+//! [`Severity::Error`](crate::Severity::Error), not a warning.
 //!
 //! The rule delegates to [`Schedule::validate`], which replays the
 //! program symbolically: sources are marked written up front, every

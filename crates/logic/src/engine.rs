@@ -194,16 +194,6 @@ impl<'a> ImplicationEngine<'a> {
         self.trail.len()
     }
 
-    /// The nets assigned or implied since construction (the trail), in
-    /// assignment order. A net changed more than once appears more than
-    /// once; read its current value with [`ImplicationEngine::value`].
-    /// Every net whose value is not fully unknown is on the trail, which
-    /// is what lets the bit-parallel filter re-impose the engine's known
-    /// values as batch requirements.
-    pub fn assigned_nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.trail.iter().map(|&(n, _)| n)
-    }
-
     /// Restores every net changed since `mark` (in reverse order).
     pub fn rollback(&mut self, mark: usize) {
         while self.trail.len() > mark {

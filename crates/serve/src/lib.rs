@@ -10,8 +10,6 @@
 //!   shared by every loaded circuit;
 //! * the corner-compiled [`sta_charlib::CompiledCorner`] kernel table per
 //!   circuit (netlist-independent: it survives edits untouched);
-//! * the compiled `sta-logic` bitsim [`sta_logic::Schedule`]
-//!   (netlist-dependent: rebuilt once per edit, not per request);
 //! * the per-source path cache ([`sta_core::SourceCache`]) and the last
 //!   spliced [`sta_core::CertificateSet`] with its FNV digest.
 //!

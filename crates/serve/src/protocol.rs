@@ -14,10 +14,8 @@
 //! the `analyze_batch` op and the `scenario` selector on `paths` and
 //! `verify`. Requests may pin a version with an optional
 //! `"schema_version"` field; a request without one is served at the
-//! current version. Pinning `1` is the one-version compatibility shim:
-//! the v1 surface behaves exactly as it always did, and v2-only
-//! constructs are rejected with a message naming the version that
-//! provides them. Versions other than 1 or 2 are rejected outright.
+//! current version. Version 2 is the only one spoken: any other pinned
+//! version, 1 included, is rejected with an in-band error.
 
 use serde::Value;
 
@@ -151,6 +149,16 @@ fn opt_usize_field(map: &[(String, Value)], key: &str) -> Result<Option<usize>, 
     }
 }
 
+/// The optional `nworst` path count. Absent means full enumeration; 0 is
+/// rejected (the schema's `minimum: 1`), since keeping the zero worst
+/// paths asks for nothing.
+fn opt_nworst_field(map: &[(String, Value)]) -> Result<Option<usize>, String> {
+    match opt_usize_field(map, "nworst")? {
+        Some(0) => Err("field \"nworst\" must be at least 1".to_string()),
+        n => Ok(n),
+    }
+}
+
 fn opt_str_field(map: &[(String, Value)], key: &str) -> Result<Option<String>, String> {
     match field(map, key) {
         None | Some(Value::Null) => Ok(None),
@@ -175,35 +183,17 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
     };
     let id = field(&map, "id").cloned();
     let version = opt_usize_field(&map, "schema_version")?.unwrap_or(SCHEMA_VERSION);
-    if !(1..=SCHEMA_VERSION).contains(&version) {
+    if version != SCHEMA_VERSION {
         return Err(format!(
-            "unsupported schema_version {version} (this daemon speaks 1 through {SCHEMA_VERSION})"
+            "unsupported schema_version {version} (this daemon speaks {SCHEMA_VERSION})"
         ));
     }
-    // The v1 compatibility shim: a request pinned to schema_version 1
-    // gets exactly the v1 surface, with v2-only constructs named.
-    let v2_only = |what: &str| -> Result<(), String> {
-        if version >= 2 {
-            Ok(())
-        } else {
-            Err(format!(
-                "{what} requires schema_version 2 (request pinned schema_version 1)"
-            ))
-        }
-    };
-    let scenario_field = |map: &[(String, Value)]| -> Result<Option<String>, String> {
-        let scenario = opt_str_field(map, "scenario")?;
-        if scenario.is_some() {
-            v2_only("field \"scenario\"")?;
-        }
-        Ok(scenario)
-    };
     let op = str_field(&map, "op")?;
     let req = match op.as_str() {
         "load" => Request::Load {
             circuit: str_field(&map, "circuit")?,
             tech: opt_str_field(&map, "tech")?.unwrap_or_else(|| "90nm".to_string()),
-            n_worst: opt_usize_field(&map, "nworst")?,
+            n_worst: opt_nworst_field(&map)?,
             threads: opt_usize_field(&map, "threads")?.unwrap_or(1).max(1),
         },
         "edit" => {
@@ -230,27 +220,24 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
             };
             Request::Edit { circuit, kind }
         }
-        "analyze_batch" => {
-            v2_only("op \"analyze_batch\"")?;
-            Request::AnalyzeBatch {
-                circuit: str_field(&map, "circuit")?,
-                corners: opt_str_field(&map, "corners")?,
-                modes: opt_str_field(&map, "modes")?,
-                n_worst: opt_usize_field(&map, "nworst")?,
-                batch_threads: opt_usize_field(&map, "batch_threads")?.unwrap_or(1).max(1),
-            }
-        }
+        "analyze_batch" => Request::AnalyzeBatch {
+            circuit: str_field(&map, "circuit")?,
+            corners: opt_str_field(&map, "corners")?,
+            modes: opt_str_field(&map, "modes")?,
+            n_worst: opt_nworst_field(&map)?,
+            batch_threads: opt_usize_field(&map, "batch_threads")?.unwrap_or(1).max(1),
+        },
         "paths" => Request::Paths {
             circuit: str_field(&map, "circuit")?,
             limit: opt_usize_field(&map, "limit")?.unwrap_or(10),
-            scenario: scenario_field(&map)?,
+            scenario: opt_str_field(&map, "scenario")?,
         },
         "slack" => Request::Slack {
             circuit: str_field(&map, "circuit")?,
         },
         "verify" => Request::Verify {
             circuit: str_field(&map, "circuit")?,
-            scenario: scenario_field(&map)?,
+            scenario: opt_str_field(&map, "scenario")?,
         },
         "audit" => Request::Audit {
             circuit: opt_str_field(&map, "circuit")?,
@@ -301,7 +288,7 @@ pub fn protocol_spec() -> sta_lint::ProtocolSpec {
         "batch_threads",
     ];
     // (description, line, schema_should_accept)
-    let exemplars: [(&str, &str, bool); 19] = [
+    let exemplars: [(&str, &str, bool); 21] = [
         (
             "load-full",
             r#"{"op":"load","circuit":"c17","tech":"90nm","nworst":10,"threads":2}"#,
@@ -340,6 +327,11 @@ pub fn protocol_spec() -> sta_lint::ProtocolSpec {
             r#"{"op":"status","schema_version":3}"#,
             false,
         ),
+        (
+            "retired-version",
+            r#"{"op":"status","schema_version":1}"#,
+            false,
+        ),
         ("audit-one", r#"{"op":"audit","circuit":"c17"}"#, true),
         ("audit-all", r#"{"op":"audit"}"#, true),
         ("status", r#"{"op":"status"}"#, true),
@@ -359,6 +351,11 @@ pub fn protocol_spec() -> sta_lint::ProtocolSpec {
         (
             "zero-limit",
             r#"{"op":"paths","circuit":"c17","limit":0}"#,
+            false,
+        ),
+        (
+            "zero-nworst",
+            r#"{"op":"load","circuit":"c17","nworst":0}"#,
             false,
         ),
     ];
@@ -490,8 +487,8 @@ mod tests {
     }
 
     #[test]
-    fn schema_version_gates_the_v2_surface() {
-        // No version pinned = current version: the MCMM surface parses.
+    fn schema_version_2_is_the_only_version() {
+        // No version pinned = version 2: the MCMM surface parses.
         let (req, _) =
             parse_request(r#"{"op":"analyze_batch","circuit":"c17","corners":"typ,slow"}"#)
                 .unwrap();
@@ -507,22 +504,24 @@ mod tests {
         );
         let (req, _) =
             parse_request(r#"{"op":"paths","circuit":"c17","scenario":"typ/func"}"#).unwrap();
-        assert!(matches!(req, Request::Paths { scenario: Some(s), .. } if s == "typ/func"));
+        assert!(matches!(&req, Request::Paths { scenario: Some(s), .. } if s == "typ/func"));
 
-        // Pinning v1 keeps the v1 surface working…
-        assert!(parse_request(r#"{"op":"paths","circuit":"c17","schema_version":1}"#).is_ok());
-        assert!(parse_request(r#"{"op":"verify","circuit":"c17","schema_version":1}"#).is_ok());
-        // …and rejects v2-only constructs with the version named.
-        let err = parse_request(r#"{"op":"analyze_batch","circuit":"c17","schema_version":1}"#)
-            .unwrap_err();
-        assert!(err.contains("schema_version 2"), "{err}");
-        let err = parse_request(
-            r#"{"op":"paths","circuit":"c17","scenario":"typ/func","schema_version":1}"#,
+        // Pinning 2 is the same as pinning nothing.
+        let (pinned, _) = parse_request(
+            r#"{"op":"paths","circuit":"c17","scenario":"typ/func","schema_version":2}"#,
         )
-        .unwrap_err();
-        assert!(err.contains("schema_version 2"), "{err}");
+        .unwrap();
+        assert_eq!(pinned, req);
 
-        // Versions this daemon does not speak are rejected outright.
+        // Every other version is rejected outright, the retired 1 included,
+        // whatever the op.
+        for line in [
+            r#"{"op":"paths","circuit":"c17","schema_version":1}"#,
+            r#"{"op":"analyze_batch","circuit":"c17","schema_version":1}"#,
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.contains("unsupported schema_version 1"), "{err}");
+        }
         let err = parse_request(r#"{"op":"status","schema_version":3}"#).unwrap_err();
         assert!(err.contains("unsupported schema_version 3"), "{err}");
         let err = parse_request(r#"{"op":"status","schema_version":0}"#).unwrap_err();
@@ -549,5 +548,12 @@ mod tests {
         assert!(parse_request(r#"{"op":"load","circuit":17}"#)
             .unwrap_err()
             .contains("string"));
+        for line in [
+            r#"{"op":"load","circuit":"c17","nworst":0}"#,
+            r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.contains("\"nworst\" must be at least 1"), "{err}");
+        }
     }
 }

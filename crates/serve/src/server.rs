@@ -14,7 +14,6 @@ use sta_core::{
     CertificateSet, CornerDef, EnumerationConfig, Mode, PathEnumerator, Scenario, SourceCache,
     TruePath, ARC_SWEEP_MARGIN,
 };
-use sta_logic::Schedule;
 use sta_netlist::Netlist;
 use sta_obs::{digest_string, Observer, SessionCircuit, SessionManifest};
 
@@ -84,8 +83,6 @@ struct CircuitSession {
     tlib: Arc<TimingLibrary>,
     /// Corner kernel table: netlist-independent, survives every edit.
     kernel: Arc<CompiledCorner>,
-    /// Bitsim schedule: netlist-dependent, rebuilt once per edit.
-    schedule: Option<Arc<Schedule>>,
     cache: SourceCache,
     /// Last spliced result and its digest (the path-set identity).
     certs: CertificateSet,
@@ -348,7 +345,6 @@ impl Server {
         let enumr = PathEnumerator::new(&netlist, &self.lib, &tlib, cfg);
         let (cache, stats) = SourceCache::build(&enumr);
         let kernel = enumr.kernel_arc();
-        let schedule = enumr.schedule_arc();
         drop(enumr);
         let certs = CertificateSet::new(&netlist, self.cfg.input_slew, cache.splice());
         let digest = digest_string(certs.to_json().as_bytes());
@@ -358,7 +354,6 @@ impl Server {
             netlist,
             tlib,
             kernel,
-            schedule,
             cache,
             certs,
             digest,
@@ -429,9 +424,8 @@ impl Server {
             obs.counter("serve.incremental_updates").add(1);
         }
 
-        // The netlist changed: the bitsim schedule is stale, the corner
-        // kernel is not (it depends only on (timing library, corner)).
-        session.schedule = None;
+        // The netlist changed; the corner kernel did not (it depends only
+        // on (timing library, corner)).
         let cfg = session
             .per_source_cfg(input_slew)
             .with_source_filter(Arc::new(dirty));
@@ -445,7 +439,6 @@ impl Server {
                 None,
             );
             let stats = session.cache.update(&enumr);
-            session.schedule = enumr.schedule_arc();
             session.truncated |= stats.truncated;
         }
         session.certs = CertificateSet::new(&session.netlist, input_slew, session.cache.splice());
@@ -1126,6 +1119,40 @@ mod tests {
         assert_eq!(manifest.errors, 3);
     }
 
+    /// `nworst: 0` and a pinned retired schema version get an in-band
+    /// error, and the session keeps answering: the next load and batch
+    /// succeed.
+    #[test]
+    fn rejected_requests_leave_the_session_serving() {
+        let mut server = fast_server();
+        let zero = reply(&mut server, r#"{"op":"load","circuit":"c17","nworst":0}"#);
+        assert_eq!(get(&zero, "ok"), &Value::Bool(false));
+        assert!(matches!(get(&zero, "error"), Value::Str(s) if s.contains("nworst")));
+        assert_ok(&reply(
+            &mut server,
+            r#"{"op":"load","circuit":"c17","nworst":5}"#,
+        ));
+
+        let zero = reply(
+            &mut server,
+            r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
+        );
+        assert_eq!(get(&zero, "ok"), &Value::Bool(false));
+        let v1 = reply(
+            &mut server,
+            r#"{"op":"paths","circuit":"c17","schema_version":1}"#,
+        );
+        assert_eq!(get(&v1, "ok"), &Value::Bool(false));
+        assert!(
+            matches!(get(&v1, "error"), Value::Str(s) if s.contains("unsupported schema_version 1"))
+        );
+        assert_ok(&reply(
+            &mut server,
+            r#"{"op":"analyze_batch","circuit":"c17","nworst":5}"#,
+        ));
+        assert_ok(&reply(&mut server, r#"{"op":"paths","circuit":"c17"}"#));
+    }
+
     #[test]
     fn serve_lines_stops_at_shutdown() {
         let mut server = fast_server();
@@ -1179,7 +1206,10 @@ mod tests {
             r#"{"op":"load","circuit":"c17","bogus":1}"#,
             r#"{"op":"paths","circuit":"c17","limit":0}"#,
             r#"{"op":"status","schema_version":3}"#,
+            r#"{"op":"status","schema_version":1}"#,
             r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#,
+            r#"{"op":"load","circuit":"c17","nworst":0}"#,
+            r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
         ];
         for line in invalid {
             let doc: Value = serde_json::from_str(line).unwrap();

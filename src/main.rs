@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sta-repro list                                  # catalog benchmarks
-//! sta-repro analyze  <circuit> [--tech T] [--nworst N] [--threads W] [--no-bitsim]
+//! sta-repro analyze  <circuit> [--tech T] [--nworst N] [--threads W]
 //! sta-repro slack    <circuit> [--tech T] [--required PS] [--sdc FILE]
 //! sta-repro baseline <circuit> [--tech T] [--k K] [--limit B]
 //! sta-repro cell     <name>    [--tech T]         # vectors + delays
@@ -160,13 +160,12 @@ fn print_usage() {
          commands:\n\
            list                                  list catalog benchmarks\n\
            analyze  <circuit> [--tech T] [--corner C] [--corners C,..] [--modes F,..]\n\
-                    [--nworst N] [--threads W] [--batch-threads B] [--no-bitsim]\n\
-                    [--no-learning] run the single-pass true-path STA\n\
-                    (--no-bitsim disables the 64-lane bit-parallel justification\n\
-                    pre-filter; --no-learning disables nogood learning and\n\
-                    dominance pruning — results are identical either way;\n\
+                    [--nworst N] [--threads W] [--batch-threads B] [--no-learning]\n\
+                    run the single-pass true-path STA (--nworst keeps the\n\
+                    N >= 1 worst paths; --no-learning disables nogood learning\n\
+                    and dominance pruning — results are identical either way;\n\
                     --corners/--modes run the whole MCMM matrix as one batch\n\
-                    with shared characterization/netlist/schedule, reporting\n\
+                    with shared characterization/netlist/kernels, reporting\n\
                     per-scenario results plus the merged worst-slack view)\n\
            slack    <circuit> [--tech T] [--corner C] [--corners C,..] [--modes F,..]\n\
                     [--required PS] [--sdc FILE]   structural slack report\n\
@@ -238,7 +237,6 @@ struct Opts {
     limit: u64,
     out: Option<String>,
     required: Option<f64>,
-    no_bitsim: bool,
     no_learning: bool,
     format: OutputFormat,
     deny_warnings: bool,
@@ -274,7 +272,6 @@ impl Opts {
             limit: 1000,
             out: None,
             required: None,
-            no_bitsim: false,
             no_learning: false,
             format: OutputFormat::Human,
             deny_warnings: false,
@@ -310,7 +307,13 @@ impl Opts {
                 "--batch-threads" => {
                     opts.batch_threads = parse_num(&value("--batch-threads")?, "--batch-threads")?;
                 }
-                "--nworst" => opts.nworst = Some(parse_num(&value("--nworst")?, "--nworst")?),
+                "--nworst" => {
+                    let n = parse_num(&value("--nworst")?, "--nworst")?;
+                    if n == 0 {
+                        return Err(CliError::Usage("--nworst must be at least 1".to_string()));
+                    }
+                    opts.nworst = Some(n);
+                }
                 "--threads" => opts.threads = parse_num(&value("--threads")?, "--threads")?,
                 "--k" => opts.k = parse_num(&value("--k")?, "--k")?,
                 "--limit" => opts.limit = parse_num(&value("--limit")?, "--limit")?,
@@ -318,7 +321,6 @@ impl Opts {
                 "--required" => {
                     opts.required = Some(parse_num(&value("--required")?, "--required")?);
                 }
-                "--no-bitsim" => opts.no_bitsim = true,
                 "--no-learning" => opts.no_learning = true,
                 "--format" => {
                     let f = value("--format")?;
@@ -391,7 +393,6 @@ impl Opts {
             m.insert("batch_threads".to_string(), self.batch_threads.to_string());
         }
         m.insert("threads".to_string(), self.threads.to_string());
-        m.insert("bitsim".to_string(), (!self.no_bitsim).to_string());
         m.insert("learning".to_string(), (!self.no_learning).to_string());
         m.insert(
             "char_grid".to_string(),
@@ -612,7 +613,6 @@ fn base_request(
         .scenarios(scenarios)
         .threads(opts.threads)
         .batch_threads(opts.batch_threads)
-        .bitsim(!opts.no_bitsim)
         .learning(!opts.no_learning)
         .char_config(if opts.fast_char {
             CharConfig::fast()
@@ -782,14 +782,6 @@ fn cmd_analyze(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                 outcome.stats.scratch_side_hwm,
                 outcome.stats.scratch_path_hwm
             );
-            if outcome.stats.bitsim_words > 0 {
-                println!(
-                    "  bitsim: {} words simulated, {} lanes filtered, {} exact calls saved",
-                    outcome.stats.bitsim_words,
-                    outcome.stats.bitsim_lanes_filtered,
-                    outcome.stats.bitsim_exact_calls_saved
-                );
-            }
             if !opts.no_learning {
                 println!(
                     "  learn: {} nogoods stored, {} hits ({} decisions saved), {} bound cuts",
@@ -964,7 +956,7 @@ fn cmd_baseline(opts: &Opts, args: &[String]) -> Result<(), CliError> {
         &ctx.netlist,
         &ctx.lib,
         &ctx.timing,
-        &BaselineConfig::new(opts.k, opts.limit).with_bitsim(!opts.no_bitsim),
+        &BaselineConfig::new(opts.k, opts.limit),
     );
     let elapsed_s = t0.elapsed().as_secs_f64();
     match opts.format {
@@ -1158,7 +1150,6 @@ fn audit_flow_circuit(
     let per_source_cfg = {
         let mut cfg = EnumerationConfig::new(ctx.corner)
             .with_threads(opts.threads)
-            .with_bitsim(!opts.no_bitsim)
             .with_learning(!opts.no_learning)
             .with_per_source_n_worst(true)
             .with_observer(obs.clone());

@@ -91,4 +91,10 @@ fn exit_codes_are_stable_and_format_independent() {
     assert_eq!(code, 2, "missing bench file: {stderr}");
     let (code, _, stderr) = run(&["validate-manifest", "/nonexistent/missing.json"]);
     assert_eq!(code, 2, "missing manifest: {stderr}");
+    let (code, _, stderr) = run(&["analyze", "c17", "--nworst", "0", "--fast-char"]);
+    assert_eq!(code, 2, "zero --nworst: {stderr}");
+    assert!(
+        stderr.contains("--nworst"),
+        "the usage error names the flag: {stderr}"
+    );
 }

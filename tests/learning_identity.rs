@@ -108,8 +108,9 @@ fn stored_nogoods_never_refute_a_satisfiable_assignment() {
         .with_n_worst(25)
         .with_learning(true);
     let store = Arc::new(NogoodStore::new());
-    let mut enumr = PathEnumerator::new(&nl, lib, tlib, cfg);
-    enumr.set_nogood_store(Arc::clone(&store));
+    let kernel = Arc::new(tlib.compile_corner(cfg.corner));
+    let enumr =
+        PathEnumerator::with_prebuilt(&nl, lib, tlib, cfg, kernel, Some(Arc::clone(&store)));
     let (_, stats) = enumr.run();
     assert!(stats.learn_stored > 0, "the run stored clauses to audit");
     let snapshot = store.snapshot();

@@ -157,3 +157,50 @@ proptest! {
         }
     }
 }
+
+/// The exact engine alone refutes justification candidates, per launch
+/// polarity. On AND(a, b) with a = 0 propagated, a candidate requiring
+/// the output at 1 conflicts while one setting b = 1 does not. With a = 0
+/// known under the rising launch only, requiring the output at 1
+/// conflicts under that launch alone, and the falling analysis lives on.
+#[test]
+fn engine_refutes_exactly_the_contradicted_candidates() {
+    let lib = Library::standard();
+    let mut nl = sta_netlist::Netlist::new("t");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let and2 = lib.cell_by_name("AND2").unwrap().id();
+    let z = nl
+        .add_gate(sta_netlist::GateKind::Cell(and2), &[a, b], Some("z"))
+        .unwrap();
+    nl.mark_output(z);
+
+    let mut eng = ImplicationEngine::new(&nl, &lib);
+    let unconstrained = eng.mark();
+    for (net, v) in [(a, true), (a, false), (b, true), (z, true)] {
+        let mark = eng.mark();
+        let conflicts = eng.assign(net, Dual::stable(v), Mask::BOTH);
+        assert_eq!(conflicts, Mask::NONE, "all-X admits {net} = {v}");
+        eng.rollback(mark);
+    }
+
+    assert_eq!(eng.assign(a, Dual::stable(false), Mask::BOTH), Mask::NONE);
+    let known = eng.mark();
+    assert_eq!(eng.assign(z, Dual::stable(true), Mask::BOTH), Mask::BOTH);
+    eng.rollback(known);
+    assert_eq!(eng.assign(b, Dual::stable(true), Mask::BOTH), Mask::NONE);
+    assert_eq!(eng.value(z), Dual::stable(false), "z = 0 through the AND");
+
+    eng.rollback(unconstrained);
+    let rising_only = Dual {
+        r: V9::S0,
+        f: V9::XX,
+    };
+    assert_eq!(eng.assign(a, rising_only, Mask::BOTH), Mask::NONE);
+    let known = eng.mark();
+    let conflicts = eng.assign(z, Dual::stable(true), Mask::BOTH);
+    assert_eq!(conflicts, Mask { r: true, f: false }, "rising launch only");
+    assert!(Mask::BOTH.minus(conflicts).any(), "falling analysis lives");
+    eng.rollback(known);
+    assert_eq!(eng.assign(z, Dual::stable(false), Mask::BOTH), Mask::NONE);
+}

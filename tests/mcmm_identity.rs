@@ -1,8 +1,8 @@
 //! MCMM batch identity oracles.
 //!
 //! The batch engine (`sta-core`'s `mcmm` module) shares the netlist
-//! load, characterization, logic schedule, per-corner kernels and the
-//! per-corner true-path search across scenarios, and fans the search
+//! load, characterization, per-corner kernels and the per-corner
+//! true-path search across scenarios, and fans the search
 //! groups over a work-stealing pool. None of that sharing may change a
 //! single byte of any scenario's result: these tests pin each scenario's
 //! `CertificateSet` against an independent single-scenario run at

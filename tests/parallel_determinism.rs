@@ -15,7 +15,7 @@ use sta_cells::{Corner, Library, Technology};
 use sta_charlib::{characterize, CharConfig, TimingLibrary};
 use sta_circuits::randlogic::{random_logic, RandParams};
 use sta_circuits::{catalog, map_netlist};
-use sta_core::{EnumerationConfig, EnumerationStats, PathEnumerator, TruePath};
+use sta_core::{CertificateSet, EnumerationConfig, EnumerationStats, PathEnumerator, TruePath};
 use sta_netlist::Netlist;
 
 fn setup() -> (&'static Library, &'static TimingLibrary, Technology) {
@@ -108,11 +108,37 @@ fn n_worst_is_byte_identical_across_thread_counts() {
     }
 }
 
+/// An untruncated 1-thread N-worst search is pinned decision for
+/// decision. Every justification candidate is counted as the exact
+/// engine attempts it, so a change that adds, skips or re-counts search
+/// work moves `stats.decisions` even when the paths stay the same.
+#[test]
+fn n_worst_search_effort_is_pinned_at_one_thread() {
+    let (lib, tlib, tech) = setup();
+    let nl = catalog::mapped("c432", lib).unwrap().unwrap();
+    let cfg = EnumerationConfig::new(Corner::nominal(&tech)).with_n_worst(50);
+    let (paths, stats) = run_at(&nl, lib, tlib, &cfg, 1);
+    assert!(!stats.truncated, "no budget is set");
+    assert_eq!(paths.len(), 50, "expected 50 worst paths");
+    assert_eq!(stats.decisions, 46_418, "1-thread search effort");
+    let certs = CertificateSet::new(&nl, cfg.input_slew, paths).to_json();
+    assert_eq!(
+        sta_obs::digest_string(certs.as_bytes()),
+        "fnv1a64:d7b100e3962ab17c",
+        "1-thread certificate bytes"
+    );
+}
+
 /// `max_decisions` bounds the whole run: at one thread a truncated run is
 /// reproducible byte for byte, and at any thread count the decisions
 /// spent overshoot the budget by at most the work each worker has in
 /// flight when it trips — one arc decision and one justification call,
 /// which stops one decision past `justify_decision_limit`.
+///
+/// The 1-thread trip point is pinned: the decision count and the
+/// certificate digest are exact values. Every justification candidate
+/// is counted as the exact engine attempts it, so a change in how the
+/// search counts decisions moves the trip point and fails here.
 #[test]
 fn decision_budget_bounds_the_whole_run() {
     let (lib, tlib, tech) = setup();
@@ -127,6 +153,13 @@ fn decision_budget_bounds_the_whole_run() {
     assert!(a_stats.truncated && b_stats.truncated, "budget must bite");
     assert_eq!(bytes(&a), bytes(&b), "1-thread truncated runs differ");
     assert_eq!(a_stats.decisions, b_stats.decisions);
+    assert_eq!(a_stats.decisions, 5073, "1-thread trip point");
+    let certs = CertificateSet::new(&nl, cfg.input_slew, a).to_json();
+    assert_eq!(
+        sta_obs::digest_string(certs.as_bytes()),
+        "fnv1a64:f1278492ebea6116",
+        "1-thread truncated certificate bytes"
+    );
     for threads in [2, 4] {
         let (_, stats) = run_at(&nl, lib, tlib, &cfg, threads);
         assert!(stats.truncated, "{threads} threads: budget must bite");

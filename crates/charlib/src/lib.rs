@@ -12,7 +12,7 @@
 //!   engines;
 //! * [`kernel`] — corner-compiled delay kernels: the polynomials folded
 //!   at a fixed `(T, VDD)` into dense, [`ArcId`]-indexed Horner tables;
-//! * [`characterize`] — the one-time automatic extraction process
+//! * [`mod@characterize`] — the one-time automatic extraction process
 //!   (parallel sweep + fit + disk cache).
 //!
 //! # Example

@@ -14,7 +14,7 @@
 //! temperature/voltage axes into the coefficients once, leaving a dense
 //! 2-D polynomial in `(Fo, t_in)` that evaluates in a single branch-free
 //! nested Horner pass ([`CompiledPoly`]). Both the interpreted and the
-//! compiled evaluators are built on the same [`horner_2d`] primitive, so
+//! compiled evaluators are built on the same `horner_2d` primitive, so
 //! they agree **bit for bit** at the compiled corner.
 
 use serde::{Deserialize, Serialize};
@@ -237,7 +237,7 @@ impl PolyModel {
     ///
     /// Allocation-free: the mixed-radix coefficient layout is walked as a
     /// nest of Horner recurrences, with the inner `(T, VDD)` block folded
-    /// by the same [`horner_2d`] a [`CompiledPoly`] caches — so compiling
+    /// by the same `horner_2d` a [`CompiledPoly`] caches — so compiling
     /// a corner does not change a single output bit.
     pub fn eval(&self, fo: f64, t_in: f64, temperature: f64, vdd: f64) -> f64 {
         let x0 = self.normalized(0, fo);

@@ -15,6 +15,7 @@
 //! `characterize`, `enumerate`, `slack`), engine metrics, and — via the
 //! CLI — a run manifest. Observation never changes any computed result.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use sta_cells::{Corner, Library};
@@ -172,11 +173,6 @@ impl AnalysisRequest {
         self.scenarios(vec![s])
     }
 
-    /// The scenario set this request will analyze.
-    pub fn scenario_set(&self) -> &[Scenario] {
-        &self.scenarios
-    }
-
     /// Sets the number of concurrent scenario jobs
     /// [`AnalysisRequest::run_batch`] fans out (default 1). Independent
     /// of [`AnalysisRequest::threads`], which controls the workers
@@ -251,9 +247,11 @@ impl AnalysisRequest {
         self
     }
 
-    /// Resolves the request into a reusable [`AnalysisContext`]: catalog
-    /// lookup, technology mapping, (cached) characterization, constraint
-    /// parsing, and the assembled [`EnumerationConfig`].
+    /// Resolves the primary scenario into a reusable [`AnalysisContext`]:
+    /// catalog lookup, technology mapping, (cached) characterization,
+    /// constraint parsing, and the assembled [`EnumerationConfig`]. It
+    /// loads through the same routine as [`AnalysisRequest::run_batch`],
+    /// as a batch of one.
     ///
     /// # Errors
     ///
@@ -263,19 +261,44 @@ impl AnalysisRequest {
         let primary = self
             .scenarios
             .first()
-            .ok_or(AnalysisError::Scenario(ScenarioError::EmptySet))?
-            .clone();
-        let tech = primary.corner.tech.clone();
+            .ok_or(AnalysisError::Scenario(ScenarioError::EmptySet))?;
         let corner = primary.corner.corner;
         let root = self.obs.span_with(
             "analysis",
             vec![
                 ("circuit", self.circuit.clone()),
-                ("tech", tech.name.clone()),
+                ("tech", primary.corner.tech.name.clone()),
                 ("threads", self.threads.to_string()),
                 ("learning", self.learning.to_string()),
             ],
         );
+        let loaded = self.load(std::slice::from_ref(primary), &root)?;
+        Ok(AnalysisContext {
+            circuit: self.circuit.clone(),
+            lib: loaded.lib,
+            netlist: loaded.netlist,
+            timing: loaded.timings.into_values().next().expect("one technology"),
+            corner,
+            constraints: loaded.constraints.into_values().next(),
+            required: primary.mode.required,
+            cfg: self.enumeration_config(corner),
+            obs: self.obs.clone(),
+            root,
+        })
+    }
+
+    /// Builds what `scenarios` share, each piece once: the netlist (the
+    /// override, else the catalog circuit mapped onto the standard
+    /// library) under a `load` child of `root`, one timing library per
+    /// distinct technology under a `characterize` child each, and one
+    /// constraint set per distinct SDC text. A single run loads its
+    /// primary scenario, a batch the whole set. The `mcmm.*` sharing
+    /// counters are the batch's to record, not this routine's.
+    pub(crate) fn load(
+        &self,
+        scenarios: &[Scenario],
+        root: &SpanGuard,
+    ) -> Result<Loaded, AnalysisError> {
         let (lib, netlist) = {
             let _load = root.child("load");
             let lib = Library::standard();
@@ -286,32 +309,36 @@ impl AnalysisRequest {
             };
             (lib, nl)
         };
-        let timing = {
-            let span = root.child("characterize");
-            sta_charlib::characterize_cached_observed(
+        // A grid-keyed disk cache sits behind characterization, so a warm
+        // cache makes this a load, not a simulation.
+        let mut timings = BTreeMap::new();
+        for s in scenarios {
+            let tech = &s.corner.tech;
+            if timings.contains_key(&tech.name) {
+                continue;
+            }
+            let span = root.child_with("characterize", vec![("tech", tech.name.clone())]);
+            let tlib = sta_charlib::characterize_cached_observed(
                 &lib,
-                &tech,
+                tech,
                 &self.char_config,
                 &self.cache_dir,
                 &self.obs,
                 span.id(),
-            )?
-        };
-        let constraints = match &primary.mode.sdc {
-            Some(text) => Some(parse_sdc(text, &netlist)?),
-            None => None,
-        };
-        Ok(AnalysisContext {
-            circuit: self.circuit.clone(),
+            )?;
+            timings.insert(tech.name.clone(), tlib);
+        }
+        let mut constraints = BTreeMap::new();
+        for text in scenarios.iter().filter_map(|s| s.mode.sdc.as_ref()) {
+            if !constraints.contains_key(text) {
+                constraints.insert(text.clone(), parse_sdc(text, &netlist)?);
+            }
+        }
+        Ok(Loaded {
             lib,
             netlist,
-            timing,
-            corner,
+            timings,
             constraints,
-            required: primary.mode.required,
-            cfg: self.enumeration_config(corner),
-            obs: self.obs.clone(),
-            root,
         })
     }
 
@@ -371,6 +398,16 @@ impl AnalysisRequest {
     }
 }
 
+/// The scenario-invariant inputs of a scenario set (see
+/// [`AnalysisRequest::load`]): timing libraries keyed by technology name,
+/// constraint sets keyed by SDC text.
+pub(crate) struct Loaded {
+    pub(crate) lib: Library,
+    pub(crate) netlist: Netlist,
+    pub(crate) timings: BTreeMap<String, TimingLibrary>,
+    pub(crate) constraints: BTreeMap<String, Constraints>,
+}
+
 /// Everything a resolved request provides: the mapped circuit, its timing
 /// library, the operating corner, parsed constraints, and the enumeration
 /// configuration. Flows that drive their own analysis (the two-step
@@ -423,9 +460,11 @@ impl SlackOutcome {
     /// Resolves the requirement and derives the slack report from the
     /// structural bounds of the operating point. The requirement is, in
     /// order: the explicit value, the tightest SDC output requirement,
-    /// then 90 % of the structural worst arrival. Single runs and batch
-    /// scenarios both resolve here, so their reports agree byte for byte.
-    pub(crate) fn resolve(
+    /// then 90 % of the structural worst arrival. Single runs, batch
+    /// scenarios and the timing daemon all resolve here, so their reports
+    /// agree byte for byte. `timing` is the bound pass at margin 1 (see
+    /// [`static_bounds`]).
+    pub fn resolve(
         nl: &Netlist,
         timing: StaticTiming,
         explicit: Option<f64>,
@@ -696,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_scenario_set_is_a_typed_error() {
+    fn empty_scenario_list_is_a_typed_error() {
         let err = fast_request("c17").scenarios(Vec::new()).run().unwrap_err();
         assert_eq!(
             err,

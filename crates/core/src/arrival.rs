@@ -177,7 +177,7 @@ const SLEW_SWEEP: [f64; 48] = [
 
 /// Per-arc delay bounds: for every (pin, vector, edge) the model delay is
 /// maximized over the arc's *real* fanout load and the full clamped slew
-/// domain ([`SLEW_SWEEP`]), then scaled by `margin`. Much tighter than
+/// domain (`SLEW_SWEEP`), then scaled by `margin`. Much tighter than
 /// the [`static_bounds`] recipe — that one folds in the grid-global
 /// tabulated sample maximum, which a low-fanout gate never approaches —
 /// while still upper-bounding every delay the search can compute for the
@@ -284,7 +284,7 @@ pub struct ArcInterval {
 
 /// Per-(gate, pin, vector) two-sided arc intervals — the table the
 /// `sta-lint` interval abstract interpreter consumes. Built by the same
-/// fixed [`SLEW_SWEEP`] as [`arc_bounds`], so the interpreted and
+/// fixed `SLEW_SWEEP` as [`arc_bounds`], so the interpreted and
 /// compiled tables are bit-identical at the kernel's corner.
 #[derive(Clone, Debug)]
 pub struct ArcIntervals {

@@ -19,7 +19,7 @@
 //! primary-input assignment forward-evaluates to values refining all of
 //! them. That claim is **verified at learn time**: the candidate cut is
 //! replayed on a scratch [`ImplicationEngine`] and re-justified from
-//! scratch; only a definitive [`JustifyOutcome::Unsatisfiable`] (or an
+//! scratch; only a definitive [`crate::JustifyOutcome::Unsatisfiable`] (or an
 //! immediate assignment conflict) is stored. A budget abort during the
 //! replay stores nothing — an abort proves nothing.
 //!

@@ -40,13 +40,12 @@ use sta_charlib::{CompiledCorner, TimingLibrary};
 use sta_netlist::Netlist;
 use sta_obs::LocalSpans;
 
-use crate::analysis::{AnalysisError, AnalysisRequest, RequiredSource, SlackOutcome};
+use crate::analysis::{AnalysisError, AnalysisRequest, Loaded, RequiredSource, SlackOutcome};
 use crate::arrival::static_bounds;
 use crate::enumerate::{EnumerationStats, PathEnumerator};
 use crate::path::TruePath;
 use crate::report::CertificateSet;
 use crate::scenario::{Scenario, ScenarioError};
-use crate::sdc::{parse_sdc, Constraints};
 use crate::slack::SlackReport;
 
 /// One finished scenario of a batch: the scenario description plus the
@@ -174,11 +173,6 @@ impl BatchOutcome {
             self.scenarios[idx].paths.clone(),
         )
     }
-
-    /// The scenario outcome with the given `corner/mode` name.
-    pub fn scenario(&self, name: &str) -> Option<&ScenarioOutcome> {
-        self.scenarios.iter().find(|s| s.scenario.name() == name)
-    }
 }
 
 /// What a scenario's true-path search depends on: the technology's
@@ -198,25 +192,18 @@ fn search_key(s: &Scenario) -> SearchKey {
     )
 }
 
-/// One scenario of a search group.
-struct Member {
-    /// Submission index (slot and span ordinal).
-    index: usize,
-    scenario: Scenario,
-    constraints: Option<Arc<Constraints>>,
-}
-
-/// One pool job: the scenarios sharing a search key, in submission
-/// order, and the shared read-only state their search and slack read.
-struct SearchGroup {
+/// One pool job: the scenarios sharing a search key, by submission
+/// index (slot and span ordinal) in submission order, and the shared
+/// read-only state their search and slack read.
+struct SearchGroup<'a> {
     corner: Corner,
-    tlib: Arc<TimingLibrary>,
+    tlib: &'a TimingLibrary,
     kernel: Arc<CompiledCorner>,
-    members: Vec<Member>,
+    members: Vec<usize>,
 }
 
 pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisError> {
-    let scenarios = req.scenarios.clone();
+    let scenarios = &req.scenarios;
     if scenarios.is_empty() {
         return Err(AnalysisError::Scenario(ScenarioError::EmptySet));
     }
@@ -242,90 +229,24 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
     );
     obs.counter("mcmm.scenarios").add(scenarios.len() as u64);
     obs.counter("mcmm.searches").add(grouped.len() as u64);
-    // Coordinator-side children get the low ordinals; scenario subtrees
-    // start after them. Everything here runs on one thread, so the span
-    // skeleton is identical at any batch width.
-    let mut coord_children: u64 = 0;
 
-    let (lib, netlist) = {
-        let _load = root.child("load");
-        coord_children += 1;
-        let lib = Library::standard();
-        let nl = match &req.netlist_override {
-            Some(nl) => nl.clone(),
-            None => sta_circuits::catalog::mapped(&req.circuit, &lib)?
-                .ok_or_else(|| AnalysisError::UnknownBenchmark(req.circuit.clone()))?,
-        };
-        (lib, nl)
-    };
+    let loaded = req.load(scenarios, &root)?;
     obs.counter("mcmm.netlist_loads").add(1);
-
-    // Characterize once per distinct technology (grid-keyed disk cache
-    // behind it, so a warm cache makes this a load, not a simulation).
-    let mut timings: Vec<(String, Arc<TimingLibrary>)> = Vec::new();
-    for s in &scenarios {
-        if timings.iter().any(|(name, _)| *name == s.corner.tech.name) {
-            continue;
-        }
-        let span = root.child_with("characterize", vec![("tech", s.corner.tech.name.clone())]);
-        coord_children += 1;
-        let tlib = sta_charlib::characterize_cached_observed(
-            &lib,
-            &s.corner.tech,
-            &req.char_config,
-            &req.cache_dir,
-            &obs,
-            span.id(),
-        )?;
-        obs.counter("mcmm.characterizations").add(1);
-        timings.push((s.corner.tech.name.clone(), Arc::new(tlib)));
+    obs.counter("mcmm.characterizations")
+        .add(loaded.timings.len() as u64);
+    // A batch without SDC modes registers no parse counter at all.
+    if !loaded.constraints.is_empty() {
+        obs.counter("mcmm.sdc_parses")
+            .add(loaded.constraints.len() as u64);
     }
-    let timing_for = |tech: &str| -> Arc<TimingLibrary> {
-        timings
-            .iter()
-            .find(|(name, _)| name == tech)
-            .expect("characterized above")
-            .1
-            .clone()
-    };
-
-    // Parse each distinct SDC text once, against the shared netlist.
-    let mut parsed_sdc: Vec<(String, Arc<Constraints>)> = Vec::new();
-    for s in &scenarios {
-        if let Some(text) = &s.mode.sdc {
-            if parsed_sdc.iter().any(|(t, _)| t == text) {
-                continue;
-            }
-            let c = parse_sdc(text, &netlist)?;
-            obs.counter("mcmm.sdc_parses").add(1);
-            parsed_sdc.push((text.clone(), Arc::new(c)));
-        }
-    }
-    let member = |index: usize| {
-        let scenario = scenarios[index].clone();
-        let constraints = scenario.mode.sdc.as_ref().map(|text| {
-            parsed_sdc
-                .iter()
-                .find(|(t, _)| t == text)
-                .expect("parsed above")
-                .1
-                .clone()
-        });
-        Member {
-            index,
-            scenario,
-            constraints,
-        }
-    };
 
     // One job, and with it one compiled kernel, per search key.
     let mut groups: Vec<SearchGroup> = Vec::with_capacity(grouped.len());
     for (_, indices) in grouped {
         let first = &scenarios[indices[0]];
-        let tlib = timing_for(&first.corner.tech.name);
+        let tlib = &loaded.timings[&first.corner.tech.name];
         let kernel = {
             let _span = root.child_with("kernel", vec![("corner", first.corner.name.clone())]);
-            coord_children += 1;
             let compiled = tlib.compile_corner(first.corner.corner);
             compiled.record_metrics(&obs);
             obs.counter("mcmm.kernel_compiles").add(1);
@@ -335,7 +256,7 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
             corner: first.corner.corner,
             tlib,
             kernel,
-            members: indices.into_iter().map(member).collect(),
+            members: indices,
         });
     }
 
@@ -347,17 +268,13 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
     let slots: Mutex<Vec<Option<ScenarioOutcome>>> =
         Mutex::new((0..n_scenarios).map(|_| None).collect());
     let root_id = root.id();
-    let scenario_ord_base = coord_children;
+    // The coordinator's children (one `load`, one `characterize` per
+    // technology, one `kernel` per group) hold the low ordinals and the
+    // scenario subtrees start after them. They all open on this thread,
+    // so the span skeleton is identical at any batch width.
+    let scenario_ord_base = 1 + loaded.timings.len() as u64 + groups.len() as u64;
     let run_job = |group: SearchGroup, local: &mut LocalSpans| {
-        let outcomes = run_group(
-            req,
-            &lib,
-            &netlist,
-            &group,
-            local,
-            root_id,
-            scenario_ord_base,
-        );
+        let outcomes = run_group(req, &loaded, &group, local, root_id, scenario_ord_base);
         let mut slots = slots.lock().expect("no poisoned batch slots");
         for (index, outcome) in outcomes {
             slots[index] = Some(outcome);
@@ -397,12 +314,12 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
 
     let merged = {
         let _span = root.child("merge");
-        MergedSlackReport::merge(&netlist, &outcomes)
+        MergedSlackReport::merge(&loaded.netlist, &outcomes)
     };
     Ok(BatchOutcome {
         circuit: req.circuit.clone(),
-        lib,
-        netlist,
+        lib: loaded.lib,
+        netlist: loaded.netlist,
         input_slew: req.input_slew,
         scenarios: outcomes,
         merged,
@@ -419,17 +336,17 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
 /// `tests/mcmm_identity.rs` and re-checked by `bench_mcmm`.
 fn run_group(
     req: &AnalysisRequest,
-    lib: &Library,
-    netlist: &Netlist,
+    loaded: &Loaded,
     group: &SearchGroup,
     local: &mut LocalSpans,
     root_id: u64,
     ord_base: u64,
 ) -> Vec<(usize, ScenarioOutcome)> {
+    let netlist = &loaded.netlist;
     let enumerator = PathEnumerator::with_prebuilt(
         netlist,
-        lib,
-        &group.tlib,
+        &loaded.lib,
+        group.tlib,
         req.enumeration_config(group.corner),
         group.kernel.clone(),
         None,
@@ -439,11 +356,12 @@ fn run_group(
     group
         .members
         .iter()
-        .map(|m| {
-            let attrs = vec![("scenario", m.scenario.name())];
+        .map(|&index| {
+            let scenario = &req.scenarios[index];
+            let attrs = vec![("scenario", scenario.name())];
             let outcome = local.time_tree(
                 root_id,
-                ord_base + m.index as u64,
+                ord_base + index as u64,
                 "scenario",
                 attrs,
                 |local, id| {
@@ -454,17 +372,21 @@ fn run_group(
                         .clone();
                     let slack = local.time(id, 1, "slack", Vec::new(), || {
                         let timing = bounds.get_or_insert_with(|| {
-                            static_bounds(netlist, &group.tlib, group.corner, req.input_slew, 1.0)
+                            static_bounds(netlist, group.tlib, group.corner, req.input_slew, 1.0)
                         });
                         SlackOutcome::resolve(
                             netlist,
                             timing.clone(),
-                            m.scenario.mode.required,
-                            m.constraints.as_deref(),
+                            scenario.mode.required,
+                            scenario
+                                .mode
+                                .sdc
+                                .as_ref()
+                                .map(|text| &loaded.constraints[text]),
                         )
                     });
                     ScenarioOutcome {
-                        scenario: m.scenario.clone(),
+                        scenario: scenario.clone(),
                         paths,
                         stats,
                         slack: slack.report,
@@ -474,7 +396,7 @@ fn run_group(
                     }
                 },
             );
-            (m.index, outcome)
+            (index, outcome)
         })
         .collect()
 }

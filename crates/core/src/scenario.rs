@@ -94,7 +94,9 @@ impl CornerDef {
         if let Some((t, v)) = s.split_once(',') {
             let (t, v) = (t.trim().parse::<f64>(), v.trim().parse::<f64>());
             return match (t, v) {
-                (Ok(temperature), Ok(vdd)) if vdd > 0.0 && temperature.is_finite() => {
+                (Ok(temperature), Ok(vdd))
+                    if temperature.is_finite() && vdd.is_finite() && vdd > 0.0 =>
+                {
                     Ok(CornerDef {
                         name: s.to_string(),
                         tech: base.clone(),
@@ -312,7 +314,7 @@ mod tests {
             (75.0, 0.95)
         );
 
-        for bad in ["", "fan45", "90nm:warm", "75,-1", "75,", "nope"] {
+        for bad in ["", "fan45", "90nm:warm", "75,-1", "75,", "75,inf", "nope"] {
             assert!(CornerDef::parse(bad, &base).is_err(), "{bad:?}");
         }
     }

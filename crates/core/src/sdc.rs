@@ -12,7 +12,8 @@
 //! Everything else (including `-from`/`-through` filters, and
 //! `set_input_delay`, since the true-path search does not model input
 //! launch offsets) is rejected with a precise error rather than silently
-//! ignored — constraint files must not lie.
+//! ignored — constraint files must not lie. So are values that are not
+//! finite numbers and a clock period that is not positive.
 
 use std::collections::HashMap;
 
@@ -97,10 +98,11 @@ pub fn parse_sdc(text: &str, nl: &Netlist) -> Result<Constraints, SdcError> {
         let cmd = tokens.first().map(String::as_str).unwrap_or("");
         match cmd {
             "create_clock" => {
-                let period =
-                    value_after(&tokens, "-period").ok_or_else(|| SdcError::Unsupported {
+                let period = value_after(&tokens, "-period")
+                    .filter(|&p| p > 0.0)
+                    .ok_or_else(|| SdcError::Unsupported {
                         line,
-                        message: "create_clock requires -period".into(),
+                        message: "create_clock requires a positive, finite -period".into(),
                     })?;
                 out.clock_period = Some(period);
             }
@@ -118,11 +120,9 @@ pub fn parse_sdc(text: &str, nl: &Netlist) -> Result<Constraints, SdcError> {
                 out.output_delays.insert(net, value);
             }
             "set_max_delay" => {
-                let value: f64 = tokens.get(1).and_then(|t| t.parse().ok()).ok_or_else(|| {
-                    SdcError::Unsupported {
-                        line,
-                        message: "set_max_delay requires a numeric value".into(),
-                    }
+                let value = finite(tokens.get(1)).ok_or_else(|| SdcError::Unsupported {
+                    line,
+                    message: "set_max_delay requires a finite numeric value".into(),
                 })?;
                 let port =
                     value_token_after(&tokens, "-to").ok_or_else(|| SdcError::Unsupported {
@@ -153,9 +153,15 @@ fn tokenize(stmt: &str) -> Vec<String> {
     tokens
 }
 
+/// The token as a finite number. `str::parse` also reads `nan` and
+/// `inf`, which no constraint can mean.
+fn finite(token: Option<&String>) -> Option<f64> {
+    token?.parse().ok().filter(|v: &f64| v.is_finite())
+}
+
 fn value_after(tokens: &[String], flag: &str) -> Option<f64> {
     let i = tokens.iter().position(|t| t == flag)?;
-    tokens.get(i + 1)?.parse().ok()
+    finite(tokens.get(i + 1))
 }
 
 fn value_token_after(tokens: &[String], flag: &str) -> Option<String> {
@@ -164,14 +170,10 @@ fn value_token_after(tokens: &[String], flag: &str) -> Option<String> {
 }
 
 fn delay_and_port(tokens: &[String], line: usize) -> Result<(f64, String), SdcError> {
-    let value: f64 =
-        tokens
-            .get(1)
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| SdcError::Unsupported {
-                line,
-                message: "expected a numeric delay".into(),
-            })?;
+    let value = finite(tokens.get(1)).ok_or_else(|| SdcError::Unsupported {
+        line,
+        message: "expected a finite numeric delay".into(),
+    })?;
     let port = tokens
         .iter()
         .skip(2)
@@ -252,5 +254,25 @@ set_max_delay 900 -to [get_ports z]
         assert!(matches!(err, SdcError::Unsupported { .. }));
         let err = parse_sdc("create_clock\n", &nl).unwrap_err();
         assert!(matches!(err, SdcError::Unsupported { .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_values_and_non_positive_periods() {
+        let nl = tiny();
+        for text in [
+            "create_clock -period nan\n",
+            "create_clock -period inf\n",
+            "create_clock -period -5\n",
+            "create_clock -period 0\n",
+            "create_clock -period 800\nset_output_delay nan z\n",
+            "create_clock -period 800\nset_max_delay inf -to z\n",
+        ] {
+            let err = parse_sdc(text, &nl).unwrap_err();
+            let last = text.lines().count();
+            assert!(
+                matches!(err, SdcError::Unsupported { line, .. } if line == last),
+                "{text:?}: {err}"
+            );
+        }
     }
 }

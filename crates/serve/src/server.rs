@@ -10,20 +10,14 @@ use sta_cells::{Corner, Library, Technology};
 use sta_charlib::{characterize_cached, CharConfig, CompiledCorner, TimingLibrary};
 use sta_circuits::{catalog, resize_gate, rewire_net, swap_gate, GateEdit};
 use sta_core::{
-    arc_intervals_compiled, dirty_sources, slack_report, static_bounds_compiled, AnalysisRequest,
-    CertificateSet, CornerDef, EnumerationConfig, Mode, PathEnumerator, Scenario, SourceCache,
-    TruePath, ARC_SWEEP_MARGIN,
+    arc_intervals_compiled, dirty_sources, static_bounds, static_bounds_compiled, AnalysisRequest,
+    CertificateSet, CornerDef, EnumerationConfig, Mode, PathEnumerator, Scenario, SlackOutcome,
+    SourceCache, TruePath, ARC_SWEEP_MARGIN,
 };
 use sta_netlist::Netlist;
 use sta_obs::{digest_string, Observer, SessionCircuit, SessionManifest};
 
 use crate::protocol::{jmap, jstr, parse_request, EditKind, Request};
-
-/// Fraction of the structural worst arrival used as the default timing
-/// requirement (matches `AnalysisContext::slack`). Recomputed from the
-/// *edited* netlist after every ECO edit — a requirement inherited from a
-/// previous revision would silently drift away from its own definition.
-const DEFAULT_REQUIRED_FRACTION: f64 = 0.9;
 
 /// Reply fields for one request plus the session-terminating flag
 /// (`true` only for `shutdown`); `Err` carries a protocol-level message
@@ -78,23 +72,25 @@ struct BatchResident {
 /// Everything kept resident for one loaded circuit.
 struct CircuitSession {
     tech: Technology,
-    corner: Corner,
     netlist: Netlist,
     tlib: Arc<TimingLibrary>,
     /// Corner kernel table: netlist-independent, survives every edit.
     kernel: Arc<CompiledCorner>,
+    /// The search configuration of every cache build and update, with
+    /// the N-worst threshold isolated per source. `verify`'s cold run is
+    /// the same configuration without that isolation.
+    search: EnumerationConfig,
     cache: SourceCache,
     /// Last spliced result and its digest (the path-set identity).
     certs: CertificateSet,
     digest: String,
-    n_worst: Option<usize>,
-    threads: usize,
     revision: u64,
     incremental_updates: u64,
     full_rebuilds: u64,
     truncated: bool,
-    structural_worst_ps: f64,
-    required_ps: f64,
+    /// Structural slack of the current revision at the default
+    /// requirement.
+    slack: SlackOutcome,
     /// Resident MCMM batch results, when an `analyze_batch` has run at
     /// the current revision.
     batch: Option<BatchResident>,
@@ -150,26 +146,13 @@ fn parse_modes(list: &str) -> Result<Vec<Mode>, String> {
     Ok(out)
 }
 
-impl CircuitSession {
-    /// The enumeration configuration shared by cache builds and updates.
-    fn per_source_cfg(&self, input_slew: f64) -> EnumerationConfig {
-        let mut cfg = EnumerationConfig::new(self.corner)
-            .with_threads(self.threads)
-            .with_per_source_n_worst(true);
-        if let Some(n) = self.n_worst {
-            cfg = cfg.with_n_worst(n);
-        }
-        cfg.input_slew = input_slew;
-        cfg
-    }
-
-    /// Recomputes the structural worst arrival and the default
-    /// requirement from the *current* netlist revision.
-    fn refresh_required(&mut self, input_slew: f64) {
-        let probe = slack_report(&self.netlist, &self.tlib, self.corner, input_slew, 0.0);
-        self.structural_worst_ps = probe.timing.worst_arrival(&self.netlist);
-        self.required_ps = self.structural_worst_ps * DEFAULT_REQUIRED_FRACTION;
-    }
+/// Structural slack of a netlist revision. A daemon request states no
+/// requirement, so the analysis facade's default applies. Every edit
+/// recomputes it: a requirement inherited from a previous revision would
+/// drift away from its own definition.
+fn default_slack(nl: &Netlist, tlib: &TimingLibrary, cfg: &EnumerationConfig) -> SlackOutcome {
+    let bounds = static_bounds(nl, tlib, cfg.corner, cfg.input_slew, 1.0);
+    SlackOutcome::resolve(nl, bounds, None, None)
 }
 
 /// The persistent timing daemon. One instance owns every resident
@@ -334,40 +317,36 @@ impl Server {
             .map_err(|e| format!("mapping {circuit:?} failed: {e}"))?
             .ok_or_else(|| format!("unknown benchmark {circuit:?}"))?;
         let tlib = self.timing_for(&tech)?;
-        let corner = Corner::nominal(&tech);
-        let mut cfg = EnumerationConfig::new(corner)
+        let mut search = EnumerationConfig::new(Corner::nominal(&tech))
             .with_threads(threads)
             .with_per_source_n_worst(true);
         if let Some(n) = n_worst {
-            cfg = cfg.with_n_worst(n);
+            search = search.with_n_worst(n);
         }
-        cfg.input_slew = self.cfg.input_slew;
-        let enumr = PathEnumerator::new(&netlist, &self.lib, &tlib, cfg);
+        search.input_slew = self.cfg.input_slew;
+        let enumr = PathEnumerator::new(&netlist, &self.lib, &tlib, search.clone());
         let (cache, stats) = SourceCache::build(&enumr);
         let kernel = enumr.kernel_arc();
         drop(enumr);
         let certs = CertificateSet::new(&netlist, self.cfg.input_slew, cache.splice());
         let digest = digest_string(certs.to_json().as_bytes());
-        let mut session = CircuitSession {
+        let slack = default_slack(&netlist, &tlib, &search);
+        let session = CircuitSession {
             tech,
-            corner,
             netlist,
             tlib,
             kernel,
+            search,
             cache,
             certs,
             digest,
-            n_worst,
-            threads,
             revision: 0,
             incremental_updates: 0,
             full_rebuilds: 0,
             truncated: stats.truncated,
-            structural_worst_ps: 0.0,
-            required_ps: 0.0,
+            slack,
             batch: None,
         };
-        session.refresh_required(self.cfg.input_slew);
         self.cfg.obs.counter("serve.loads").add(1);
 
         let fields = vec![
@@ -380,9 +359,9 @@ impl Server {
             ("digest", jstr(session.digest.clone())),
             (
                 "structural_worst_ps",
-                Value::Float(session.structural_worst_ps),
+                Value::Float(session.slack.structural_worst),
             ),
-            ("required_ps", Value::Float(session.required_ps)),
+            ("required_ps", Value::Float(session.slack.required)),
         ];
         // Reloading replaces the previous session of the same name.
         self.circuits.retain(|(name, _)| name != circuit);
@@ -426,9 +405,7 @@ impl Server {
 
         // The netlist changed; the corner kernel did not (it depends only
         // on (timing library, corner)).
-        let cfg = session
-            .per_source_cfg(input_slew)
-            .with_source_filter(Arc::new(dirty));
+        let cfg = session.search.clone().with_source_filter(Arc::new(dirty));
         {
             let enumr = PathEnumerator::with_prebuilt(
                 &session.netlist,
@@ -443,7 +420,7 @@ impl Server {
         }
         session.certs = CertificateSet::new(&session.netlist, input_slew, session.cache.splice());
         session.digest = digest_string(session.certs.to_json().as_bytes());
-        session.refresh_required(input_slew);
+        session.slack = default_slack(&session.netlist, &session.tlib, &session.search);
 
         Ok(vec![
             ("circuit", jstr(circuit)),
@@ -456,9 +433,9 @@ impl Server {
             ("digest", jstr(session.digest.clone())),
             (
                 "structural_worst_ps",
-                Value::Float(session.structural_worst_ps),
+                Value::Float(session.slack.structural_worst),
             ),
-            ("required_ps", Value::Float(session.required_ps)),
+            ("required_ps", Value::Float(session.slack.required)),
         ])
     }
 
@@ -491,7 +468,7 @@ impl Server {
             .with_netlist(session.netlist.clone())
             .scenarios(Scenario::matrix(&corner_defs, &mode_defs))
             .n_worst(n_worst)
-            .threads(session.threads)
+            .threads(session.search.threads)
             .batch_threads(batch_threads)
             .input_slew(cfg.input_slew)
             .char_config(cfg.char_config)
@@ -609,27 +586,19 @@ impl Server {
     }
 
     fn op_slack(&mut self, circuit: &str) -> Result<Vec<(&'static str, Value)>, String> {
-        let input_slew = self.cfg.input_slew;
         let session = self.session(circuit)?;
-        let report = slack_report(
-            &session.netlist,
-            &session.tlib,
-            session.corner,
-            input_slew,
-            session.required_ps,
-        );
-        let violations = report.violations();
+        let report = &session.slack.report;
         Ok(vec![
             ("circuit", jstr(circuit)),
             ("revision", Value::UInt(session.revision)),
             (
                 "structural_worst_ps",
-                Value::Float(session.structural_worst_ps),
+                Value::Float(session.slack.structural_worst),
             ),
-            ("required_ps", Value::Float(session.required_ps)),
+            ("required_ps", Value::Float(session.slack.required)),
             ("required_source", jstr("default")),
             ("passes", Value::Bool(report.passes())),
-            ("violations", Value::UInt(violations.len() as u64)),
+            ("violations", Value::UInt(report.violations().len() as u64)),
         ])
     }
 
@@ -651,11 +620,7 @@ impl Server {
         let input_slew = self.cfg.input_slew;
         let lib = self.lib.clone();
         let session = self.session(circuit)?;
-        let mut cfg = EnumerationConfig::new(session.corner).with_threads(session.threads);
-        if let Some(n) = session.n_worst {
-            cfg = cfg.with_n_worst(n);
-        }
-        cfg.input_slew = input_slew;
+        let cfg = session.search.clone().with_per_source_n_worst(false);
         let (paths, stats) = PathEnumerator::new(&session.netlist, &lib, &session.tlib, cfg).run();
         let cold = CertificateSet::new(&session.netlist, input_slew, paths);
         let cold_digest = digest_string(cold.to_json().as_bytes());
@@ -700,7 +665,7 @@ impl Server {
             .with_netlist(session.netlist.clone())
             .scenario(sc.scenario.clone())
             .n_worst(session.batch.as_ref().expect("resident checked").n_worst)
-            .threads(session.threads)
+            .threads(session.search.threads)
             .input_slew(cfg.input_slew)
             .char_config(cfg.char_config)
             .cache_dir(cfg.cache_dir);
@@ -784,13 +749,12 @@ impl Server {
                 .add(outcome.sources_checked as u64);
             report.extend(outcome.diagnostics);
             let hull = sta_lint::hull(&session.netlist, &arcs, input_slew);
-            let prune_margin = EnumerationConfig::new(session.corner).prune_margin;
             let st = static_bounds_compiled(
                 &session.netlist,
                 &session.tlib,
                 &session.kernel,
                 input_slew,
-                prune_margin,
+                session.search.prune_margin,
             );
             report.extend(sta_lint::audit_structural_dominance(
                 name,
@@ -1000,6 +964,35 @@ mod tests {
         nl.net_label(nl.gate(GateId::from_index(2)).output())
     }
 
+    fn float(doc: &Value, key: &str) -> f64 {
+        match get(doc, key) {
+            Value::Float(f) => *f,
+            other => panic!("{key} is {other:?}"),
+        }
+    }
+
+    /// Asserts that a reply's `required_ps` and `structural_worst_ps` are,
+    /// bit for bit, what the analysis facade computes for `nl` (the test's
+    /// own copy of the server's netlist revision).
+    fn assert_facade_slack(server: &Server, doc: &Value, nl: &Netlist) {
+        let facade = AnalysisRequest::new("c17")
+            .with_netlist(nl.clone())
+            .input_slew(server.cfg.input_slew)
+            .char_config(server.cfg.char_config.clone())
+            .cache_dir(server.cfg.cache_dir.clone())
+            .prepare()
+            .unwrap()
+            .slack();
+        assert_eq!(
+            float(doc, "required_ps").to_bits(),
+            facade.required.to_bits()
+        );
+        assert_eq!(
+            float(doc, "structural_worst_ps").to_bits(),
+            facade.structural_worst.to_bits()
+        );
+    }
+
     #[test]
     fn load_edit_verify_session_round_trip() {
         let mut server = fast_server();
@@ -1046,13 +1039,9 @@ mod tests {
 
         let slack = reply(&mut server, r#"{"op":"slack","circuit":"c17"}"#);
         assert_ok(&slack);
-        let (Value::Float(req), Value::Float(worst)) = (
-            get(&slack, "required_ps"),
-            get(&slack, "structural_worst_ps"),
-        ) else {
-            panic!("slack response missing numbers")
-        };
-        assert!((req - worst * DEFAULT_REQUIRED_FRACTION).abs() < 1e-9);
+        let mut nl = catalog::mapped("c17", &server.lib).unwrap().unwrap();
+        resize_gate(&mut nl, &server.lib, &inst).unwrap();
+        assert_facade_slack(&server, &slack, &nl);
 
         let status = reply(&mut server, r#"{"op":"status"}"#);
         assert_ok(&status);
@@ -1068,25 +1057,17 @@ mod tests {
     #[test]
     fn required_default_is_recomputed_after_each_edit() {
         let mut server = fast_server();
-        let instances: Vec<String> = {
-            let nl = catalog::mapped("c17", &server.lib).unwrap().unwrap();
-            nl.gate_ids()
-                .map(|g| nl.net_label(nl.gate(g).output()))
-                .collect()
-        };
+        let mut nl = catalog::mapped("c17", &server.lib).unwrap().unwrap();
+        let instances: Vec<String> = nl
+            .gate_ids()
+            .map(|g| nl.net_label(nl.gate(g).output()))
+            .collect();
         assert_ok(&reply(
             &mut server,
             r#"{"op":"load","circuit":"c17","nworst":5}"#,
         ));
-        let req = |doc: &Value| match get(doc, "required_ps") {
-            Value::Float(f) => *f,
-            other => panic!("required_ps is {other:?}"),
-        };
-        let worst = |doc: &Value| match get(doc, "structural_worst_ps") {
-            Value::Float(f) => *f,
-            other => panic!("structural_worst_ps is {other:?}"),
-        };
         let before = reply(&mut server, r#"{"op":"slack","circuit":"c17"}"#);
+        assert_facade_slack(&server, &before, &nl);
         // Resize every gate: doubled widths double every input cap, so
         // every arrival — including the structural worst — moves.
         for inst in &instances {
@@ -1097,11 +1078,12 @@ mod tests {
             assert_ok(&edited);
             // After every single edit the default requirement tracks the
             // *edited* netlist's structural worst, never a stale one.
-            assert!((req(&edited) - worst(&edited) * DEFAULT_REQUIRED_FRACTION).abs() < 1e-9);
+            resize_gate(&mut nl, &server.lib, inst).unwrap();
+            assert_facade_slack(&server, &edited, &nl);
         }
         let after = reply(&mut server, r#"{"op":"slack","circuit":"c17"}"#);
-        assert_ne!(req(&before), req(&after));
-        assert!((req(&after) - worst(&after) * DEFAULT_REQUIRED_FRACTION).abs() < 1e-9);
+        assert_ne!(float(&before, "required_ps"), float(&after, "required_ps"));
+        assert_facade_slack(&server, &after, &nl);
     }
 
     #[test]
@@ -1119,9 +1101,9 @@ mod tests {
         assert_eq!(manifest.errors, 3);
     }
 
-    /// `nworst: 0` and a pinned retired schema version get an in-band
-    /// error, and the session keeps answering: the next load and batch
-    /// succeed.
+    /// `nworst: 0`, a non-finite corner supply and a pinned retired
+    /// schema version get an in-band error, and the session keeps
+    /// answering: the next load and batch succeed.
     #[test]
     fn rejected_requests_leave_the_session_serving() {
         let mut server = fast_server();
@@ -1138,6 +1120,12 @@ mod tests {
             r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
         );
         assert_eq!(get(&zero, "ok"), &Value::Bool(false));
+        let infinite_vdd = reply(
+            &mut server,
+            r#"{"op":"analyze_batch","circuit":"c17","corners":"75,inf"}"#,
+        );
+        assert_eq!(get(&infinite_vdd, "ok"), &Value::Bool(false));
+        assert!(matches!(get(&infinite_vdd, "error"), Value::Str(s) if s.contains("bad corner")));
         let v1 = reply(
             &mut server,
             r#"{"op":"paths","circuit":"c17","schema_version":1}"#,

@@ -32,8 +32,8 @@ use sta_charlib::{characterize_cached, CharConfig, CharError, TimingLibrary};
 use sta_circuits::{catalog, map_netlist, resize_gate};
 use sta_core::{
     arc_intervals_compiled, dirty_sources, static_bounds_compiled, AnalysisContext, AnalysisError,
-    AnalysisRequest, CertificateSet, CornerDef, EnumerationConfig, Mode, PathEnumerator,
-    RequiredSource, Scenario, SdcError, SourceCache, ARC_SWEEP_MARGIN,
+    AnalysisRequest, CertificateSet, CornerDef, Mode, PathEnumerator, RequiredSource, Scenario,
+    SdcError, SourceCache, ARC_SWEEP_MARGIN,
 };
 use sta_esim::cellsim::{cell_input_cap, simulate_arc, Drive};
 use sta_lint::{
@@ -191,9 +191,11 @@ fn print_usage() {
                     socket), responses on stdout; keeps characterized\n\
                     libraries, compiled kernels and per-circuit path caches\n\
                     resident, and re-analyzes ECO edits incrementally\n\
-                    (ops: load, edit, paths, slack, verify, audit, status,\n\
-                    shutdown — audit runs the whole-flow soundness audit on\n\
-                    resident circuits; request schema: docs/serve.schema.json;\n\
+                    (ops: load, edit, analyze_batch, paths, slack, verify,\n\
+                    audit, status, shutdown — analyze_batch runs an MCMM\n\
+                    batch on the resident netlist, audit runs the whole-flow\n\
+                    soundness audit on resident circuits; request schema:\n\
+                    docs/serve.schema.json;\n\
                     --fast-char uses the coarse characterization grid)\n\
          \n\
          analysis commands also accept:\n\
@@ -319,7 +321,13 @@ impl Opts {
                 "--limit" => opts.limit = parse_num(&value("--limit")?, "--limit")?,
                 "--out" => opts.out = Some(value("--out")?),
                 "--required" => {
-                    opts.required = Some(parse_num(&value("--required")?, "--required")?);
+                    let required: f64 = parse_num(&value("--required")?, "--required")?;
+                    if !required.is_finite() {
+                        return Err(CliError::Usage(format!(
+                            "--required must be a finite number of ps, got {required}"
+                        )));
+                    }
+                    opts.required = Some(required);
                 }
                 "--no-learning" => opts.no_learning = true,
                 "--format" => {
@@ -591,8 +599,9 @@ fn scenario_matrix(opts: &Opts) -> Result<Vec<Scenario>, CliError> {
     Ok(Scenario::matrix(&corners, &modes))
 }
 
-/// The shared request preamble: circuit, scenario matrix, threading, the
-/// bit-parallel pre-filter and the session's observer.
+/// The shared request preamble: circuit, scenario matrix, threading,
+/// learning, characterization grid, decision budget and the session's
+/// observer.
 fn base_request(
     circuit: &str,
     opts: &Opts,
@@ -1105,7 +1114,6 @@ fn record_audit_severities(obs: &Observer, findings: &[sta_lint::Diagnostic]) {
 fn audit_flow_circuit(
     name: &str,
     ctx: &AnalysisContext,
-    opts: &Opts,
     obs: &Observer,
 ) -> Vec<sta_lint::Diagnostic> {
     let slew = ctx.input_slew();
@@ -1147,23 +1155,10 @@ fn audit_flow_circuit(
 
     // ECO002: per-source cache invariants, and — when neither side
     // truncated — the splice must reproduce the cold enumeration above.
-    let per_source_cfg = {
-        let mut cfg = EnumerationConfig::new(ctx.corner)
-            .with_threads(opts.threads)
-            .with_learning(!opts.no_learning)
-            .with_per_source_n_worst(true)
-            .with_observer(obs.clone());
-        match opts.nworst {
-            Some(n) => cfg = cfg.with_n_worst(n),
-            None => cfg.max_paths = ctx.config().max_paths,
-        }
-        // Per-source enumeration has far weaker pruning thresholds than a
-        // global N-worst run, so honor a `--max-decisions` bound here too;
-        // the splice cross-check below already steps aside on truncation.
-        cfg.max_decisions = ctx.config().max_decisions;
-        cfg.input_slew = slew;
-        cfg
-    };
+    // The cache runs the facade's configuration, decision budget
+    // included, since per-source enumeration prunes far more weakly than
+    // a global N-worst run.
+    let per_source_cfg = ctx.config().clone().with_per_source_n_worst(true);
     let (mut cache, build_stats) = {
         let enumr =
             PathEnumerator::new(&ctx.netlist, &ctx.lib, &ctx.timing, per_source_cfg.clone());
@@ -1327,7 +1322,7 @@ fn cmd_lint(opts: &Opts, args: &[String]) -> Result<(), CliError> {
         if opts.audit_flow {
             let findings = {
                 let _span = obs.span_with("audit-flow", vec![("circuit", name.clone())]);
-                audit_flow_circuit(name, &ctx, opts, &obs)
+                audit_flow_circuit(name, &ctx, &obs)
             };
             obs.counter("audit.circuits").add(1);
             record_audit_severities(&obs, &findings);

@@ -97,4 +97,10 @@ fn exit_codes_are_stable_and_format_independent() {
         stderr.contains("--nworst"),
         "the usage error names the flag: {stderr}"
     );
+    for required in ["nan", "inf"] {
+        let (code, _, stderr) = run(&["slack", "c17", "--required", required, "--fast-char"]);
+        assert_eq!(code, 2, "non-finite --required {required}: {stderr}");
+    }
+    let (code, _, stderr) = run(&["analyze", "c17", "--corner", "75,inf", "--fast-char"]);
+    assert_eq!(code, 2, "non-finite corner supply: {stderr}");
 }

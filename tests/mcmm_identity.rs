@@ -117,6 +117,13 @@ fn check_shared_search(budget: Option<u64>) -> Vec<Single> {
             counters["mcmm.searches"], 3,
             "one search per operating point"
         );
+        // Each shared input is built once: one netlist, one timing library
+        // per technology (90 and 130 nm), one kernel per operating point
+        // and one parse per distinct SDC text.
+        assert_eq!(counters["mcmm.netlist_loads"], 1);
+        assert_eq!(counters["mcmm.characterizations"], 2);
+        assert_eq!(counters["mcmm.kernel_compiles"], 3);
+        assert_eq!(counters["mcmm.sdc_parses"], 1);
         assert_eq!(counters["enumerate.paths"], distinct_paths);
         for (i, s) in set.iter().enumerate() {
             let what = format!("{} at {batch_threads} batch threads", s.name());

@@ -118,7 +118,6 @@ pub struct AnalysisRequest {
     pub(crate) threads: usize,
     /// Concurrent scenario jobs in [`AnalysisRequest::run_batch`].
     pub(crate) batch_threads: usize,
-    pub(crate) learning: bool,
     /// Path cap applied only in full-enumeration mode (no `n_worst`).
     pub(crate) full_enum_path_cap: Option<usize>,
     /// Override for the global justification-decision budget.
@@ -139,7 +138,6 @@ impl AnalysisRequest {
             n_worst: None,
             threads: 1,
             batch_threads: 1,
-            learning: true,
             full_enum_path_cap: None,
             max_decisions: None,
             input_slew: 60.0,
@@ -193,14 +191,6 @@ impl AnalysisRequest {
     /// Sets the enumeration worker-thread count (default 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables nogood learning and dominance pruning in the
-    /// sensitization search (default on). Refutation-only: never changes
-    /// the emitted path set.
-    pub fn learning(mut self, on: bool) -> Self {
-        self.learning = on;
         self
     }
 
@@ -269,7 +259,6 @@ impl AnalysisRequest {
                 ("circuit", self.circuit.clone()),
                 ("tech", primary.corner.tech.name.clone()),
                 ("threads", self.threads.to_string()),
-                ("learning", self.learning.to_string()),
             ],
         );
         let loaded = self.load(std::slice::from_ref(primary), &root)?;
@@ -349,7 +338,6 @@ impl AnalysisRequest {
     pub(crate) fn enumeration_config(&self, corner: Corner) -> EnumerationConfig {
         let mut cfg = EnumerationConfig::new(corner)
             .with_threads(self.threads)
-            .with_learning(self.learning)
             .with_observer(self.obs.clone());
         cfg.input_slew = self.input_slew;
         if let Some(budget) = self.max_decisions {
@@ -515,24 +503,6 @@ impl AnalysisContext {
     /// Runs the true-path enumeration (kernel compilation and the search
     /// itself are recorded as child spans of the analysis).
     pub fn enumerate(&self) -> EnumerationRun {
-        self.enumerate_inner(None)
-    }
-
-    /// Like [`AnalysisContext::enumerate`], but injects `store` as the
-    /// run's shared nogood table so callers can audit what was learned
-    /// afterwards (see the lint `LEARN` rules). Has no effect on the
-    /// result when learning is disabled in the configuration.
-    pub fn enumerate_with_nogood_store(
-        &self,
-        store: std::sync::Arc<crate::learn::NogoodStore>,
-    ) -> EnumerationRun {
-        self.enumerate_inner(Some(store))
-    }
-
-    fn enumerate_inner(
-        &self,
-        store: Option<std::sync::Arc<crate::learn::NogoodStore>>,
-    ) -> EnumerationRun {
         let enumr = {
             let _compile = self.root.child("compile");
             let kernel = std::sync::Arc::new(self.timing.compile_corner(self.cfg.corner));
@@ -542,7 +512,7 @@ impl AnalysisContext {
                 &self.timing,
                 self.cfg.clone(),
                 kernel,
-                store,
+                None,
             )
         };
         let k = enumr.kernel();

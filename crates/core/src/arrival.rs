@@ -138,7 +138,7 @@ fn bounds_with(
 /// the per-arc refinement of the per-gate maximum inside
 /// [`static_bounds`]. Computed once per run and shared read-only by
 /// every worker; feeds the dominance cut of the N-worst search (see
-/// `sta_core::learn` and `enumerate`).
+/// `enumerate`).
 #[derive(Clone, Debug)]
 pub struct ArcBounds {
     /// `per_gate[gate][pin][vector]`, already scaled by the margin.

@@ -27,7 +27,6 @@ use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
 use crate::arrival::ArcBounds;
-use crate::learn::{self, ConeScratch, NogoodKey, NogoodStore, NogoodView};
 use crate::parallel::RunBudget;
 use crate::path::{LaunchTiming, PathArc, PiValue, TruePath};
 
@@ -38,11 +37,15 @@ pub struct EnumerationConfig {
     pub corner: Corner,
     /// Transition time applied at the primary inputs, ps.
     pub input_slew: f64,
-    /// Keep only the N worst paths and prune the search with static
-    /// bounds; `None` enumerates everything.
+    /// Keep only the N worst paths and prune the search with the
+    /// per-arc dominance cut (see [`crate::arrival::tightened_remaining`]);
+    /// `None` enumerates everything, with no pruning at all.
     pub n_worst: Option<usize>,
-    /// Safety margin of the static pruning bound (only used with
-    /// `n_worst`).
+    /// Safety margin of the single-point structural bound
+    /// ([`crate::arrival::static_bounds`]). The search does not prune
+    /// with that bound; the whole-flow audit (lint AI002 and the daemon's
+    /// `audit`) computes it at this margin and checks that it dominates
+    /// the interval hull.
     pub prune_margin: f64,
     /// Abort the run after this many search decisions (0 = unlimited),
     /// counted over the whole run at any thread count. When hit,
@@ -65,14 +68,6 @@ pub struct EnumerationConfig {
     /// at any thread count; a budget-truncated one is reproducible at one
     /// thread and schedule-dependent above.
     pub threads: usize,
-    /// Conflict-driven nogood learning plus the per-source dominance cut
-    /// (see `sta_core::learn`). Refutation-only and bound-safe: the
-    /// emitted path set and every certificate byte are identical either
-    /// way whenever the `max_decisions` budget does not bite (skipped
-    /// refutations spend no decisions, so a budget-truncated run can
-    /// truncate at a different point). Disable to time the unpruned
-    /// search.
-    pub learning: bool,
     /// Restricts the run to a subset of the primary inputs: entry `i`
     /// gates the source at position `i` of `Netlist::inputs()`. `None`
     /// runs every source. The paths emitted for an enabled source are
@@ -109,7 +104,6 @@ impl PartialEq for EnumerationConfig {
             && self.max_paths == other.max_paths
             && self.justify_decision_limit == other.justify_decision_limit
             && self.threads == other.threads
-            && self.learning == other.learning
             && self.source_filter == other.source_filter
             && self.per_source_n_worst == other.per_source_n_worst
     }
@@ -128,7 +122,6 @@ impl EnumerationConfig {
             max_paths: None,
             justify_decision_limit: 20_000,
             threads: 1,
-            learning: true,
             source_filter: None,
             per_source_n_worst: false,
             obs: sta_obs::Observer::disabled(),
@@ -144,14 +137,6 @@ impl EnumerationConfig {
     /// Sets the worker thread count (values below 1 mean one).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables nogood learning and the dominance cut (on by
-    /// default). Never changes what the run computes (see
-    /// [`EnumerationConfig::learning`]).
-    pub fn with_learning(mut self, on: bool) -> Self {
-        self.learning = on;
         self
     }
 
@@ -194,10 +179,11 @@ pub struct EnumerationStats {
     pub decisions: u64,
     /// Conflicts encountered (subtrees discarded).
     pub conflicts: u64,
-    /// Subtrees pruned by the static N-worst bound.
+    /// Subtrees pruned by the per-source remaining bound in N-worst mode.
     pub pruned: u64,
-    /// Justification calls dropped at the per-call effort cap (their
-    /// subtrees are conservatively discarded).
+    /// Justification calls dropped at the per-call effort cap. Their
+    /// subtrees are discarded unexplored, so the run may miss true paths
+    /// (see [`EnumerationStats::complete`]).
     pub justify_aborts: u64,
     /// Justification candidate enumerations answered from the per-worker
     /// memo table over candidate enumeration (`sta_core::justify`).
@@ -205,32 +191,15 @@ pub struct EnumerationStats {
     /// Arc evaluations (one per alive polarity) served by the
     /// corner-compiled kernel table.
     pub compiled_evals: u64,
-    /// Nogoods learned, verified and stored (see `sta_core::learn`).
-    pub learn_stored: u64,
-    /// Justification calls skipped because a stored nogood refuted every
-    /// alive polarity.
-    pub learn_hits: u64,
-    /// Estimated justification decisions those hits saved (the original
-    /// refutation cost of each firing nogood).
-    pub learn_decisions_saved: u64,
-    /// Arcs cut by the per-source dominance bound before justification
-    /// started.
+    /// Arcs cut by the per-arc dominance bound (N-worst mode) before any
+    /// side value was assigned.
     pub learn_bound_cuts: u64,
-    /// Refutations offered to the learner (definitive `Unsatisfiable`
-    /// results costing at least `learn::MIN_LEARN_DECISIONS`).
-    pub learn_attempts: u64,
     /// Decisions spent inside justification calls (a subset of
     /// `decisions`; the remainder are arc-selection decisions).
     pub justify_decisions: u64,
     /// The share of `justify_decisions` spent on calls that ended in a
-    /// definitive refutation — the pool nogood learning can recover.
+    /// definitive refutation.
     pub justify_unsat_decisions: u64,
-    /// Stored clauses whose literals are the arc's side values alone
-    /// (context-free; every future try of the key is a guaranteed hit).
-    pub learn_side_clauses: u64,
-    /// Candidate clauses that failed verification replay (per polarity);
-    /// nothing was stored for that polarity.
-    pub learn_verify_failures: u64,
     /// High-water mark of the shared side-assignment scratch stack
     /// (deepest nesting of pending side values across the DFS).
     pub scratch_side_hwm: usize,
@@ -241,6 +210,14 @@ pub struct EnumerationStats {
 }
 
 impl EnumerationStats {
+    /// Whether the run explored its whole search space: no budget cut it
+    /// short and no justification call was dropped at the per-call
+    /// effort cap. Either can lose true paths, so only a complete run's
+    /// path set is exhaustive (full enumeration) or provably the N worst.
+    pub fn complete(&self) -> bool {
+        !self.truncated && self.justify_aborts == 0
+    }
+
     /// Folds another run's (or worker's) counters into this one. All
     /// counters are sums except the scratch high-water marks (maxima) and
     /// `truncated` (an OR). Used to aggregate per-worker statistics after
@@ -254,15 +231,9 @@ impl EnumerationStats {
         self.justify_aborts += other.justify_aborts;
         self.justify_cache_hits += other.justify_cache_hits;
         self.compiled_evals += other.compiled_evals;
-        self.learn_stored += other.learn_stored;
-        self.learn_hits += other.learn_hits;
-        self.learn_decisions_saved += other.learn_decisions_saved;
         self.learn_bound_cuts += other.learn_bound_cuts;
-        self.learn_attempts += other.learn_attempts;
         self.justify_decisions += other.justify_decisions;
         self.justify_unsat_decisions += other.justify_unsat_decisions;
-        self.learn_side_clauses += other.learn_side_clauses;
-        self.learn_verify_failures += other.learn_verify_failures;
         self.scratch_side_hwm = self.scratch_side_hwm.max(other.scratch_side_hwm);
         self.scratch_path_hwm = self.scratch_path_hwm.max(other.scratch_path_hwm);
         self.truncated |= other.truncated;
@@ -284,10 +255,6 @@ pub struct PathEnumerator<'a> {
     /// the timing daemon which keeps it resident across requests — and
     /// shared read-only by every worker.
     pub(crate) kernel: Arc<CompiledCorner>,
-    /// Caller-injected nogood store (see
-    /// [`PathEnumerator::with_prebuilt`]); when `None` and learning is
-    /// on, each run creates its own.
-    pub(crate) nogood_store: Option<Arc<NogoodStore>>,
 }
 
 impl<'a> PathEnumerator<'a> {
@@ -307,20 +274,17 @@ impl<'a> PathEnumerator<'a> {
         Self::with_prebuilt(nl, lib, tlib, cfg, kernel, None)
     }
 
-    /// Like [`PathEnumerator::new`], but reuses caller-owned state
-    /// instead of building it: the corner-compiled kernel table (valid
-    /// for a (timing library, corner) pair — it does not depend on the
-    /// netlist, so it survives ECO edits; this is what lets the timing
-    /// daemon pay compilation once per loaded circuit rather than once
-    /// per request) and optionally a shared nogood store.
+    /// Like [`PathEnumerator::new`], but reuses a caller-owned
+    /// corner-compiled kernel table instead of building one. The table is
+    /// valid for a (timing library, corner) pair and does not depend on
+    /// the netlist, so it survives ECO edits; this is what lets the
+    /// timing daemon pay compilation once per loaded circuit rather than
+    /// once per request.
     ///
-    /// A caller-owned `nogood_store` lets the caller inspect what was
-    /// learned afterwards (the lint LEARN rules replay every stored
-    /// clause); it is ignored when [`EnumerationConfig::learning`] is
-    /// off, and `None` gives each run a store of its own. Sharing a warm
-    /// store across runs is sound — clauses are verified against the
-    /// netlist and source, not any per-run state — but each run's
-    /// `learn.*` counters then reflect the warm start.
+    /// `_retired` is the slot of the removed learned-nogood store. Its
+    /// type admits only `None`; it stays for one release so that existing
+    /// callers keep compiling, and goes with the next change to the
+    /// benchmark harness.
     ///
     /// # Panics
     ///
@@ -331,7 +295,7 @@ impl<'a> PathEnumerator<'a> {
         tlib: &'a TimingLibrary,
         cfg: EnumerationConfig,
         kernel: Arc<CompiledCorner>,
-        nogood_store: Option<Arc<NogoodStore>>,
+        _retired: Option<std::convert::Infallible>,
     ) -> Self {
         assert_eq!(nl.topo_gates().len(), nl.num_gates(), "netlist has a cycle");
         assert!(
@@ -345,7 +309,6 @@ impl<'a> PathEnumerator<'a> {
             tlib,
             cfg,
             kernel,
-            nogood_store,
         }
     }
 
@@ -389,30 +352,14 @@ impl<'a> PathEnumerator<'a> {
         stats
     }
 
-    /// Static pruning bounds for N-worst mode (`None` in full
-    /// enumeration), computed through the kernel table.
-    pub(crate) fn prune_bounds(&self) -> Option<Vec<f64>> {
-        self.cfg.n_worst.map(|_| {
-            let timing = crate::arrival::static_bounds_compiled(
-                self.nl,
-                self.tlib,
-                &self.kernel,
-                self.cfg.input_slew,
-                self.cfg.prune_margin,
-            );
-            crate::arrival::record_bounds_metrics(&self.cfg.obs, self.nl, &timing);
-            timing.remaining
-        })
-    }
-
-    /// Per-arc delay bound table of the dominance cut (`None` unless
-    /// learning and N-worst mode are both on), computed once per run
-    /// through the kernel table and shared read-only by every worker.
-    pub(crate) fn learn_arc_bounds(&self) -> Option<Arc<ArcBounds>> {
+    /// Per-arc delay bound table of the dominance cut (`None` in full
+    /// enumeration), computed once per run through the kernel table and
+    /// shared read-only by every worker.
+    pub(crate) fn arc_bounds(&self) -> Option<Arc<ArcBounds>> {
         // The swept bound evaluates the model over the whole clamped slew
         // domain, so it needs only the small wiggle margin, not the
         // conservative `prune_margin` of the single-point static pass.
-        (self.cfg.learning && self.cfg.n_worst.is_some()).then(|| {
+        self.cfg.n_worst.map(|_| {
             Arc::new(crate::arrival::arc_bounds_compiled(
                 self.nl,
                 self.tlib,
@@ -445,16 +392,7 @@ impl<'a> PathEnumerator<'a> {
             .add(stats.justify_cache_hits);
         obs.counter("enumerate.compiled_evals")
             .add(stats.compiled_evals);
-        obs.counter("learn.nogoods_stored").add(stats.learn_stored);
-        obs.counter("learn.hits").add(stats.learn_hits);
-        obs.counter("learn.decisions_saved")
-            .add(stats.learn_decisions_saved);
         obs.counter("learn.bound_cuts").add(stats.learn_bound_cuts);
-        obs.counter("learn.attempts").add(stats.learn_attempts);
-        obs.counter("learn.side_clauses")
-            .add(stats.learn_side_clauses);
-        obs.counter("learn.verify_failures")
-            .add(stats.learn_verify_failures);
         obs.counter("justify.decisions")
             .add(stats.justify_decisions);
         obs.counter("justify.unsat_decisions")
@@ -593,7 +531,6 @@ pub(crate) struct Search<'a, 'b> {
     /// Corner-compiled delay kernels.
     pub(crate) kernel: &'a CompiledCorner,
     pub(crate) eng: ImplicationEngine<'a>,
-    pub(crate) remaining: Option<Vec<f64>>,
     /// Equivalent fanout per gate (precomputed).
     pub(crate) fanouts: Vec<f64>,
     pub(crate) is_output: Vec<bool>,
@@ -628,29 +565,13 @@ pub(crate) struct Search<'a, 'b> {
     pub(crate) justify_todo: Vec<NetId>,
     /// Reusable buffers of the justification search itself.
     pub(crate) justify_scratch: JustifyScratch,
-    /// Scratch engine for learn-time nogood verification replays (`None`
-    /// with learning off). Reset before and after every replay; never
-    /// carries search state.
-    pub(crate) learn_eng: Option<ImplicationEngine<'a>>,
-    /// Shared learned-nogood store (`None` with learning off); every
-    /// worker clones one `Arc` (see `sta_core::learn` for the sharing and
-    /// soundness story).
-    pub(crate) nogoods: Option<Arc<NogoodStore>>,
-    /// Per-worker epoch-validated read cache over the store.
-    pub(crate) nogood_view: NogoodView,
-    /// Reusable cone-walk buffers of the nogood cut extraction.
-    pub(crate) cone_scratch: ConeScratch,
-    /// Reusable side-net list handed to the cut extraction.
-    pub(crate) learn_todo: Vec<NetId>,
-    /// Reusable justification buffers of the verification replay (kept
-    /// apart from `justify_scratch` for clarity; both are transient).
-    pub(crate) learn_scratch: JustifyScratch,
-    /// Per-arc delay bounds of the dominance cut (`None` unless learning
-    /// and N-worst mode are both on).
+    /// Per-arc delay bounds of the dominance cut (`None` in full
+    /// enumeration).
     pub(crate) arc_bounds: Option<Arc<ArcBounds>>,
     /// Per-source tightened remaining bounds (see
     /// `arrival::tightened_remaining`), refreshed at every source switch;
-    /// `None` whenever `arc_bounds` is.
+    /// `None` whenever `arc_bounds` is. The only bound the search prunes
+    /// with.
     pub(crate) tight_rem: Option<Vec<f64>>,
     pub(crate) stats: EnumerationStats,
     /// Progress tap (installed via `sta_obs::Observer::install_progress`);
@@ -697,6 +618,16 @@ impl Search<'_, '_> {
         self.stats.truncated
     }
 
+    /// Whether the subtree at `net` cannot reach the N-worst admission
+    /// threshold: the worst alive arrival plus the per-source tightened
+    /// remaining bound stays below it. Never true in full enumeration.
+    pub(crate) fn prunes(&self, net: NetId, mask: Mask, timing: &PolTimings) -> bool {
+        self.tight_rem.as_ref().is_some_and(|rem| {
+            let threshold = self.effective_threshold();
+            threshold > f64::NEG_INFINITY && timing.worst_alive(mask) + rem[net.index()] < threshold
+        })
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn dfs_inner(
         &mut self,
@@ -719,18 +650,7 @@ impl Search<'_, '_> {
             mask = self.emit(mask, &timing, nodes, arcs);
         }
         if mask.any() {
-            // Pruning against the N-worst threshold. The per-source
-            // tightened bound (learning mode) is never looser than the
-            // global structural one, so preferring it only prunes more.
-            let prune = if let Some(rem) = self.tight_rem.as_ref().or(self.remaining.as_ref()) {
-                let threshold = self.effective_threshold();
-                self.cfg.n_worst.is_some()
-                    && threshold > f64::NEG_INFINITY
-                    && timing.worst_alive(mask) + rem[net.index()] < threshold
-            } else {
-                false
-            };
-            if prune {
+            if self.prunes(net, mask, &timing) {
                 self.stats.pruned += 1;
             } else {
                 // The netlist borrow (`'a`, immutable for the whole run)
@@ -778,12 +698,11 @@ impl Search<'_, '_> {
         nodes: &mut Vec<NetId>,
         arcs: &mut Vec<PathArc>,
     ) {
-        // Dominance cut (learning + N-worst only): if even the most
-        // optimistic completion through this arc — current worst alive
-        // arrival, plus this arc's delay bound, plus the tightened
-        // remaining bound from its output — cannot reach the admission
-        // threshold, the whole subtree is cut before any side value is
-        // assigned. Bound-safe: every path in the subtree would be
+        // Dominance cut (N-worst only): if even the most optimistic
+        // completion through this arc — current worst alive arrival, plus
+        // this arc's delay bound, plus the tightened remaining bound from
+        // its output — cannot reach the admission threshold, the whole
+        // subtree is cut before any side value is assigned. Bound-safe: every path in the subtree would be
         // rejected by `record` anyway (strict `<`, and the threshold
         // only tightens), so the emitted set is unchanged.
         if let (Some(tight), Some(ab)) = (&self.tight_rem, &self.arc_bounds) {
@@ -846,22 +765,8 @@ impl Search<'_, '_> {
             // accumulated requirements is re-established at emission. The
             // witness is rolled back; only the requirements and their
             // forward implications persist on the trail.
-            let key = NogoodKey {
-                src: nodes[0],
-                gate,
-                pin,
-                vector: vector as u32,
-            };
             let justified = if side_start == side_end {
                 Some(alive)
-            } else if let Some(saved) = self.consult_nogoods(key, alive) {
-                // A stored clause refutes every alive polarity: the
-                // justification below could only have returned `None`.
-                // Taking the same branch keeps the path set byte-exact
-                // (full-kill rule — see `sta_core::learn`).
-                self.stats.learn_hits += 1;
-                self.stats.learn_decisions_saved += saved;
-                None
             } else {
                 let witness_mark = self.eng.mark();
                 self.justify_todo.clear();
@@ -869,18 +774,8 @@ impl Search<'_, '_> {
                     let n = self.side_scratch[i].0;
                     self.justify_todo.push(n);
                 }
-                let decisions_before = self.stats.decisions;
-                let (out, unsat) = self.justify_staged(alive);
+                let out = self.justify_staged(alive);
                 self.eng.rollback(witness_mark);
-                if unsat {
-                    // Definitive refutation (never a budget abort): worth
-                    // learning if it cost enough to re-derive.
-                    let spent = self.stats.decisions - decisions_before;
-                    if spent >= learn::MIN_LEARN_DECISIONS {
-                        let via = self.nl.gate(gate).inputs()[pin as usize];
-                        self.learn_from_refutation(key, via, alive, side_start..side_end, spent);
-                    }
-                }
                 out
             };
             if let Some(m3) = justified {
@@ -1082,141 +977,14 @@ impl Search<'_, '_> {
     fn justify(&mut self, mask: Mask) -> Option<Mask> {
         self.justify_todo.clear();
         self.justify_todo.extend_from_slice(&self.obligations);
-        self.justify_staged(mask).0
-    }
-
-    /// Consults the nogood store for the current arc: `Some(saved)` when
-    /// stored clauses refute every alive polarity of the engine's state
-    /// (the full-kill rule), `None` otherwise or with learning off.
-    fn consult_nogoods(&mut self, key: NogoodKey, alive: Mask) -> Option<u64> {
-        let store = self.nogoods.as_ref()?;
-        let list = self.nogood_view.get(store.as_ref(), key)?;
-        learn::full_kill(&list, &self.eng, alive)
-    }
-
-    /// Extracts, verifies and stores nogoods from a definitive
-    /// justification refutation of the side nets in
-    /// `side_scratch[sides]`, one per alive polarity. Verification
-    /// replays the candidate cut on the scratch engine under the same
-    /// toggle deltas; anything not *provably* unjustifiable there is
-    /// dropped — soundness by construction (see `sta_core::learn`).
-    fn learn_from_refutation(
-        &mut self,
-        key: NogoodKey,
-        via: NetId,
-        alive: Mask,
-        sides: std::ops::Range<usize>,
-        cost: u64,
-    ) {
-        let Some(store) = self.nogoods.clone() else {
-            return;
-        };
-        if self.learn_eng.is_none() {
-            return;
-        }
-        // A saturated key cannot store anything — skip the extraction and
-        // verification work outright.
-        if store
-            .get(&key)
-            .is_some_and(|l| l.len() >= learn::MAX_PER_KEY)
-        {
-            return;
-        }
-        self.learn_todo.clear();
-        self.learn_todo.push(via);
-        for i in sides.clone() {
-            let n = self.side_scratch[i].0;
-            self.learn_todo.push(n);
-        }
-        self.stats.learn_attempts += 1;
-        for pol_r in [true, false] {
-            if !(if pol_r { alive.r } else { alive.f }) {
-                continue;
-            }
-            // Most general candidate first: the arc's own side values
-            // plus the transition arriving on the propagating pin, with
-            // no further partial-path context. When that verifies
-            // unsatisfiable, any future try of this key with the same
-            // arrival direction is a guaranteed hit (the engine assigns
-            // exactly these values on every activation of the arc) — one
-            // verification buys a near-permanent refutation of the arc.
-            let mut side_lits: Vec<(NetId, V9)> = sides
-                .clone()
-                .map(|i| {
-                    let (n, b) = self.side_scratch[i];
-                    (n, V9::stable(b))
-                })
-                .collect();
-            let via_val = {
-                let v = self.eng.value(via);
-                if pol_r {
-                    v.r
-                } else {
-                    v.f
-                }
-            };
-            // Stable values only — see `learn::extract_cut`: the
-            // justifier's refutations are definitive over stable
-            // requirements, not transitions.
-            if via_val == V9::S0 || via_val == V9::S1 {
-                side_lits.push((via, via_val));
-            }
-            let verified_side = learn::verify_cut(
-                self.learn_eng.as_mut().expect("learning engine"),
-                self.nl,
-                self.eng.toggles(),
-                key.src,
-                pol_r,
-                &side_lits,
-                &mut self.justify_todo,
-                &mut self.learn_scratch,
-            );
-            let lits = if verified_side {
-                self.stats.learn_side_clauses += 1;
-                side_lits
-            } else {
-                // Context-dependent refutation: fall back to the fanin
-                // cone cut, which captures the partial-path state the
-                // proof leaned on.
-                let Some(cone_lits) = learn::extract_cut(
-                    &self.eng,
-                    self.nl,
-                    &self.learn_todo,
-                    pol_r,
-                    &mut self.cone_scratch,
-                ) else {
-                    self.stats.learn_verify_failures += 1;
-                    continue;
-                };
-                let verified = learn::verify_cut(
-                    self.learn_eng.as_mut().expect("learning engine"),
-                    self.nl,
-                    self.eng.toggles(),
-                    key.src,
-                    pol_r,
-                    &cone_lits,
-                    &mut self.justify_todo,
-                    &mut self.learn_scratch,
-                );
-                if !verified {
-                    self.stats.learn_verify_failures += 1;
-                    continue;
-                }
-                cone_lits
-            };
-            let clause = crate::learn::Nogood { pol_r, lits, cost };
-            if store.insert(key, clause) {
-                self.stats.learn_stored += 1;
-            }
-        }
+        self.justify_staged(mask)
     }
 
     /// Justifies the obligations currently staged in `justify_todo`
-    /// (which is left in an unspecified state). The second return is
-    /// `true` only on a definitive [`JustifyOutcome::Unsatisfiable`] —
-    /// the learn trigger; a budget abort proves nothing and must never
-    /// be learned from.
-    fn justify_staged(&mut self, mask: Mask) -> (Option<Mask>, bool) {
+    /// (which is left in an unspecified state). `None` covers both a
+    /// refutation and an aborted call; the latter is counted in
+    /// `stats.justify_aborts`.
+    fn justify_staged(&mut self, mask: Mask) -> Option<Mask> {
         let mut budget = if self.cfg.justify_decision_limit == 0 {
             JustifyBudget::unbounded()
         } else {
@@ -1248,12 +1016,12 @@ impl Search<'_, '_> {
         // decisions.
         self.budget_exhausted();
         match out {
-            JustifyOutcome::Satisfied(m) => (Some(m), false),
+            JustifyOutcome::Satisfied(m) => Some(m),
             JustifyOutcome::BudgetExhausted => {
                 self.stats.justify_aborts += 1;
-                (None, false)
+                None
             }
-            JustifyOutcome::Unsatisfiable => (None, true),
+            JustifyOutcome::Unsatisfiable => None,
         }
     }
 }

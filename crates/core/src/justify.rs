@@ -195,29 +195,6 @@ pub(crate) fn justify_in(
     out
 }
 
-/// Nogood verification oracle (see [`crate::learn`]): a complete bounded
-/// check that the required values on `todo` admit no witness in any
-/// alive polarity. Returns `true` only on a definitive
-/// [`JustifyOutcome::Unsatisfiable`] — a budget abort is *not* a
-/// refutation. The engine is restored to its entry state either way
-/// (including after `Satisfied`, whose witness a verifier has no use
-/// for).
-pub(crate) fn proves_unsat(
-    eng: &mut ImplicationEngine<'_>,
-    nl: &Netlist,
-    todo: &mut Vec<NetId>,
-    mask: Mask,
-    budget: &mut JustifyBudget,
-    scratch: &mut JustifyScratch,
-) -> bool {
-    let mark = eng.mark();
-    let out = justify_in(eng, nl, todo, mask, budget, None, scratch, None);
-    if matches!(out, JustifyOutcome::Satisfied(_)) {
-        eng.rollback(mark);
-    }
-    matches!(out, JustifyOutcome::Unsatisfiable)
-}
-
 /// Reusable buffers of the justification search (one set per worker).
 /// Contents are transient — every use clears before filling.
 #[derive(Clone, Debug, Default)]

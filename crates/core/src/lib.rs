@@ -56,7 +56,6 @@ pub mod delaycalc;
 pub mod eco;
 pub mod enumerate;
 pub mod justify;
-pub mod learn;
 pub mod mcmm;
 mod parallel;
 pub mod path;
@@ -81,7 +80,6 @@ pub use eco::{
 };
 pub use enumerate::{EnumerationConfig, EnumerationStats, PathEnumerator};
 pub use justify::{justify, JustifyBudget, JustifyOutcome};
-pub use learn::{Nogood, NogoodKey, NogoodStore, NogoodView};
 pub use mcmm::{BatchOutcome, MergedEndpoint, MergedSlackReport, ScenarioOutcome};
 pub use path::{group_by_structure, LaunchTiming, PathArc, PathGroup, PiValue, TruePath};
 pub use report::{path_report, summary_report, worst_path_report, CertificateSet};

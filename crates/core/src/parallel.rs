@@ -68,7 +68,6 @@ use crate::enumerate::{
     Search,
 };
 use crate::justify::{JustifyCache, JustifyScratch};
-use crate::learn::{ConeScratch, NogoodStore, NogoodView};
 use crate::path::{PathArc, TruePath};
 
 /// Total-order encoding of an `f64` into a `u64`: `encode` is strictly
@@ -148,8 +147,8 @@ struct SrcPlan {
     deltas: Vec<Toggle>,
     reach: Vec<bool>,
     /// Toggle-compatible arrival upper bound to any PO, per net
-    /// (see [`crate::arrival::tightened_remaining`]); present only when
-    /// learning-mode dominance pruning is active.
+    /// (see [`crate::arrival::tightened_remaining`]); present in N-worst
+    /// mode only.
     tight_rem: Option<Vec<f64>>,
 }
 
@@ -162,7 +161,6 @@ struct WorkerCtx<'a> {
     /// shared read-only by every worker.
     kernel: &'a CompiledCorner,
     plans: &'a [SrcPlan],
-    remaining: &'a Option<Vec<f64>>,
     fanouts: &'a [f64],
     is_output: &'a [bool],
     injector: &'a Injector<RootTask>,
@@ -173,12 +171,8 @@ struct WorkerCtx<'a> {
     /// threshold per source. `None` otherwise.
     src_bounds: Option<&'a [AtomicU64]>,
     budget: &'a RunBudget,
-    /// Shared learned-nogood store, cloned into every worker's `Search`
-    /// so clauses learned on one worker prune the others. `None` when
-    /// `cfg.learning` is off.
-    nogoods: Option<Arc<NogoodStore>>,
-    /// Per-arc delay upper bounds for dominance pruning, computed once
-    /// by the coordinator and shared read-only.
+    /// Per-arc delay upper bounds of the dominance cut (N-worst mode),
+    /// computed once by the coordinator and shared read-only.
     arc_bounds: Option<Arc<ArcBounds>>,
 }
 
@@ -188,15 +182,8 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
     let nl = enumr.nl;
     let lib = enumr.lib;
     let is_output = enumr.output_flags();
-    let remaining = enumr.prune_bounds();
     let fanouts = enumr.fanouts();
-    let arc_bounds = enumr.learn_arc_bounds();
-    let nogoods = enumr.cfg.learning.then(|| {
-        enumr
-            .nogood_store
-            .clone()
-            .unwrap_or_else(|| Arc::new(NogoodStore::new()))
-    });
+    let arc_bounds = enumr.arc_bounds();
 
     // Plan phase: the per-source setup, and the root arcs in opening
     // order.
@@ -287,14 +274,12 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
         cfg: &enumr.cfg,
         kernel: &enumr.kernel,
         plans: &plans,
-        remaining: &remaining,
         fanouts: &fanouts,
         is_output: &is_output,
         injector: &injector,
         shared_bound: &shared_bound,
         src_bounds: src_bounds.as_deref(),
         budget: &budget,
-        nogoods,
         arc_bounds,
     };
 
@@ -409,7 +394,6 @@ fn worker_loop(
         cfg: ctx.cfg,
         kernel: ctx.kernel,
         eng: ImplicationEngine::new(ctx.nl, ctx.lib),
-        remaining: ctx.remaining.clone(),
         fanouts: ctx.fanouts.to_vec(),
         is_output: ctx.is_output.to_vec(),
         reach: Vec::new(),
@@ -425,15 +409,6 @@ fn worker_loop(
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
         justify_scratch: JustifyScratch::default(),
-        learn_eng: ctx
-            .cfg
-            .learning
-            .then(|| ImplicationEngine::new(ctx.nl, ctx.lib)),
-        nogoods: ctx.nogoods.clone(),
-        nogood_view: NogoodView::new(),
-        cone_scratch: ConeScratch::default(),
-        learn_todo: Vec::new(),
-        learn_scratch: JustifyScratch::default(),
         arc_bounds: ctx.arc_bounds.clone(),
         tight_rem: None,
         stats: EnumerationStats::default(),
@@ -484,18 +459,8 @@ fn worker_loop(
             current_src = Some(task.src);
         }
         let timing = PolTimings::launch(ctx.cfg.input_slew);
-        // The root-node prune check of `dfs_inner` (preferring the
-        // per-source tightened bound).
-        let prune = match search.tight_rem.as_ref().or(search.remaining.as_ref()) {
-            Some(rem) => {
-                let threshold = search.effective_threshold();
-                ctx.cfg.n_worst.is_some()
-                    && threshold > f64::NEG_INFINITY
-                    && timing.worst_alive(mask) + rem[plan.src.index()] < threshold
-            }
-            None => false,
-        };
-        if prune {
+        // The root-node prune check of `dfs_inner`.
+        if search.prunes(plan.src, mask, &timing) {
             search.stats.pruned += 1;
         } else if mask.any() {
             nodes.clear();

@@ -6,8 +6,9 @@
 //!   the *single-source* abstract interval of the corresponding net.
 //! * **AI002** — the structural static bound (single-point evaluation at
 //!   `prune_margin`) dominates the all-sources interval hull, and the
-//!   hull itself is well-formed. This is the cross-check that keeps the
-//!   search's pruning bound sound with respect to the swept envelope.
+//!   hull itself is well-formed. That bound feeds structural slack; the
+//!   N-worst search prunes with the per-arc bound table and
+//!   `tightened_remaining` instead, which this rule does not audit yet.
 //! * **AI003** — every per-stage gate delay lies inside its swept
 //!   two-sided arc interval.
 //! * **AI004** — the endpoint slew lies inside the abstract slew
@@ -146,10 +147,11 @@ pub fn audit_certificates(
 
 /// AI002: the interval hull must be well-formed (lo ≤ hi wherever events
 /// exist, bottom elsewhere stays untouched) and the structural static
-/// bound — computed with the search's own `prune_margin` — must dominate
-/// the hull's upper arrival on every net. A violation means the pruning
-/// bound the N-worst search trusts could cut a true path the swept
-/// envelope admits.
+/// bound — computed at the configuration's `prune_margin` — must dominate
+/// the hull's upper arrival on every net. A violation means the
+/// structural bound, and the slack derived from it, could sit below an
+/// arrival the swept envelope admits. (The N-worst search does not read
+/// this bound; it prunes with the per-arc bound table.)
 pub fn audit_structural_dominance(
     circuit: &str,
     nl: &Netlist,

@@ -78,12 +78,6 @@ pub enum RuleCode {
     /// valid topological order of the netlist (an operand is read before
     /// it is written, or a driven net is not written exactly once).
     SchedNotTopological,
-    /// `LEARN001` — a learned-nogood table entry is structurally
-    /// malformed (bad key ids, over-cap list or clause, vacuous literal).
-    LearnMalformed,
-    /// `LEARN002` — a stored nogood claims an unsatisfiable assignment
-    /// but independent re-justification finds a witness.
-    LearnRefutesSatisfiable,
     /// `AI001` — a certificate's arrival leaves its endpoint's (or an
     /// intermediate node's) abstract `[lo, hi]` interval.
     AiCertOutsideInterval,
@@ -134,8 +128,6 @@ impl RuleCode {
             RuleCode::PathNotSensitized => "PATH003",
             RuleCode::PathTimingMismatch => "PATH004",
             RuleCode::SchedNotTopological => "SCHED001",
-            RuleCode::LearnMalformed => "LEARN001",
-            RuleCode::LearnRefutesSatisfiable => "LEARN002",
             RuleCode::AiCertOutsideInterval => "AI001",
             RuleCode::AiStructuralDominance => "AI002",
             RuleCode::AiArcDelayOutsideBound => "AI003",
@@ -163,8 +155,6 @@ impl RuleCode {
             | RuleCode::PathNotSensitized
             | RuleCode::PathTimingMismatch
             | RuleCode::SchedNotTopological
-            | RuleCode::LearnMalformed
-            | RuleCode::LearnRefutesSatisfiable
             | RuleCode::AiCertOutsideInterval
             | RuleCode::AiStructuralDominance
             | RuleCode::AiArcDelayOutsideBound
@@ -203,8 +193,6 @@ impl RuleCode {
             RuleCode::PathNotSensitized => "witness fails to propagate transition",
             RuleCode::PathTimingMismatch => "arrival disagrees with recomputation",
             RuleCode::SchedNotTopological => "compiled schedule is not a topological order",
-            RuleCode::LearnMalformed => "malformed learned-nogood table entry",
-            RuleCode::LearnRefutesSatisfiable => "learned nogood refutes a satisfiable assignment",
             RuleCode::AiCertOutsideInterval => "certificate arrival outside abstract interval",
             RuleCode::AiStructuralDominance => "structural bound fails to dominate interval hull",
             RuleCode::AiArcDelayOutsideBound => "certificate arc delay outside swept arc interval",
@@ -421,8 +409,6 @@ mod tests {
             RuleCode::PathNotSensitized,
             RuleCode::PathTimingMismatch,
             RuleCode::SchedNotTopological,
-            RuleCode::LearnMalformed,
-            RuleCode::LearnRefutesSatisfiable,
             RuleCode::AiCertOutsideInterval,
             RuleCode::AiStructuralDominance,
             RuleCode::AiArcDelayOutsideBound,

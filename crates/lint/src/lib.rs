@@ -9,7 +9,7 @@
 //! re-certifies emitted paths by replaying their witness vectors through
 //! the nine-valued forward simulator.
 //!
-//! Four rule families, each with stable diagnostic codes:
+//! Seven rule families, each with stable diagnostic codes:
 //!
 //! * `NLxxx` — structural netlist checks ([`lint_netlist`]): combinational
 //!   cycles (iterative SCC), undriven / dangling / multiply-driven nets,
@@ -28,16 +28,11 @@
 //!   program driving the 64-lane bit-parallel simulator
 //!   (`sta_logic::bitsim`) must be a valid topological evaluation order of
 //!   the netlist, or every batch verdict downstream of it is meaningless;
-//! * `LEARNxxx` — learned-nogood table audit ([`audit_nogoods`]):
-//!   structural invariants of a run's final nogood store plus an
-//!   independent re-justification of every stored refutation, so the one
-//!   piece of cross-thread shared mutable state in the engine is checked
-//!   by machinery that shares nothing with the learner;
 //! * `AIxxx` — interval abstract-interpretation audit ([`audit_certificates`],
 //!   [`audit_structural_dominance`]): a forward pass over the timing graph
 //!   propagates sound `[lo, hi]` arrival/slew envelopes ([`interval`]) and
-//!   every certificate, stage delay and pruning bound is checked against
-//!   them;
+//!   every certificate, stage delay and the structural static bound is
+//!   checked against them;
 //! * `ECOxxx` — incremental re-analysis audit ([`audit_dirty_sources`],
 //!   [`audit_source_cache`]): the dirty-source over-approximation and the
 //!   per-source splice invariants behind the serve daemon's ECO path;
@@ -55,7 +50,6 @@ pub mod audit_rules;
 pub mod diag;
 pub mod eco_rules;
 pub mod interval;
-pub mod learn_rules;
 pub mod library_rules;
 pub mod netlist_rules;
 pub mod path_rules;
@@ -69,7 +63,6 @@ pub use audit_rules::{
 pub use diag::{Diagnostic, LintReport, RuleCode, Severity};
 pub use eco_rules::{audit_dirty_sources, audit_source_cache};
 pub use interval::{for_source, hull, NodeIntervals};
-pub use learn_rules::{audit_nogoods, NogoodAuditOutcome};
 pub use library_rules::{lint_library, LibLintConfig};
 pub use netlist_rules::lint_netlist;
 pub use path_rules::{verify_path, verify_paths, PathVerifyOutcome};

@@ -144,13 +144,6 @@ impl<'a> ImplicationEngine<'a> {
         self.toggles = toggles;
     }
 
-    /// The toggle deltas currently installed, if any. Lets callers clone
-    /// the launch-source analysis into a second engine (e.g. the nogood
-    /// verification replay in `sta-core`) without re-running it.
-    pub fn toggles(&self) -> Option<&[Toggle]> {
-        self.toggles.as_deref()
-    }
-
     /// A fresh engine over the same netlist and library, with every net
     /// fully unknown. Cheaper to reason about than `Clone` (no trail or
     /// queue state is carried over) and the building block for per-worker

@@ -32,8 +32,8 @@ use sta_charlib::{characterize_cached, CharConfig, CharError, TimingLibrary};
 use sta_circuits::{catalog, map_netlist, resize_gate};
 use sta_core::{
     arc_intervals_compiled, dirty_sources, static_bounds_compiled, AnalysisContext, AnalysisError,
-    AnalysisRequest, CertificateSet, CornerDef, Mode, PathEnumerator, RequiredSource, Scenario,
-    SdcError, SourceCache, ARC_SWEEP_MARGIN,
+    AnalysisRequest, CertificateSet, CornerDef, EnumerationStats, Mode, PathEnumerator,
+    RequiredSource, Scenario, SdcError, SourceCache, ARC_SWEEP_MARGIN,
 };
 use sta_esim::cellsim::{cell_input_cap, simulate_arc, Drive};
 use sta_lint::{
@@ -160,10 +160,9 @@ fn print_usage() {
          commands:\n\
            list                                  list catalog benchmarks\n\
            analyze  <circuit> [--tech T] [--corner C] [--corners C,..] [--modes F,..]\n\
-                    [--nworst N] [--threads W] [--batch-threads B] [--no-learning]\n\
+                    [--nworst N] [--threads W] [--batch-threads B]\n\
                     run the single-pass true-path STA (--nworst keeps the\n\
-                    N >= 1 worst paths; --no-learning disables nogood learning\n\
-                    and dominance pruning — results are identical either way;\n\
+                    N >= 1 worst paths, pruned by the per-arc dominance cut;\n\
                     --corners/--modes run the whole MCMM matrix as one batch\n\
                     with shared characterization/netlist/kernels, reporting\n\
                     per-scenario results plus the merged worst-slack view)\n\
@@ -239,7 +238,6 @@ struct Opts {
     limit: u64,
     out: Option<String>,
     required: Option<f64>,
-    no_learning: bool,
     format: OutputFormat,
     deny_warnings: bool,
     verify_paths: bool,
@@ -274,7 +272,6 @@ impl Opts {
             limit: 1000,
             out: None,
             required: None,
-            no_learning: false,
             format: OutputFormat::Human,
             deny_warnings: false,
             verify_paths: false,
@@ -329,7 +326,6 @@ impl Opts {
                     }
                     opts.required = Some(required);
                 }
-                "--no-learning" => opts.no_learning = true,
                 "--format" => {
                     let f = value("--format")?;
                     opts.format = match f.as_str() {
@@ -401,7 +397,6 @@ impl Opts {
             m.insert("batch_threads".to_string(), self.batch_threads.to_string());
         }
         m.insert("threads".to_string(), self.threads.to_string());
-        m.insert("learning".to_string(), (!self.no_learning).to_string());
         m.insert(
             "char_grid".to_string(),
             if self.fast_char { "fast" } else { "standard" }.to_string(),
@@ -600,8 +595,7 @@ fn scenario_matrix(opts: &Opts) -> Result<Vec<Scenario>, CliError> {
 }
 
 /// The shared request preamble: circuit, scenario matrix, threading,
-/// learning, characterization grid, decision budget and the session's
-/// observer.
+/// characterization grid, decision budget and the session's observer.
 fn base_request(
     circuit: &str,
     opts: &Opts,
@@ -622,7 +616,6 @@ fn base_request(
         .scenarios(scenarios)
         .threads(opts.threads)
         .batch_threads(opts.batch_threads)
-        .learning(!opts.no_learning)
         .char_config(if opts.fast_char {
             CharConfig::fast()
         } else {
@@ -684,11 +677,7 @@ fn render_batch(
                     worst,
                     s.required,
                     if s.slack.passes() { "PASS" } else { "FAIL" },
-                    if s.stats.truncated {
-                        " (budget hit)"
-                    } else {
-                        ""
-                    },
+                    incomplete_note(&s.stats),
                 );
             }
             let mut worst_eps: Vec<&sta_core::MergedEndpoint> =
@@ -714,6 +703,8 @@ fn render_batch(
                         ("paths", Value::UInt(s.stats.paths as u64)),
                         ("input_vectors", Value::UInt(s.stats.input_vectors as u64)),
                         ("truncated", Value::Bool(s.stats.truncated)),
+                        ("justify_aborts", Value::UInt(s.stats.justify_aborts)),
+                        ("complete", Value::Bool(s.stats.complete())),
                         ("required_ps", Value::Float(s.required)),
                         ("worst_slack_ps", Value::Float(s.slack.worst().1)),
                         ("passes", Value::Bool(s.slack.passes())),
@@ -739,6 +730,18 @@ fn render_batch(
         }
     }
     check_violations
+}
+
+/// What the human summary line says about an incomplete run: a budget
+/// that bit, justification calls dropped at the per-call cap, or both.
+/// Empty for a complete run.
+fn incomplete_note(stats: &EnumerationStats) -> String {
+    match (stats.truncated, stats.justify_aborts) {
+        (false, 0) => String::new(),
+        (true, 0) => " (budget hit)".to_string(),
+        (false, n) => format!(" (incomplete: {n} justification calls aborted)"),
+        (true, n) => format!(" (budget hit; {n} justification calls aborted)"),
+    }
 }
 
 /// The batch digest for a run manifest: stable hash over the
@@ -779,11 +782,7 @@ fn cmd_analyze(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                 outcome.stats.paths,
                 outcome.stats.input_vectors,
                 outcome.elapsed_s,
-                if outcome.stats.truncated {
-                    " (budget hit)"
-                } else {
-                    ""
-                }
+                incomplete_note(&outcome.stats)
             );
             println!(
                 "  kernel evals: {}, scratch high-water: {} side / {} path",
@@ -791,14 +790,8 @@ fn cmd_analyze(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                 outcome.stats.scratch_side_hwm,
                 outcome.stats.scratch_path_hwm
             );
-            if !opts.no_learning {
-                println!(
-                    "  learn: {} nogoods stored, {} hits ({} decisions saved), {} bound cuts",
-                    outcome.stats.learn_stored,
-                    outcome.stats.learn_hits,
-                    outcome.stats.learn_decisions_saved,
-                    outcome.stats.learn_bound_cuts
-                );
+            if opts.nworst.is_some() {
+                println!("  bound cuts: {}", outcome.stats.learn_bound_cuts);
             }
             for (i, p) in outcome.paths.iter().take(shown).enumerate() {
                 println!(
@@ -847,6 +840,8 @@ fn cmd_analyze(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                     Value::UInt(outcome.stats.input_vectors as u64),
                 ),
                 ("truncated", Value::Bool(outcome.stats.truncated)),
+                ("justify_aborts", Value::UInt(outcome.stats.justify_aborts)),
+                ("complete", Value::Bool(outcome.stats.complete())),
                 ("elapsed_s", Value::Float(outcome.elapsed_s)),
                 ("kernel", kernel),
                 ("worst_paths", Value::Seq(worst)),
@@ -1104,7 +1099,7 @@ fn record_audit_severities(obs: &Observer, findings: &[sta_lint::Diagnostic]) {
 ///   compiled kernels (so the audit sees the same delay tables the
 ///   search sees), re-derives single-source
 ///   abstract intervals, and checks every enumerated certificate for
-///   enclosure (AI001/AI003/AI004) plus the structural pruning bound
+///   enclosure (AI001/AI003/AI004) plus the structural static bound
 ///   against the interval hull (AI002).
 /// * **ECO leg** — builds the per-source cache, checks its structural
 ///   and splice invariants (ECO002), then applies one deterministic
@@ -1142,7 +1137,7 @@ fn audit_flow_circuit(
         .add(outcome.sources_checked as u64);
     findings.extend(outcome.diagnostics);
 
-    // AI002: the search's own pruning bound must dominate the hull.
+    // AI002: the structural static bound must dominate the hull.
     let hull = sta_lint::hull(&ctx.netlist, &arcs, slew);
     let prune_margin = ctx.config().prune_margin;
     let st = static_bounds_compiled(&ctx.netlist, &ctx.timing, &kernel, slew, prune_margin);
@@ -1271,10 +1266,7 @@ fn cmd_lint(opts: &Opts, args: &[String]) -> Result<(), CliError> {
             report.extend(check_schedule(&ctx.netlist, &ctx.lib));
         }
         if opts.verify_paths {
-            // Inject the run's nogood store so what the engine learned
-            // can be audited independently afterwards (LEARN rules).
-            let nogoods = std::sync::Arc::new(sta_core::NogoodStore::new());
-            let run = ctx.enumerate_with_nogood_store(std::sync::Arc::clone(&nogoods));
+            let run = ctx.enumerate();
             // Round-trip through the serialized certificate format so the
             // oracle replays what a consumer would actually read, not the
             // in-memory result.
@@ -1298,26 +1290,9 @@ fn cmd_lint(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                 "{name}: re-certified {}/{} enumerated paths{}",
                 outcome.certified,
                 outcome.checked,
-                if run.stats.truncated {
-                    " (enumeration budget hit)"
-                } else {
-                    ""
-                }
+                incomplete_note(&run.stats)
             );
             report.extend(outcome.diagnostics);
-            let snapshot = nogoods.snapshot();
-            if !snapshot.is_empty() {
-                let audit = {
-                    let _span = obs.span_with("audit-nogoods", vec![("circuit", name.clone())]);
-                    sta_lint::audit_nogoods(&ctx.netlist, &ctx.lib, name, &snapshot)
-                };
-                audit.record_metrics(&obs);
-                eprintln!(
-                    "{name}: audited {} learned nogoods ({} certified, {} skipped on budget)",
-                    audit.checked, audit.certified, audit.skipped
-                );
-                report.extend(audit.diagnostics);
-            }
         }
         if opts.audit_flow {
             let findings = {

@@ -87,6 +87,9 @@ fn exit_codes_are_stable_and_format_independent() {
     assert_eq!(code, 2, "unknown command: {stderr}");
     let (code, _, stderr) = run(&["lint", "--audit-floww"]);
     assert_eq!(code, 2, "unknown flag: {stderr}");
+    // A removed flag is an unknown flag, not a silently ignored one.
+    let (code, _, stderr) = run(&["analyze", "c17", "--no-learning", "--fast-char"]);
+    assert_eq!(code, 2, "removed flag --no-learning: {stderr}");
     let (code, _, stderr) = run(&["lint", "/nonexistent/missing.bench"]);
     assert_eq!(code, 2, "missing bench file: {stderr}");
     let (code, _, stderr) = run(&["validate-manifest", "/nonexistent/missing.json"]);

@@ -2,11 +2,9 @@
 //! cached characterization, benchmark loading, and plain-text table
 //! rendering.
 
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::{Mutex, OnceLock};
 
 use sta_cells::{Library, Technology};
 use sta_charlib::{characterize_cached, CharConfig, TimingLibrary};
@@ -38,7 +36,7 @@ pub fn library() -> &'static Library {
 pub fn timing_library(tech: &Technology) -> &'static TimingLibrary {
     static CACHE: OnceLock<Mutex<HashMap<String, &'static TimingLibrary>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock();
+    let mut map = cache.lock().expect("characterization cache poisoned");
     if let Some(t) = map.get(&tech.name) {
         return t;
     }

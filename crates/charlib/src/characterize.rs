@@ -10,6 +10,7 @@
 
 use std::fs;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use sta_cells::{Cell, Corner, Edge, Library, SensVector, Technology};
 use sta_esim::cellsim::{cell_input_cap, input_capacitance, simulate_arc, Drive};
@@ -178,39 +179,43 @@ pub fn characterize_observed(
     parent: u64,
 ) -> Result<TimingLibrary, CharError> {
     let cells: Vec<&Cell> = lib.iter().collect();
-    let mut results: Vec<Option<Result<CellTiming, CharError>>> = Vec::new();
-    results.resize_with(cells.len(), || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mutex = parking_lot::Mutex::new(&mut results);
-    crossbeam::scope(|scope| {
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|_| {
-                // Per-worker span buffer: recording is lock-free; the
-                // batch merges into the shared recorder on drop.
-                let mut spans = obs.local();
-                loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= cells.len() {
-                        break;
+    let cursor = AtomicUsize::new(0);
+    let mut results: Vec<(usize, Result<CellTiming, CharError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.threads.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    // Per-worker span buffer: recording is lock-free; the
+                    // batch merges into the shared recorder on drop.
+                    let mut spans = obs.local();
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Relaxed);
+                        let Some(&cell) = cells.get(idx) else {
+                            break;
+                        };
+                        let outcome = spans.time(
+                            parent,
+                            idx as u64,
+                            "cell",
+                            vec![("cell", cell.name().to_string())],
+                            || characterize_cell(cell, tech, cfg),
+                        );
+                        done.push((idx, outcome));
                     }
-                    let cell = cells[idx];
-                    let outcome = spans.time(
-                        parent,
-                        idx as u64,
-                        "cell",
-                        vec![("cell", cell.name().to_string())],
-                        || characterize_cell(cell, tech, cfg),
-                    );
-                    results_mutex.lock()[idx] = Some(outcome);
-                }
-            });
-        }
-    })
-    .expect("characterization worker panicked");
-    let mut out = Vec::with_capacity(cells.len());
-    for r in results {
-        out.push(r.expect("every cell visited")?);
-    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    results.sort_by_key(|&(idx, _)| idx);
+    let out = results
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(TimingLibrary {
         tech: tech.clone(),
         cells: out,
@@ -509,6 +514,43 @@ mod tests {
         let d1 = ct.variant(0, 0).fall.eval(4.0, 60.0, corner).0;
         let d2 = ct.variant(0, 1).fall.eval(4.0, 60.0, corner).0;
         assert!(d2 > d1 * 1.05, "case2 {d2} vs case1 {d1}");
+    }
+
+    /// Workers claim cells in index order and hand their results back by
+    /// index, so the worker count changes neither the characterized
+    /// library nor the span tree (each cell span sits at its cell index).
+    #[test]
+    fn characterization_does_not_depend_on_the_worker_count() {
+        use sta_cells::Expr;
+        let mut lib = Library::new();
+        lib.add("INV", 1, Expr::Pin(0).not());
+        lib.add("BUF", 1, Expr::Pin(0));
+        lib.add("NAND2", 2, Expr::and_pins(&[0, 1]).not());
+        lib.add("NOR2", 2, Expr::or_pins(&[0, 1]).not());
+        lib.add("XOR2", 2, Expr::Xor(vec![Expr::Pin(0), Expr::Pin(1)]));
+        let tech = Technology::n90();
+        let run = |threads: usize| {
+            let cfg = CharConfig {
+                threads,
+                ..CharConfig::fast()
+            };
+            let obs = sta_obs::Observer::enabled();
+            let root = obs.span("characterize");
+            let tlib = characterize_observed(&lib, &tech, &cfg, &obs, root.id()).unwrap();
+            root.end();
+            let cells: Vec<String> = obs.span_tree()[0]
+                .children
+                .iter()
+                .map(|c| c.attrs["cell"].clone())
+                .collect();
+            (tlib, cells)
+        };
+        let (serial, serial_cells) = run(1);
+        let (pooled, pooled_cells) = run(3);
+        assert!(serial == pooled, "the library depends on the worker count");
+        let names: Vec<String> = lib.iter().map(|c| c.name().to_string()).collect();
+        assert_eq!(serial_cells, names);
+        assert_eq!(pooled_cells, names);
     }
 
     #[test]

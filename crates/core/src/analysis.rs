@@ -371,8 +371,8 @@ impl AnalysisRequest {
     /// kernel compilation, per-mode SDC parsing) is
     /// done exactly once, then one job per operating point — a single
     /// true-path search shared by every mode of that point, plus each
-    /// mode's slack — fans out over [`AnalysisRequest::batch_threads`]
-    /// work-stealing workers. Every scenario's paths are byte-identical
+    /// mode's slack — is claimed in order by
+    /// [`AnalysisRequest::batch_threads`] workers. Every scenario's paths are byte-identical
     /// to an independent [`AnalysisRequest::run`] of that scenario at any
     /// thread count; the merged slack view is canonical in the scenario
     /// set (see [`crate::MergedSlackReport`]).

@@ -61,8 +61,8 @@ pub struct EnumerationConfig {
     /// [`EnumerationStats::justify_aborts`].
     pub justify_decision_limit: u64,
     /// Worker threads for the enumeration. The search roots — (primary
-    /// input, launch gate, sensitization vector) triples — are
-    /// distributed over a work-stealing pool (see the `parallel`
+    /// input, launch gate, sensitization vector) triples — form a fixed
+    /// task list that the workers claim in order (see the `parallel`
     /// module); a pool of one runs on the caller's thread. The emitted
     /// path set of an untruncated [`PathEnumerator::run`] is identical
     /// at any thread count; a budget-truncated one is reproducible at one
@@ -406,7 +406,6 @@ impl<'a> PathEnumerator<'a> {
         // Touching a handle registers the name; a run without root tasks
         // registers the worker counters too (at zero) for structural
         // identity.
-        obs.counter("parallel.steals");
         obs.counter("parallel.tasks");
         obs.counter("enumerate.bound_updates");
         obs.histogram("justify.decisions_per_call");

@@ -14,26 +14,27 @@
 //!
 //! The search reads no [`crate::Mode`] field: a mode only sets the
 //! requirement the slack step applies. So the scenarios are grouped by
-//! operating point, and each group is one job on a crossbeam
-//! work-stealing pool (`batch_threads` workers; the idiom of
-//! `crate::parallel`): one *deterministic* search over shared read-only
-//! state, then each mode's requirement and structural slack from one
-//! bound pass. Each scenario's path set — and therefore its
-//! [`CertificateSet`] bytes — is identical to an independent
-//! single-scenario run at any batch width. The merge layer below is pure
-//! aggregation over finished per-scenario reports; it cannot change any
-//! per-scenario result, which is what keeps the single-run audit oracles
-//! (lint `--verify-paths`, `--audit-flow`) applicable per scenario.
+//! operating point, and each group is one job of a fixed list that
+//! `batch_threads` scoped workers claim in order through one atomic
+//! cursor (the idiom of `crate::parallel`): one *deterministic* search
+//! over shared read-only state, then each mode's requirement and
+//! structural slack from one bound pass. Each scenario's path set — and
+//! therefore its [`CertificateSet`] bytes — is identical to an
+//! independent single-scenario run at any batch width. The merge layer
+//! below is pure aggregation over finished per-scenario reports; it
+//! cannot change any per-scenario result, which is what keeps the
+//! single-run audit oracles (lint `--verify-paths`, `--audit-flow`)
+//! applicable per scenario.
 //!
 //! The merged view is canonical: scenarios are ranked by slack with ties
 //! broken toward the lexicographically smallest scenario name, so
 //! [`MergedSlackReport`] is byte-identical under any submission-order
 //! permutation of the same scenario set.
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Steal};
 use serde::{Deserialize, Serialize};
 use sta_cells::{Corner, Library};
 use sta_charlib::{CompiledCorner, TimingLibrary};
@@ -193,8 +194,8 @@ fn search_key(s: &Scenario) -> SearchKey {
 }
 
 /// One pool job: the scenarios sharing a search key, by submission
-/// index (slot and span ordinal) in submission order, and the shared
-/// read-only state their search and slack read.
+/// index (result position and span ordinal) in submission order, and
+/// the shared read-only state their search and slack read.
 struct SearchGroup<'a> {
     corner: Corner,
     tlib: &'a TimingLibrary,
@@ -260,57 +261,47 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
         });
     }
 
-    // Fan the groups over a work-stealing pool. Each group is a
-    // self-contained deterministic analysis; the slot vector is indexed
-    // by submission order, so collection order is irrelevant.
-    let n_scenarios = scenarios.len();
+    // Fan the groups over the batch pool: workers claim them in order
+    // through one cursor and hand back `(submission index, outcome)`
+    // pairs. Each group is a self-contained deterministic analysis, so
+    // which worker ran it does not matter.
     let workers = req.batch_threads.clamp(1, groups.len());
-    let slots: Mutex<Vec<Option<ScenarioOutcome>>> =
-        Mutex::new((0..n_scenarios).map(|_| None).collect());
     let root_id = root.id();
     // The coordinator's children (one `load`, one `characterize` per
     // technology, one `kernel` per group) hold the low ordinals and the
     // scenario subtrees start after them. They all open on this thread,
     // so the span skeleton is identical at any batch width.
     let scenario_ord_base = 1 + loaded.timings.len() as u64 + groups.len() as u64;
-    let run_job = |group: SearchGroup, local: &mut LocalSpans| {
-        let outcomes = run_group(req, &loaded, &group, local, root_id, scenario_ord_base);
-        let mut slots = slots.lock().expect("no poisoned batch slots");
-        for (index, outcome) in outcomes {
-            slots[index] = Some(outcome);
-        }
-    };
-    if workers <= 1 {
-        let mut local = obs.local();
-        for group in groups {
-            run_job(group, &mut local);
-        }
-    } else {
-        let injector = Injector::new();
-        for group in groups {
-            injector.push(group);
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
+    let cursor = AtomicUsize::new(0);
+    let mut outcomes: Vec<(usize, ScenarioOutcome)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(|| {
                     let mut local = obs.local();
-                    loop {
-                        match injector.steal() {
-                            Steal::Success(group) => run_job(group, &mut local),
-                            Steal::Empty => break,
-                            Steal::Retry => continue,
-                        }
+                    let mut done = Vec::new();
+                    while let Some(group) = groups.get(cursor.fetch_add(1, Relaxed)) {
+                        done.extend(run_group(
+                            req,
+                            &loaded,
+                            group,
+                            &mut local,
+                            root_id,
+                            scenario_ord_base,
+                        ));
                     }
-                });
-            }
-        });
-    }
-    let outcomes: Vec<ScenarioOutcome> = slots
-        .into_inner()
-        .expect("no poisoned batch slots")
-        .into_iter()
-        .map(|s| s.expect("every scenario ran"))
-        .collect();
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    // The groups partition the submission indices, so sorting restores
+    // submission order.
+    outcomes.sort_by_key(|&(index, _)| index);
+    let outcomes: Vec<ScenarioOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
 
     let merged = {
         let _span = root.child("merge");

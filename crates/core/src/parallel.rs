@@ -1,23 +1,24 @@
-//! The true-path enumeration engine: root tasks over a work-stealing pool.
+//! The true-path enumeration engine: root tasks claimed from a fixed list.
 //!
 //! The search space of the single-pass algorithm shards naturally into
 //! **root tasks**: one per (primary input, launch-gate, sensitization
 //! vector) triple, i.e. one per first arc out of a source. Each subtree is
-//! independent given a private implication engine, so the tasks are
-//! distributed over a crossbeam deque pool (global FIFO injector,
-//! per-worker FIFO deques, stealing from siblings) and every worker runs
-//! the [`Search`] machinery with its own engine and its own justification
-//! memo table. `threads = 1` is a pool of one: its worker runs on the
-//! caller's thread, with no spawn and no channel.
+//! independent given a private implication engine, and no task spawns
+//! another, so the coordinator builds the whole task list before any
+//! worker starts. Workers claim tasks in list order through one atomic
+//! cursor (`fetch_add`), and every worker runs the [`Search`] machinery
+//! with its own engine and its own justification memo table. `threads = 1`
+//! is a pool of one: its worker runs on the caller's thread, with no spawn
+//! and no channel.
 //!
 //! # Deterministic merge
 //!
-//! Tasks are generated in depth-first opening order (sources in
-//! primary-input order, then fanout arcs, then vectors) and carry a
-//! sequence number. Workers buffer the paths of one task and send
-//! `(seq, paths)` over a channel; the coordinator releases buffers to the
-//! caller's sink strictly in sequence order. A lone worker takes its
-//! tasks in sequence order, so it streams straight to the sink. In full
+//! Tasks are listed in depth-first opening order (sources in
+//! primary-input order, then fanout arcs, then vectors); a task's index in
+//! that list is its merge key. Workers buffer the paths of one task and
+//! send `(index, paths)` over a channel; the coordinator releases buffers
+//! to the caller's sink strictly in index order. A lone worker claims its
+//! tasks in index order, so it streams straight to the sink. In full
 //! enumeration this makes the `run_with` stream — and therefore the `run`
 //! result — byte-identical at any thread count.
 //!
@@ -56,7 +57,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use sta_cells::Library;
 use sta_charlib::CompiledCorner;
 use sta_logic::{toggle_analysis, Dual, ImplicationEngine, Mask, Toggle};
@@ -128,11 +128,9 @@ impl RunBudget {
     }
 }
 
-/// One shard of the search: the first arc out of a source, identified by
-/// its position in the depth-first opening order.
+/// One shard of the search: the first arc out of a source. Its index in
+/// the task list (depth-first opening order) is its merge key.
 struct RootTask {
-    /// Position in opening order — the merge key.
-    seq: usize,
     /// Index into the plan list.
     src: usize,
     gate: GateId,
@@ -163,7 +161,10 @@ struct WorkerCtx<'a> {
     plans: &'a [SrcPlan],
     fanouts: &'a [f64],
     is_output: &'a [bool],
-    injector: &'a Injector<RootTask>,
+    /// Every root task, in opening order.
+    tasks: &'a [RootTask],
+    /// Index of the next unclaimed task in `tasks`.
+    cursor: &'a AtomicUsize,
     shared_bound: &'a AtomicU64,
     /// Per-source published bounds (indexed like `plans`), replacing the
     /// single `shared_bound` when
@@ -230,7 +231,6 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
             let n_vectors = lib.cell(cell_id).vectors_of(pr.pin as u8).len();
             for vector in 0..n_vectors {
                 tasks.push(RootTask {
-                    seq: tasks.len(),
                     src: src_idx,
                     gate: pr.gate,
                     pin: pr.pin as u8,
@@ -248,16 +248,15 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
             tight_rem,
         });
     }
-    let n_tasks = tasks.len();
-    if n_tasks == 0 {
+    if tasks.is_empty() {
         return EnumerationStats::default();
     }
 
-    let threads = enumr.cfg.threads.clamp(1, n_tasks);
-    let injector = Injector::new();
-    for t in tasks {
-        injector.push(t);
-    }
+    let threads = enumr.cfg.threads.clamp(1, tasks.len());
+    // The cursor publishes no data (the task list is complete before any
+    // worker starts), so relaxed `fetch_add` suffices to hand out each
+    // index exactly once.
+    let cursor = AtomicUsize::new(0);
     let shared_bound = AtomicU64::new(encode_bound(f64::NEG_INFINITY));
     // Per-source bounds for threshold isolation (see the config docs):
     // one atomic per planned source, so workers on the same source still
@@ -276,7 +275,8 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
         plans: &plans,
         fanouts: &fanouts,
         is_output: &is_output,
-        injector: &injector,
+        tasks: &tasks,
+        cursor: &cursor,
         shared_bound: &shared_bound,
         src_bounds: src_bounds.as_deref(),
         budget: &budget,
@@ -284,42 +284,36 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
     };
 
     if threads == 1 {
-        // A pool of one: the worker runs here and takes the tasks in
-        // sequence order, so its paths go straight to the sink.
-        return worker_loop(&ctx, Worker::new_fifo(), &[], sink, |_| true);
+        // A pool of one: the worker runs here and claims the tasks in
+        // index order, so its paths go straight to the sink.
+        return worker_loop(&ctx, sink, |_| true);
     }
-    let locals: Vec<Worker<RootTask>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<RootTask>> = locals.iter().map(Worker::stealer).collect();
     let (tx, rx) = mpsc::channel::<(usize, Vec<TruePath>)>();
-    let result = crossbeam::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for local in locals {
-            let tx = tx.clone();
-            let ctx = &ctx;
-            let stealers = &stealers;
-            handles.push(s.spawn(move |_| {
-                // The task buffer the search writes into; shipped to the
-                // coordinator with the task's sequence number.
-                let buf = RefCell::new(Vec::new());
-                worker_loop(
-                    ctx,
-                    local,
-                    stealers,
-                    &mut |p| buf.borrow_mut().push(p),
-                    |seq| tx.send((seq, buf.take())).is_ok(),
-                )
-            }));
-        }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let ctx = &ctx;
+                s.spawn(move || {
+                    // The task buffer the search writes into; shipped to
+                    // the coordinator with the task's index.
+                    let buf = RefCell::new(Vec::new());
+                    worker_loop(ctx, &mut |p| buf.borrow_mut().push(p), |index| {
+                        tx.send((index, buf.take())).is_ok()
+                    })
+                })
+            })
+            .collect();
         drop(tx);
 
         // Reorder window: release task buffers to the sink strictly in
-        // sequence order. Tasks the budget cut never arrive; whatever
-        // waits behind such a gap is released in order once every worker
-        // has finished (or died — the joins below re-raise its panic).
+        // index order. Tasks the budget cut never arrive; whatever waits
+        // behind such a gap is released in order once every worker has
+        // finished (or died — the joins below re-raise its panic).
         let mut pending: BTreeMap<usize, Vec<TruePath>> = BTreeMap::new();
         let mut next = 0usize;
-        for (seq, paths) in rx {
-            pending.insert(seq, paths);
+        for (index, paths) in rx {
+            pending.insert(index, paths);
             while let Some(batch) = pending.remove(&next) {
                 batch.into_iter().for_each(&mut *sink);
                 next += 1;
@@ -337,54 +331,14 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
             }
         }
         total
-    });
-    match result {
-        Ok(stats) => stats,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
+    })
 }
 
-/// Claims the next task: own deque first, then a batch from the global
-/// injector, then stealing from a sibling. `steals` counts only the
-/// sibling-deque case — the work-stealing events proper.
-fn next_task(
-    local: &Worker<RootTask>,
-    injector: &Injector<RootTask>,
-    stealers: &[Stealer<RootTask>],
-    steals: &sta_obs::Counter,
-) -> Option<RootTask> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    for s in stealers {
-        loop {
-            match s.steal() {
-                Steal::Success(t) => {
-                    steals.inc();
-                    return Some(t);
-                }
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
-}
-
-/// One worker: claims root tasks until none is left or the run budget has
-/// tripped, handing emitted paths to `sink` and calling `task_done` with
-/// each finished task's sequence number (`false` stops the worker).
+/// One worker: claims root tasks in index order until none is left or the
+/// run budget has tripped, handing emitted paths to `sink` and calling
+/// `task_done` with each finished task's index (`false` stops the worker).
 fn worker_loop(
     ctx: &WorkerCtx<'_>,
-    local: Worker<RootTask>,
-    stealers: &[Stealer<RootTask>],
     sink: &mut dyn FnMut(TruePath),
     mut task_done: impl FnMut(usize) -> bool,
 ) -> EnumerationStats {
@@ -417,16 +371,19 @@ fn worker_loop(
         path_len_hist: ctx.cfg.obs.histogram("enumerate.path_gates"),
         bound_updates: ctx.cfg.obs.counter("enumerate.bound_updates"),
     };
-    // Per-worker scheduling counters; the metric handles are fetched once
-    // here and bumped lock-free inside the task loop.
-    let steals = ctx.cfg.obs.counter("parallel.steals");
+    // The scheduling counter's handle is fetched once here and bumped
+    // lock-free inside the task loop.
     let tasks_done = ctx.cfg.obs.counter("parallel.tasks");
     let mut current_src: Option<usize> = None;
     let mut mask = Mask::NONE;
     // Path stacks live outside the task loop: one allocation per worker.
     let mut nodes: Vec<NetId> = Vec::new();
     let mut arcs: Vec<PathArc> = Vec::new();
-    while let Some(task) = next_task(&local, ctx.injector, stealers, &steals) {
+    loop {
+        let index = ctx.cursor.fetch_add(1, Relaxed);
+        let Some(task) = ctx.tasks.get(index) else {
+            break;
+        };
         if search.budget_exhausted() {
             break;
         }
@@ -477,7 +434,7 @@ fn worker_loop(
                 &mut arcs,
             );
         }
-        if !task_done(task.seq) {
+        if !task_done(index) {
             break;
         }
     }

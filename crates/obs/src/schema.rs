@@ -1,11 +1,14 @@
 //! A minimal JSON-Schema subset validator.
 //!
 //! CI validates every emitted run manifest against the checked-in
-//! `docs/manifest.schema.json` without network access or external
-//! tooling, so the repository carries its own validator. The supported
-//! subset — `type`, `required`, `properties`, `additionalProperties`,
-//! `items`, `enum`, `minimum` — is exactly what the manifest schema uses;
-//! unknown keywords are ignored, as JSON Schema prescribes.
+//! `docs/manifest.schema.json`, and the daemon's protocol audit checks
+//! request lines against `docs/serve.schema.json`, without network
+//! access or external tooling, so the repository carries its own
+//! validator. The supported subset — `type`, `required`, `properties`,
+//! `additionalProperties`, `items`, `enum`, `minimum`, `maximum` — is
+//! exactly what those two schemas use; unknown keywords are ignored, as
+//! JSON Schema prescribes, so a schema that needs another keyword needs
+//! it added here first.
 
 use serde::Value;
 
@@ -54,6 +57,14 @@ fn check(schema: &Value, doc: &Value, path: &str, errors: &mut Vec<String>) {
         if let (Some(bound), Some(actual)) = (as_f64(min), as_f64(doc)) {
             if actual < bound {
                 errors.push(format!("{}: {actual} below minimum {bound}", pointer(path)));
+            }
+        }
+    }
+
+    if let Some(max) = rule("maximum") {
+        if let (Some(bound), Some(actual)) = (as_f64(max), as_f64(doc)) {
+            if actual > bound {
+                errors.push(format!("{}: {actual} above maximum {bound}", pointer(path)));
             }
         }
     }
@@ -252,6 +263,19 @@ mod tests {
         assert_eq!(errs.len(), 2);
         assert!(errs.iter().any(|e| e.starts_with("/spans/1:")));
         assert!(errs.iter().any(|e| e.starts_with("/spans/2:")));
+    }
+
+    #[test]
+    fn maximum_is_inclusive() {
+        let schema = parse(r#"{"type": "integer", "minimum": 1, "maximum": 64}"#);
+        assert_eq!(validate(&schema, &parse("1")), Ok(()));
+        assert_eq!(validate(&schema, &parse("64")), Ok(()));
+        let errs = validate(&schema, &parse("65")).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("above maximum 64")),
+            "{errs:?}"
+        );
+        assert!(validate(&schema, &parse("0")).is_err());
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl LocalSpans {
 
     /// Like [`LocalSpans::time`], but hands `f` the id of the span being
     /// recorded so it can record *children* under it (again at explicit,
-    /// caller-chosen ordinals). This is what gives a work-stealing batch
+    /// caller-chosen ordinals). This is what gives a multi-worker batch
     /// a deterministic span subtree per job: the job's (parent, ord) pair
     /// comes from its submission index, never from which worker ran it or
     /// when.

@@ -58,7 +58,8 @@ pub enum Request {
         tech: String,
         /// Keep the N worst paths (default: full enumeration).
         n_worst: Option<usize>,
-        /// Enumeration worker threads (default 1).
+        /// Enumeration worker threads (default 1, at most
+        /// [`MAX_THREADS`]).
         threads: usize,
     },
     /// Apply an ECO edit and re-analyze incrementally.
@@ -82,7 +83,7 @@ pub enum Request {
         /// Keep the N worst paths per scenario (default: full
         /// enumeration).
         n_worst: Option<usize>,
-        /// Concurrent scenario jobs (default 1).
+        /// Concurrent scenario jobs (default 1, at most [`MAX_THREADS`]).
         batch_threads: usize,
     },
     /// Report the worst cached paths.
@@ -128,6 +129,11 @@ pub const SERVE_SCHEMA_JSON: &str = include_str!("../../../docs/serve.schema.jso
 /// do not pin one).
 pub const SCHEMA_VERSION: usize = 2;
 
+/// The largest `threads` or `batch_threads` a request may ask for (the
+/// schema's `maximum`). Every worker is an OS thread, so without a cap
+/// one request could ask for more threads than the host can start.
+pub const MAX_THREADS: usize = 64;
+
 fn field<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
@@ -149,12 +155,17 @@ fn opt_usize_field(map: &[(String, Value)], key: &str) -> Result<Option<usize>, 
     }
 }
 
-/// The optional `nworst` path count. Absent means full enumeration; 0 is
-/// rejected (the schema's `minimum: 1`), since keeping the zero worst
-/// paths asks for nothing.
-fn opt_nworst_field(map: &[(String, Value)]) -> Result<Option<usize>, String> {
-    match opt_usize_field(map, "nworst")? {
-        Some(0) => Err("field \"nworst\" must be at least 1".to_string()),
+/// An optional count in `1..=max` (the schema's `minimum: 1` and
+/// `maximum`). A count of 0 asks for nothing — no paths, no workers — so
+/// it is refused rather than rounded up.
+fn opt_count_field(
+    map: &[(String, Value)],
+    key: &str,
+    max: usize,
+) -> Result<Option<usize>, String> {
+    match opt_usize_field(map, key)? {
+        Some(0) => Err(format!("field {key:?} must be at least 1")),
+        Some(n) if n > max => Err(format!("field {key:?} must be at most {max}")),
         n => Ok(n),
     }
 }
@@ -193,8 +204,8 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
         "load" => Request::Load {
             circuit: str_field(&map, "circuit")?,
             tech: opt_str_field(&map, "tech")?.unwrap_or_else(|| "90nm".to_string()),
-            n_worst: opt_nworst_field(&map)?,
-            threads: opt_usize_field(&map, "threads")?.unwrap_or(1).max(1),
+            n_worst: opt_count_field(&map, "nworst", usize::MAX)?,
+            threads: opt_count_field(&map, "threads", MAX_THREADS)?.unwrap_or(1),
         },
         "edit" => {
             let circuit = str_field(&map, "circuit")?;
@@ -224,12 +235,12 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
             circuit: str_field(&map, "circuit")?,
             corners: opt_str_field(&map, "corners")?,
             modes: opt_str_field(&map, "modes")?,
-            n_worst: opt_nworst_field(&map)?,
-            batch_threads: opt_usize_field(&map, "batch_threads")?.unwrap_or(1).max(1),
+            n_worst: opt_count_field(&map, "nworst", usize::MAX)?,
+            batch_threads: opt_count_field(&map, "batch_threads", MAX_THREADS)?.unwrap_or(1),
         },
         "paths" => Request::Paths {
             circuit: str_field(&map, "circuit")?,
-            limit: opt_usize_field(&map, "limit")?.unwrap_or(10),
+            limit: opt_count_field(&map, "limit", usize::MAX)?.unwrap_or(10),
             scenario: opt_str_field(&map, "scenario")?,
         },
         "slack" => Request::Slack {
@@ -288,7 +299,7 @@ pub fn protocol_spec() -> sta_lint::ProtocolSpec {
         "batch_threads",
     ];
     // (description, line, schema_should_accept)
-    let exemplars: [(&str, &str, bool); 21] = [
+    let exemplars: [(&str, &str, bool); 24] = [
         (
             "load-full",
             r#"{"op":"load","circuit":"c17","tech":"90nm","nworst":10,"threads":2}"#,
@@ -356,6 +367,21 @@ pub fn protocol_spec() -> sta_lint::ProtocolSpec {
         (
             "zero-nworst",
             r#"{"op":"load","circuit":"c17","nworst":0}"#,
+            false,
+        ),
+        (
+            "zero-threads",
+            r#"{"op":"load","circuit":"c17","threads":0}"#,
+            false,
+        ),
+        (
+            "zero-batch-threads",
+            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#,
+            false,
+        ),
+        (
+            "oversized-threads",
+            r#"{"op":"load","circuit":"c17","threads":65}"#,
             false,
         ),
     ];
@@ -555,5 +581,13 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains("\"nworst\" must be at least 1"), "{err}");
         }
+        let err = parse_request(r#"{"op":"load","circuit":"c17","threads":0}"#).unwrap_err();
+        assert!(err.contains("\"threads\" must be at least 1"), "{err}");
+        let err = parse_request(r#"{"op":"analyze_batch","circuit":"c17","batch_threads":65}"#)
+            .unwrap_err();
+        assert!(
+            err.contains("\"batch_threads\" must be at most 64"),
+            "{err}"
+        );
     }
 }

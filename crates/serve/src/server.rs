@@ -11,8 +11,8 @@ use sta_charlib::{characterize_cached, CharConfig, CompiledCorner, TimingLibrary
 use sta_circuits::{catalog, resize_gate, rewire_net, swap_gate, GateEdit};
 use sta_core::{
     arc_intervals_compiled, dirty_sources, static_bounds, static_bounds_compiled, AnalysisRequest,
-    CertificateSet, CornerDef, EnumerationConfig, Mode, PathEnumerator, Scenario, SlackOutcome,
-    SourceCache, TruePath, ARC_SWEEP_MARGIN,
+    CertificateSet, CornerDef, EnumerationConfig, EnumerationStats, Mode, PathEnumerator, Scenario,
+    SlackOutcome, SourceCache, TruePath, ARC_SWEEP_MARGIN,
 };
 use sta_netlist::Netlist;
 use sta_obs::{digest_string, Observer, SessionCircuit, SessionManifest};
@@ -56,7 +56,8 @@ struct BatchScenario {
     scenario: Scenario,
     certs: CertificateSet,
     digest: String,
-    truncated: bool,
+    /// The scenario's search statistics, for its completeness verdict.
+    stats: EnumerationStats,
 }
 
 /// The last `analyze_batch` result for a circuit. Computed against one
@@ -87,7 +88,10 @@ struct CircuitSession {
     revision: u64,
     incremental_updates: u64,
     full_rebuilds: u64,
-    truncated: bool,
+    /// Every build and update of the cache merged: once any of them hit
+    /// a budget or aborted a justification call, the session stays
+    /// truncated or incomplete.
+    stats: EnumerationStats,
     /// Structural slack of the current revision at the default
     /// requirement.
     slack: SlackOutcome,
@@ -144,6 +148,18 @@ fn parse_modes(list: &str) -> Result<Vec<Mode>, String> {
         return Err("empty modes list (expected name=PERIOD_PS entries)".to_string());
     }
     Ok(out)
+}
+
+/// A reply's completeness verdict: whether a budget truncated the
+/// search, how many justification calls aborted, and
+/// [`EnumerationStats::complete`]. An untruncated answer with aborts
+/// dropped the subtrees behind them, so it is not complete.
+fn verdict(stats: &EnumerationStats) -> [(&'static str, Value); 3] {
+    [
+        ("truncated", Value::Bool(stats.truncated)),
+        ("justify_aborts", Value::UInt(stats.justify_aborts)),
+        ("complete", Value::Bool(stats.complete())),
+    ]
 }
 
 /// Structural slack of a netlist revision. A daemon request states no
@@ -343,19 +359,18 @@ impl Server {
             revision: 0,
             incremental_updates: 0,
             full_rebuilds: 0,
-            truncated: stats.truncated,
+            stats,
             slack,
             batch: None,
         };
         self.cfg.obs.counter("serve.loads").add(1);
 
-        let fields = vec![
+        let mut fields = vec![
             ("circuit", jstr(circuit)),
             ("tech", jstr(session.tech.name.clone())),
             ("revision", Value::UInt(session.revision)),
             ("num_gates", Value::UInt(session.netlist.num_gates() as u64)),
             ("paths", Value::UInt(session.certs.paths.len() as u64)),
-            ("truncated", Value::Bool(session.truncated)),
             ("digest", jstr(session.digest.clone())),
             (
                 "structural_worst_ps",
@@ -363,6 +378,7 @@ impl Server {
             ),
             ("required_ps", Value::Float(session.slack.required)),
         ];
+        fields.extend(verdict(&session.stats));
         // Reloading replaces the previous session of the same name.
         self.circuits.retain(|(name, _)| name != circuit);
         self.circuits.push((circuit.to_string(), session));
@@ -415,28 +431,28 @@ impl Server {
                 session.kernel.clone(),
                 None,
             );
-            let stats = session.cache.update(&enumr);
-            session.truncated |= stats.truncated;
+            session.stats.merge(&session.cache.update(&enumr));
         }
         session.certs = CertificateSet::new(&session.netlist, input_slew, session.cache.splice());
         session.digest = digest_string(session.certs.to_json().as_bytes());
         session.slack = default_slack(&session.netlist, &session.tlib, &session.search);
 
-        Ok(vec![
+        let mut fields = vec![
             ("circuit", jstr(circuit)),
             ("revision", Value::UInt(session.revision)),
             ("function_changed", Value::Bool(edit.function_changed)),
             ("dirty_sources", Value::UInt(n_dirty as u64)),
             ("total_sources", Value::UInt(n_sources as u64)),
             ("paths", Value::UInt(session.certs.paths.len() as u64)),
-            ("truncated", Value::Bool(session.truncated)),
             ("digest", jstr(session.digest.clone())),
             (
                 "structural_worst_ps",
                 Value::Float(session.slack.structural_worst),
             ),
             ("required_ps", Value::Float(session.slack.required)),
-        ])
+        ];
+        fields.extend(verdict(&session.stats));
+        Ok(fields)
     }
 
     /// Runs an MCMM batch over the resident netlist revision: one
@@ -480,7 +496,7 @@ impl Server {
 
         let mut rows = Vec::new();
         let mut resident = Vec::new();
-        let mut truncated_any = false;
+        let mut total = EnumerationStats::default();
         for (i, s) in batch.scenarios.iter().enumerate() {
             let certs = batch.certificates(i);
             let digest = digest_string(certs.to_json().as_bytes());
@@ -490,22 +506,23 @@ impl Server {
                 .iter()
                 .map(|&o| s.slack.of(o))
                 .fold(f64::INFINITY, f64::min);
-            truncated_any |= s.stats.truncated;
-            rows.push(jmap(vec![
+            total.merge(&s.stats);
+            let mut row = vec![
                 ("scenario", jstr(s.scenario.name())),
                 ("tech", jstr(s.scenario.corner.tech.name.clone())),
                 ("paths", Value::UInt(s.paths.len() as u64)),
-                ("truncated", Value::Bool(s.stats.truncated)),
                 ("required_ps", Value::Float(s.required)),
                 ("worst_slack_ps", Value::Float(worst_slack)),
                 ("passes", Value::Bool(worst_slack >= 0.0)),
                 ("digest", jstr(digest.clone())),
-            ]));
+            ];
+            row.extend(verdict(&s.stats));
+            rows.push(jmap(row));
             resident.push(BatchScenario {
                 scenario: s.scenario.clone(),
                 certs,
                 digest,
-                truncated: s.stats.truncated,
+                stats: s.stats,
             });
         }
         let merged_worst = batch
@@ -519,16 +536,16 @@ impl Server {
                 ])
             })
             .unwrap_or(Value::Null);
-        let fields = vec![
+        let mut fields = vec![
             ("circuit", jstr(circuit)),
             ("revision", Value::UInt(revision)),
             ("scenarios", Value::UInt(batch.scenarios.len() as u64)),
             ("results", Value::Seq(rows)),
             ("merged_worst", merged_worst),
             ("passes", Value::Bool(batch.merged.passes())),
-            ("truncated", Value::Bool(truncated_any)),
             ("elapsed_s", Value::Float(batch.elapsed_s)),
         ];
+        fields.extend(verdict(&total));
         self.cfg.obs.counter("serve.batches").add(1);
         self.cfg
             .obs
@@ -605,7 +622,8 @@ impl Server {
     /// The splice-identity proof as a service: cold re-run the current
     /// netlist revision with the plain (non-per-source) configuration and
     /// compare certificate digests. `identical` is the proof verdict;
-    /// truncation on either side voids it (reported honestly). With a
+    /// truncation on either side voids it, and the completeness verdict
+    /// covers both sides (reported honestly). With a
     /// `scenario` selector the same proof runs against one resident batch
     /// scenario instead: an independent single-scenario re-run must
     /// reproduce the batch's certificate bytes.
@@ -634,17 +652,17 @@ impl Server {
             })
             .add(1);
         let session = self.session(circuit)?;
-        Ok(vec![
+        let mut both = session.stats;
+        both.merge(&stats);
+        let mut fields = vec![
             ("circuit", jstr(circuit)),
             ("revision", Value::UInt(session.revision)),
             ("identical", Value::Bool(identical)),
             ("spliced_digest", jstr(session.digest.clone())),
             ("cold_digest", jstr(cold_digest)),
-            (
-                "truncated",
-                Value::Bool(session.truncated || stats.truncated),
-            ),
-        ])
+        ];
+        fields.extend(verdict(&both));
+        Ok(fields)
     }
 
     /// The batch-identity proof for one resident scenario: re-runs it as
@@ -659,7 +677,7 @@ impl Server {
         let session = self.session(circuit)?;
         let sc = resident_scenario(session, circuit, name)?;
         let batch_digest = sc.digest.clone();
-        let batch_truncated = sc.truncated;
+        let mut both = sc.stats;
         let revision = session.revision;
         let req = AnalysisRequest::new(circuit)
             .with_netlist(session.netlist.clone())
@@ -683,18 +701,17 @@ impl Server {
                 "serve.verify_mismatch"
             })
             .add(1);
-        Ok(vec![
+        both.merge(&single.stats);
+        let mut fields = vec![
             ("circuit", jstr(circuit)),
             ("revision", Value::UInt(revision)),
             ("scenario", jstr(name)),
             ("identical", Value::Bool(identical)),
             ("batch_digest", jstr(batch_digest)),
             ("cold_digest", jstr(cold_digest)),
-            (
-                "truncated",
-                Value::Bool(batch_truncated || single.stats.truncated),
-            ),
-        ])
+        ];
+        fields.extend(verdict(&both));
+        Ok(fields)
     }
 
     /// The whole-flow soundness audit as a service: runs the `sta-lint`
@@ -764,7 +781,7 @@ impl Server {
             ));
             // The splice identity only holds untruncated; the structural
             // slot invariants always hold.
-            let certs = (!session.truncated).then_some(&session.certs);
+            let certs = (!session.stats.truncated).then_some(&session.certs);
             report.extend(sta_lint::audit_source_cache(
                 name,
                 &session.netlist,
@@ -918,6 +935,7 @@ pub fn serve_socket(server: &mut Server, path: &std::path::Path) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MAX_THREADS;
     use sta_netlist::GateId;
 
     fn fast_server() -> Server {
@@ -1005,6 +1023,8 @@ mod tests {
         assert_ok(&loaded);
         assert_eq!(as_u64(get(&loaded, "id")), 1);
         assert_eq!(as_u64(get(&loaded, "revision")), 0);
+        assert_eq!(get(&loaded, "complete"), &Value::Bool(true));
+        assert_eq!(as_u64(get(&loaded, "justify_aborts")), 0);
         let digest0 = get(&loaded, "digest").clone();
 
         // Before any edit, the cache already matches a cold run.
@@ -1021,6 +1041,7 @@ mod tests {
         assert_ok(&edited);
         assert_eq!(as_u64(get(&edited, "revision")), 1);
         assert_eq!(get(&edited, "function_changed"), &Value::Bool(false));
+        assert_eq!(get(&edited, "complete"), &Value::Bool(true));
         assert_ne!(get(&edited, "digest"), &digest0);
 
         // The spliced result is digest-identical to a cold re-run of the
@@ -1029,6 +1050,7 @@ mod tests {
         assert_ok(&verified);
         assert_eq!(get(&verified, "identical"), &Value::Bool(true));
         assert_eq!(get(&verified, "truncated"), &Value::Bool(false));
+        assert_eq!(get(&verified, "complete"), &Value::Bool(true));
 
         let paths = reply(&mut server, r#"{"op":"paths","circuit":"c17","limit":3}"#);
         assert_ok(&paths);
@@ -1052,6 +1074,22 @@ mod tests {
         assert_eq!(manifest.circuits[0].revision, 1);
         assert_eq!(manifest.circuits[0].incremental_updates, 1);
         assert_eq!(manifest.circuits[0].full_rebuilds, 0);
+    }
+
+    /// c432's full enumeration aborts 3 justification calls at the
+    /// default per-call cap (`tests/nworst_referee.rs` lifts the cap for
+    /// that reason). No budget trips, so the reply is untruncated, and it
+    /// must still not read as complete. Release-only: the unoptimized
+    /// full enumeration is slow.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn aborted_justification_makes_a_load_incomplete() {
+        let mut server = fast_server();
+        let loaded = reply(&mut server, r#"{"op":"load","circuit":"c432"}"#);
+        assert_ok(&loaded);
+        assert_eq!(get(&loaded, "truncated"), &Value::Bool(false));
+        assert_eq!(as_u64(get(&loaded, "justify_aborts")), 3);
+        assert_eq!(get(&loaded, "complete"), &Value::Bool(false));
     }
 
     #[test]
@@ -1101,15 +1139,46 @@ mod tests {
         assert_eq!(manifest.errors, 3);
     }
 
-    /// `nworst: 0`, a non-finite corner supply and a pinned retired
-    /// schema version get an in-band error, and the session keeps
-    /// answering: the next load and batch succeed.
+    /// `nworst: 0`, zero or oversized thread counts, a zero `limit`, a
+    /// non-finite corner supply and a pinned retired schema version get
+    /// an in-band error, and the session keeps answering: the next load
+    /// and batch succeed.
     #[test]
     fn rejected_requests_leave_the_session_serving() {
         let mut server = fast_server();
         let zero = reply(&mut server, r#"{"op":"load","circuit":"c17","nworst":0}"#);
         assert_eq!(get(&zero, "ok"), &Value::Bool(false));
         assert!(matches!(get(&zero, "error"), Value::Str(s) if s.contains("nworst")));
+        let too_many = MAX_THREADS + 1;
+        for (line, field) in [
+            (
+                r#"{"op":"load","circuit":"c17","threads":0}"#.to_string(),
+                "threads",
+            ),
+            (
+                format!(r#"{{"op":"load","circuit":"c17","threads":{too_many}}}"#),
+                "threads",
+            ),
+            (
+                r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#.to_string(),
+                "batch_threads",
+            ),
+            (
+                format!(r#"{{"op":"analyze_batch","circuit":"c17","batch_threads":{too_many}}}"#),
+                "batch_threads",
+            ),
+            (
+                r#"{"op":"paths","circuit":"c17","limit":0}"#.to_string(),
+                "limit",
+            ),
+        ] {
+            let refused = reply(&mut server, &line);
+            assert_eq!(get(&refused, "ok"), &Value::Bool(false), "{line}");
+            assert!(
+                matches!(get(&refused, "error"), Value::Str(s) if s.contains(field)),
+                "{line}: {refused:?}"
+            );
+        }
         assert_ok(&reply(
             &mut server,
             r#"{"op":"load","circuit":"c17","nworst":5}"#,
@@ -1187,23 +1256,48 @@ mod tests {
             // The schema and the parser must agree on what is valid.
             parse_request(line).unwrap_or_else(|e| panic!("parser rejects {line}: {e}"));
         }
+        // The largest thread counts both sides accept (parsed only, never
+        // served: each would start that many workers).
+        for line in [
+            format!(r#"{{"op":"load","circuit":"c17","threads":{MAX_THREADS}}}"#),
+            format!(r#"{{"op":"analyze_batch","circuit":"c17","batch_threads":{MAX_THREADS}}}"#),
+        ] {
+            let doc: Value = serde_json::from_str(&line).unwrap();
+            sta_obs::schema::validate(&schema, &doc)
+                .unwrap_or_else(|e| panic!("schema rejects {line}: {e:?}"));
+            parse_request(&line).unwrap_or_else(|e| panic!("parser rejects {line}: {e}"));
+        }
+        let too_many = MAX_THREADS + 1;
+        let out_of_range = [
+            r#"{"op":"paths","circuit":"c17","limit":0}"#.to_string(),
+            r#"{"op":"load","circuit":"c17","threads":0}"#.to_string(),
+            format!(r#"{{"op":"load","circuit":"c17","threads":{too_many}}}"#),
+            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#.to_string(),
+            format!(r#"{{"op":"analyze_batch","circuit":"c17","batch_threads":{too_many}}}"#),
+            r#"{"op":"load","circuit":"c17","nworst":0}"#.to_string(),
+            r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#.to_string(),
+        ];
         let invalid = [
             r#"{"circuit":"c17"}"#,
             r#"{"op":"fly"}"#,
             r#"{"op":"load","circuit":"c17","tech":"45nm"}"#,
             r#"{"op":"load","circuit":"c17","bogus":1}"#,
-            r#"{"op":"paths","circuit":"c17","limit":0}"#,
             r#"{"op":"status","schema_version":3}"#,
             r#"{"op":"status","schema_version":1}"#,
-            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#,
-            r#"{"op":"load","circuit":"c17","nworst":0}"#,
-            r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
         ];
-        for line in invalid {
+        for line in out_of_range.iter().map(String::as_str).chain(invalid) {
             let doc: Value = serde_json::from_str(line).unwrap();
             assert!(
                 sta_obs::schema::validate(&schema, &doc).is_err(),
                 "schema accepts invalid request {line}"
+            );
+        }
+        // A count out of its range is refused by the parser too, not
+        // rounded into range.
+        for line in &out_of_range {
+            assert!(
+                parse_request(line).is_err(),
+                "parser accepts out-of-range request {line}"
             );
         }
         // The embedded copy is the same document CI and the audit op use.
@@ -1225,10 +1319,15 @@ mod tests {
         );
         assert_ok(&batch);
         assert_eq!(as_u64(get(&batch, "scenarios")), 4);
+        assert_eq!(get(&batch, "complete"), &Value::Bool(true));
         let Value::Seq(results) = get(&batch, "results") else {
             panic!("results is not an array")
         };
         assert_eq!(results.len(), 4);
+        for row in results {
+            assert_eq!(get(row, "complete"), &Value::Bool(true));
+            assert_eq!(as_u64(get(row, "justify_aborts")), 0);
+        }
         // Corners-major matrix order, names are corner/mode.
         assert_eq!(get(&results[0], "scenario"), &jstr("typ/func"));
         assert_eq!(get(&results[3], "scenario"), &jstr("slow/test"));
@@ -1264,6 +1363,7 @@ mod tests {
         assert_ok(&verified);
         assert_eq!(get(&verified, "identical"), &Value::Bool(true));
         assert_eq!(get(&verified, "truncated"), &Value::Bool(false));
+        assert_eq!(get(&verified, "complete"), &Value::Bool(true));
 
         // An edit drops the resident batch: it answered for the pre-edit
         // netlist. The plain ops keep working.

@@ -2,8 +2,8 @@
 //!
 //! The batch engine (`sta-core`'s `mcmm` module) shares the netlist
 //! load, characterization, per-corner kernels and the per-corner
-//! true-path search across scenarios, and fans the search
-//! groups over a work-stealing pool. None of that sharing may change a
+//! true-path search across scenarios, and its workers claim the search
+//! groups in order from a fixed list. None of that sharing may change a
 //! single byte of any scenario's result: these tests pin each scenario's
 //! `CertificateSet` against an independent single-scenario run at
 //! batch-thread counts 1/2/4, truncated runs included, and the merged

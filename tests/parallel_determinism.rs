@@ -1,9 +1,10 @@
 //! Enumeration is byte-identical at any thread count.
 //!
-//! The work-stealing pool (see `sta-core`'s `parallel` module) claims
-//! that `PathEnumerator::run` produces the same path list at any thread
-//! count, and that in full enumeration even the `run_with` *stream* is
-//! identical. These tests pin both claims on catalog circuits and on
+//! The enumeration pool (see `sta-core`'s `parallel` module) claims its
+//! fixed root-task list in order through one atomic cursor and merges by
+//! task index. It promises that `PathEnumerator::run` produces the same
+//! path list at any thread count, and that in full enumeration even the
+//! `run_with` *stream* is identical. These tests pin both claims on catalog circuits and on
 //! randomly generated logic, and pin the run-wide budget rule: a
 //! truncated run is reproducible at one thread and bounded at any.
 

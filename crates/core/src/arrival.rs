@@ -1,13 +1,17 @@
-//! Classic levelized static timing analysis.
+//! Static timing bounds.
 //!
-//! Used in two places: as the pruning bound of the N-worst true-path
-//! search (`remaining_bound`) and as stage one of the commercial-style
-//! baseline (structural arrival times, no sensitization).
+//! [`arc_bounds`] and [`tightened_remaining`] are the bounds the
+//! dominance cut of the N-worst true-path search prunes with: per-arc
+//! delay bounds over each net's forward slew hull, and per-source
+//! remaining-delay bounds built from them. [`static_bounds`] is the
+//! classic levelized, slew-blind structural analysis behind structural
+//! slack and the lint's dominance audit; [`arc_intervals`] is the
+//! two-sided full-sweep table the lint's interval interpreter reads.
 
 use sta_cells::{Corner, Edge, Library};
 use sta_charlib::{CompiledCorner, TimingLibrary};
 use sta_logic::Toggle;
-use sta_netlist::{CellId, GateId, GateKind, Netlist};
+use sta_netlist::{CellId, GateId, GateKind, NetId, Netlist};
 
 /// Per-net static timing quantities.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,15 +138,17 @@ fn bounds_with(
     StaticTiming { arrival, remaining }
 }
 
-/// Conservative per-(gate, pin, vector) arc-delay upper bounds, ps —
-/// the per-arc refinement of the per-gate maximum inside
-/// [`static_bounds`]. Computed once per run and shared read-only by
-/// every worker; feeds the dominance cut of the N-worst search (see
-/// `enumerate`).
+/// Conservative per-(gate, pin, vector) arc-delay upper bounds, ps, and
+/// the per-net slew hulls they are taken over — see [`arc_bounds`].
+/// Computed once per run and shared read-only by every worker; feeds the
+/// dominance cut of the N-worst search (see `enumerate`).
 #[derive(Clone, Debug)]
 pub struct ArcBounds {
     /// `per_gate[gate][pin][vector]`, already scaled by the margin.
     per_gate: Vec<Vec<Vec<f64>>>,
+    /// `slew[net]`: the net's margin-widened slew hull, ps; `None` where
+    /// no primary input reaches the net.
+    slew: Vec<Option<(f64, f64)>>,
 }
 
 impl ArcBounds {
@@ -151,23 +157,32 @@ impl ArcBounds {
     pub fn get(&self, gate: GateId, pin: u8, vector: usize) -> f64 {
         self.per_gate[gate.index()][pin as usize][vector]
     }
+
+    /// The slew hull `(lo, hi)` of `net`, ps: every transition time the
+    /// search can compute at `net` lies inside it. `None` for a net no
+    /// primary input reaches.
+    pub fn slew_range(&self, net: NetId) -> Option<(f64, f64)> {
+        self.slew[net.index()]
+    }
 }
 
-/// Margin applied to the slew-swept per-arc bounds ([`arc_bounds`]).
-/// The sweep evaluates the *model itself* on a dense fixed grid of the
-/// clamped slew domain, so the only slack the margin must cover is
-/// polynomial wiggle between adjacent sample points — a few percent
-/// dwarfs it for the low-order fitted models. Contrast
+/// Margin applied to the slew-swept per-arc bounds and slew hulls
+/// ([`arc_bounds`]). The sweep evaluates the *model itself* at the hull
+/// ends and every `SLEW_SWEEP` point between them, so the only slack the
+/// margin must cover is polynomial wiggle between adjacent sample points
+/// — a few percent dwarfs it for the low-order fitted models. Contrast
 /// `EnumerationConfig::prune_margin`, which also has to absorb the slew
 /// effects the single-point [`static_bounds`] evaluation cannot see.
 pub const ARC_SWEEP_MARGIN: f64 = 1.02;
 
-/// Fixed slew sample points of the per-arc bound sweep: dense over the
+/// Fixed slew sample points of the per-arc sweeps: dense over the
 /// characterized range (the models clamp their inputs to the fitted box,
 /// so beyond the grid edge they hold their boundary value) plus sparse
 /// log-spaced points and one effectively-infinite probe covering wider
-/// grids. Fixed points keep the compiled and interpreted bound tables
-/// bit-identical — both evaluators agree bitwise at any single point.
+/// grids. [`arc_intervals`] sweeps all of it; [`arc_bounds`] takes the
+/// points inside each net's slew hull. Fixed points keep the compiled
+/// and interpreted tables bit-identical — both evaluators agree bitwise
+/// at any single point.
 const SLEW_SWEEP: [f64; 48] = [
     0.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 175.0, 200.0, 225.0, 250.0, 275.0, 300.0, 325.0,
     350.0, 375.0, 400.0, 425.0, 450.0, 475.0, 500.0, 525.0, 550.0, 575.0, 600.0, 625.0, 650.0,
@@ -175,101 +190,145 @@ const SLEW_SWEEP: [f64; 48] = [
     1000.0, 1250.0, 1600.0, 2000.0, 3000.0, 5000.0, 10000.0, 1e12,
 ];
 
-/// Per-arc delay bounds: for every (pin, vector, edge) the model delay is
-/// maximized over the arc's *real* fanout load and the full clamped slew
-/// domain (`SLEW_SWEEP`), then scaled by `margin`. Much tighter than
-/// the [`static_bounds`] recipe — that one folds in the grid-global
-/// tabulated sample maximum, which a low-fanout gate never approaches —
-/// while still upper-bounding every delay the search can compute for the
-/// arc: the search evaluates the same clamped model at the same fanout,
-/// only the slew differs, and the sweep covers the whole slew range.
+/// Symmetric scale-based widening of a sampled `[lo, hi]` range: sound
+/// for both ends even when an extremum sits near zero (multiplying a tiny
+/// minimum by a margin < 1 would barely move it while the true inter-grid
+/// value can undershoot by a fraction of the function's magnitude).
+fn widen(lo: f64, hi: f64, margin: f64) -> (f64, f64) {
+    let pad = (margin - 1.0) * lo.abs().max(hi.abs());
+    (lo - pad, hi + pad)
+}
+
+/// Per-arc delay bounds over the slews each arc can actually see. A
+/// forward pass in topological order seeds every primary input's slew
+/// hull at `[input_slew, input_slew]`; each arc is evaluated, for both
+/// edges and at its real fanout load, at its input net's hull ends and at
+/// every `SLEW_SWEEP` point strictly between them (delay is not monotone
+/// in slew, so the ends alone would not do). The largest delay, scaled by
+/// `margin`, is the arc's bound; the smallest and largest output slew
+/// over every arc of the gate, widened like [`arc_intervals`] widens, is
+/// the hull of its output net. Delays and slews are clamped as the search
+/// clamps them (0.1 ps and 0.5 ps), so the table bounds exactly the
+/// arithmetic the search performs. An input net no primary input reaches
+/// keeps the whole `SLEW_SWEEP` range; the search never enters it.
+///
+/// Much tighter than the [`static_bounds`] recipe — that one folds in the
+/// grid-global tabulated sample maximum, which a low-fanout gate never
+/// approaches — and than a sweep of the whole slew domain, whose far end
+/// is set by transition times no net of the circuit carries.
 ///
 /// # Panics
 ///
-/// Panics if the netlist contains unmapped primitive gates.
+/// Panics if the netlist contains unmapped primitive gates or a cycle.
 pub fn arc_bounds(
     nl: &Netlist,
     tlib: &TimingLibrary,
     corner: Corner,
-    default_slew: f64,
+    input_slew: f64,
     margin: f64,
 ) -> ArcBounds {
     arc_bounds_with(
         nl,
         tlib,
-        default_slew,
+        input_slew,
         margin,
         |cell, pin, v, edge, fo, slew| {
             tlib.cell(cell)
                 .variant(pin, v)
                 .for_edge(edge)
                 .eval(fo, slew, corner)
-                .0
         },
     )
 }
 
 /// [`arc_bounds`] evaluated through a corner-compiled kernel table —
-/// bit-identical to the interpreted bounds at the kernel's corner, so
-/// the dominance cut never depends on the kernel setting.
+/// bit-identical to the interpreted bounds and slew hulls at the kernel's
+/// corner, so the dominance cut never depends on the kernel setting.
 pub fn arc_bounds_compiled(
     nl: &Netlist,
     tlib: &TimingLibrary,
     kernel: &CompiledCorner,
-    default_slew: f64,
+    input_slew: f64,
     margin: f64,
 ) -> ArcBounds {
     arc_bounds_with(
         nl,
         tlib,
-        default_slew,
+        input_slew,
         margin,
-        |cell, pin, v, edge, fo, slew| kernel.eval(kernel.arc_id(cell, pin, v), edge, fo, slew).0,
+        |cell, pin, v, edge, fo, slew| kernel.eval(kernel.arc_id(cell, pin, v), edge, fo, slew),
     )
 }
 
 fn arc_bounds_with(
     nl: &Netlist,
     tlib: &TimingLibrary,
-    default_slew: f64,
+    input_slew: f64,
     margin: f64,
-    mut arc_delay: impl FnMut(CellId, u8, usize, Edge, f64, f64) -> f64,
+    mut arc_eval: impl FnMut(CellId, u8, usize, Edge, f64, f64) -> (f64, f64),
 ) -> ArcBounds {
-    let per_gate = nl
-        .gate_ids()
-        .map(|g| {
-            let gate = nl.gate(g);
-            let cell = match gate.kind() {
-                GateKind::Cell(c) => c,
-                GateKind::Prim(op) => panic!("arc_bounds on unmapped primitive {op}"),
-            };
-            let fo = tlib.equivalent_fanout(nl, gate.output(), cell);
-            let ct = tlib.cell(cell);
-            (0..gate.fanin() as u8)
-                .map(|pin| {
-                    (0..ct.num_vectors(pin))
-                        .map(|v| {
-                            let mut worst = f64::NEG_INFINITY;
-                            for edge in Edge::BOTH {
-                                worst = worst.max(arc_delay(cell, pin, v, edge, fo, default_slew));
-                                for &slew in &SLEW_SWEEP {
-                                    worst = worst.max(arc_delay(cell, pin, v, edge, fo, slew));
-                                }
+    let order = nl.topo_gates();
+    assert_eq!(order.len(), nl.num_gates(), "netlist has a cycle");
+    let mut slew = vec![None; nl.num_nets()];
+    for &pi in nl.inputs() {
+        slew[pi.index()] = Some((input_slew, input_slew));
+    }
+    let full = (SLEW_SWEEP[0], SLEW_SWEEP[SLEW_SWEEP.len() - 1]);
+    let mut per_gate = vec![Vec::new(); nl.num_gates()];
+    let mut samples = Vec::with_capacity(SLEW_SWEEP.len());
+    for g in order {
+        let gate = nl.gate(g);
+        let cell = match gate.kind() {
+            GateKind::Cell(c) => c,
+            GateKind::Prim(op) => panic!("arc_bounds on unmapped primitive {op}"),
+        };
+        let fo = tlib.equivalent_fanout(nl, gate.output(), cell);
+        let ct = tlib.cell(cell);
+        let (mut out_lo, mut out_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut pins = Vec::with_capacity(gate.fanin());
+        for (pin, input) in gate.inputs().iter().enumerate() {
+            let pin = pin as u8;
+            let reached = slew[input.index()];
+            let (lo, hi) = reached.unwrap_or(full);
+            samples.clear();
+            samples.push(lo);
+            samples.extend(SLEW_SWEEP.iter().copied().filter(|&s| lo < s && s < hi));
+            if hi > lo {
+                samples.push(hi);
+            }
+            let vectors = (0..ct.num_vectors(pin))
+                .map(|v| {
+                    let mut worst = f64::NEG_INFINITY;
+                    for edge in Edge::BOTH {
+                        for &s_in in &samples {
+                            // The search's clamps (`enumerate::advance_timing`).
+                            let (d, s) = arc_eval(cell, pin, v, edge, fo, s_in);
+                            worst = worst.max(d.max(0.1));
+                            if reached.is_some() {
+                                out_lo = out_lo.min(s.max(0.5));
+                                out_hi = out_hi.max(s.max(0.5));
                             }
-                            worst * margin
-                        })
-                        .collect()
+                        }
+                    }
+                    worst * margin
                 })
-                .collect()
-        })
-        .collect();
-    ArcBounds { per_gate }
+                .collect();
+            pins.push(vectors);
+        }
+        per_gate[g.index()] = pins;
+        if out_lo <= out_hi {
+            let (lo, hi) = widen(out_lo, out_hi, margin);
+            slew[gate.output().index()] = Some((lo.max(0.5), hi));
+        }
+    }
+    ArcBounds { per_gate, slew }
 }
 
-/// Two-sided delay and slew bounds of one timing arc, ps — the interval
-/// refinement of [`ArcBounds`]: where the dominance cut only needs an
-/// upper delay bound, the abstract interpreter in `sta-lint` needs both
-/// sides of both quantities to propagate sound `[lo, hi]` envelopes.
+/// Two-sided delay and slew bounds of one timing arc over the whole
+/// swept slew domain, ps. Where the dominance cut only needs an upper
+/// delay bound over the slews it can see ([`ArcBounds`]), the abstract
+/// interpreter in `sta-lint` needs both sides of both quantities to
+/// propagate sound `[lo, hi]` envelopes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArcInterval {
     /// Smallest swept delay, ps (margin-widened downward).
@@ -283,9 +342,9 @@ pub struct ArcInterval {
 }
 
 /// Per-(gate, pin, vector) two-sided arc intervals — the table the
-/// `sta-lint` interval abstract interpreter consumes. Built by the same
-/// fixed `SLEW_SWEEP` as [`arc_bounds`], so the interpreted and
-/// compiled tables are bit-identical at the kernel's corner.
+/// `sta-lint` interval abstract interpreter consumes. Built over the
+/// whole fixed `SLEW_SWEEP` grid, so the interpreted and compiled tables
+/// are bit-identical at the kernel's corner.
 #[derive(Clone, Debug)]
 pub struct ArcIntervals {
     /// `per_gate[gate][pin][vector]`, already margin-widened.
@@ -370,14 +429,6 @@ fn arc_intervals_with(
     margin: f64,
     mut arc_eval: impl FnMut(CellId, u8, usize, Edge, f64, f64) -> (f64, f64),
 ) -> ArcIntervals {
-    // Symmetric scale-based widening: sound for both interval ends even
-    // when an extremum sits near zero (multiplying a tiny minimum by a
-    // margin < 1 would barely move it while the true inter-grid value
-    // can undershoot by a fraction of the function's magnitude).
-    fn widen(lo: f64, hi: f64, margin: f64) -> (f64, f64) {
-        let pad = (margin - 1.0) * lo.abs().max(hi.abs());
-        (lo - pad, hi + pad)
-    }
     let per_gate = nl
         .gate_ids()
         .map(|g| {
@@ -577,8 +628,9 @@ mod tests {
         }
     }
 
-    /// Per-arc bounds through the kernel table match the interpreted ones
-    /// bitwise, so the dominance cut never depends on the kernel setting.
+    /// Per-arc bounds and slew hulls through the kernel table match the
+    /// interpreted ones bitwise, so the dominance cut never depends on the
+    /// kernel setting.
     #[test]
     fn compiled_arc_bounds_are_bit_identical() {
         let (nl, lib) = small_mapped();
@@ -588,6 +640,11 @@ mod tests {
         let kernel = tlib.compile_corner(corner);
         let a = arc_bounds(&nl, &tlib, corner, 60.0, 1.25);
         let b = arc_bounds_compiled(&nl, &tlib, &kernel, 60.0, 1.25);
+        let bits = |r: Option<(f64, f64)>| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        for net in nl.net_ids() {
+            assert_eq!(bits(a.slew_range(net)), bits(b.slew_range(net)));
+            assert!(a.slew_range(net).is_some(), "every net is reached");
+        }
         for g in nl.gate_ids() {
             let gate = nl.gate(g);
             let cell = match gate.kind() {
@@ -603,7 +660,7 @@ mod tests {
     }
 
     /// Compiled and interpreted two-sided interval tables agree bitwise,
-    /// and every interval is well-formed with the delay upper bound under
+    /// and every interval is well-formed with the delay upper bound over
     /// the same-margin `arc_bounds` ceiling.
     #[test]
     fn compiled_arc_intervals_are_bit_identical_and_well_formed() {
@@ -631,10 +688,10 @@ mod tests {
                     assert_eq!(ia.slew_hi.to_bits(), ib.slew_hi.to_bits());
                     assert!(ia.delay_lo <= ia.delay_hi);
                     assert!(ia.slew_lo <= ia.slew_hi);
-                    // The interval hi pads symmetrically off the same raw
-                    // maximum arc_bounds scales, so it can never exceed it
-                    // for positive delays.
-                    assert!(ia.delay_hi <= bounds.get(g, pin, v) + 1e-9);
+                    // The interval hi pads the maximum over the whole
+                    // sweep; the bound scales the maximum over the input
+                    // net's slew hull, a sub-range of it.
+                    assert!(bounds.get(g, pin, v) <= ia.delay_hi + 1e-9);
                 }
             }
         }

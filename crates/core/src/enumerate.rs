@@ -35,7 +35,8 @@ use crate::path::{LaunchTiming, PathArc, PiValue, TruePath};
 pub struct EnumerationConfig {
     /// Operating corner for delay evaluation.
     pub corner: Corner,
-    /// Transition time applied at the primary inputs, ps.
+    /// Transition time applied at the primary inputs, ps; it also seeds
+    /// the slew hulls of the dominance cut's arc bounds.
     pub input_slew: f64,
     /// Keep only the N worst paths and prune the search with the
     /// per-arc dominance cut (see [`crate::arrival::tightened_remaining`]);
@@ -356,9 +357,10 @@ impl<'a> PathEnumerator<'a> {
     /// enumeration), computed once per run through the kernel table and
     /// shared read-only by every worker.
     pub(crate) fn arc_bounds(&self) -> Option<Arc<ArcBounds>> {
-        // The swept bound evaluates the model over the whole clamped slew
-        // domain, so it needs only the small wiggle margin, not the
-        // conservative `prune_margin` of the single-point static pass.
+        // The bound evaluates the model itself over every slew the arc's
+        // input net can carry (its forward slew hull), so it needs only
+        // the small wiggle margin, not the conservative `prune_margin` of
+        // the single-point static pass.
         self.cfg.n_worst.map(|_| {
             Arc::new(crate::arrival::arc_bounds_compiled(
                 self.nl,

@@ -83,7 +83,8 @@ pub enum Request {
         /// Keep the N worst paths per scenario (default: full
         /// enumeration).
         n_worst: Option<usize>,
-        /// Concurrent scenario jobs (default 1, at most [`MAX_THREADS`]).
+        /// Concurrent scenario jobs (default 1; times the session's
+        /// `threads`, at most [`MAX_THREADS`]).
         batch_threads: usize,
     },
     /// Report the worst cached paths.
@@ -129,9 +130,13 @@ pub const SERVE_SCHEMA_JSON: &str = include_str!("../../../docs/serve.schema.jso
 /// do not pin one).
 pub const SCHEMA_VERSION: usize = 2;
 
-/// The largest `threads` or `batch_threads` a request may ask for (the
-/// schema's `maximum`). Every worker is an OS thread, so without a cap
-/// one request could ask for more threads than the host can start.
+/// The most worker threads one request may start. Every worker is an OS
+/// thread, so without a cap one request could ask for more threads than
+/// the host can start. The parser caps `threads` and `batch_threads`
+/// each at this value (the schema's `maximum`); since an `analyze_batch`
+/// runs `batch_threads` searches at once, each with the session's
+/// `threads` workers, the server also refuses a batch whose product of
+/// the two exceeds it — a rule the schema subset cannot state.
 pub const MAX_THREADS: usize = 64;
 
 fn field<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {

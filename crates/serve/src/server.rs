@@ -17,7 +17,7 @@ use sta_core::{
 use sta_netlist::Netlist;
 use sta_obs::{digest_string, Observer, SessionCircuit, SessionManifest};
 
-use crate::protocol::{jmap, jstr, parse_request, EditKind, Request};
+use crate::protocol::{jmap, jstr, parse_request, EditKind, Request, MAX_THREADS};
 
 /// Reply fields for one request plus the session-terminating flag
 /// (`true` only for `shutdown`); `Err` carries a protocol-level message
@@ -470,6 +470,14 @@ impl Server {
     ) -> Result<Vec<(&'static str, Value)>, String> {
         let cfg = self.cfg.clone();
         let session = self.session(circuit)?;
+        // Every scenario job runs its own pool of the session's workers.
+        let threads = session.search.threads;
+        if batch_threads * threads > MAX_THREADS {
+            return Err(format!(
+                "batch_threads {batch_threads} times the session's threads {threads} \
+                 exceeds {MAX_THREADS} worker threads"
+            ));
+        }
         let corner_defs = match corners {
             Some(list) => CornerDef::parse_list(list, &session.tech)
                 .map_err(|e| format!("bad corners list: {e}"))?,
@@ -484,7 +492,7 @@ impl Server {
             .with_netlist(session.netlist.clone())
             .scenarios(Scenario::matrix(&corner_defs, &mode_defs))
             .n_worst(n_worst)
-            .threads(session.search.threads)
+            .threads(threads)
             .batch_threads(batch_threads)
             .input_slew(cfg.input_slew)
             .char_config(cfg.char_config)
@@ -935,7 +943,6 @@ pub fn serve_socket(server: &mut Server, path: &std::path::Path) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::MAX_THREADS;
     use sta_netlist::GateId;
 
     fn fast_server() -> Server {
@@ -1139,10 +1146,11 @@ mod tests {
         assert_eq!(manifest.errors, 3);
     }
 
-    /// `nworst: 0`, zero or oversized thread counts, a zero `limit`, a
-    /// non-finite corner supply and a pinned retired schema version get
-    /// an in-band error, and the session keeps answering: the next load
-    /// and batch succeed.
+    /// `nworst: 0`, zero or oversized thread counts, a batch whose
+    /// `batch_threads` times the session's `threads` exceeds
+    /// `MAX_THREADS`, a zero `limit`, a non-finite corner supply and a
+    /// pinned retired schema version get an in-band error, and the
+    /// session keeps answering: the next load and batch succeed.
     #[test]
     fn rejected_requests_leave_the_session_serving() {
         let mut server = fast_server();
@@ -1181,7 +1189,21 @@ mod tests {
         }
         assert_ok(&reply(
             &mut server,
-            r#"{"op":"load","circuit":"c17","nworst":5}"#,
+            r#"{"op":"load","circuit":"c17","nworst":5,"threads":2}"#,
+        ));
+        // Each of the 33 scenario jobs would start the session's 2 workers.
+        let product = reply(
+            &mut server,
+            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":33}"#,
+        );
+        assert_eq!(get(&product, "ok"), &Value::Bool(false));
+        assert!(
+            matches!(get(&product, "error"), Value::Str(s) if s.contains("batch_threads 33") && s.contains("threads 2")),
+            "{product:?}"
+        );
+        assert_ok(&reply(
+            &mut server,
+            r#"{"op":"analyze_batch","circuit":"c17","nworst":5,"batch_threads":2}"#,
         ));
 
         let zero = reply(

@@ -4,10 +4,12 @@
 //! claims this file pins on generated netlists rather than the fixed
 //! catalog:
 //!
-//! 1. **Table identity**: the swept per-arc interval tables are
-//!    bit-identical whether the underlying delay model is evaluated
+//! 1. **Table identity**: the swept per-arc interval tables, and the
+//!    arc-bound table of the dominance cut with its per-net slew hulls,
+//!    are bit-identical whether the underlying delay model is evaluated
 //!    through the interpreted fitted polynomials or the corner-compiled
-//!    kernels — the audit never depends on which engine the search used.
+//!    kernels — neither the audit nor the cut depends on which engine
+//!    evaluated the model.
 //! 2. **Enclosure**: every certificate the enumeration engine emits —
 //!    at any thread count — lies inside the single-source abstract
 //!    intervals (endpoint arrival and slew, and every per-stage delay),
@@ -22,8 +24,8 @@ use sta_charlib::{characterize, CharConfig, TimingLibrary};
 use sta_circuits::map_netlist;
 use sta_circuits::randlogic::{random_logic, RandParams};
 use sta_core::{
-    arc_intervals, arc_intervals_compiled, static_bounds, static_bounds_compiled, CertificateSet,
-    EnumerationConfig, PathEnumerator, ARC_SWEEP_MARGIN,
+    arc_bounds, arc_bounds_compiled, arc_intervals, arc_intervals_compiled, static_bounds,
+    static_bounds_compiled, CertificateSet, EnumerationConfig, PathEnumerator, ARC_SWEEP_MARGIN,
 };
 
 const INPUT_SLEW: f64 = 60.0;
@@ -66,6 +68,9 @@ proptest! {
         let kernel = tlib.compile_corner(corner);
         let compiled =
             arc_intervals_compiled(&nl, tlib, &kernel, INPUT_SLEW, ARC_SWEEP_MARGIN);
+        let bounds = arc_bounds(&nl, tlib, corner, INPUT_SLEW, ARC_SWEEP_MARGIN);
+        let bounds_compiled =
+            arc_bounds_compiled(&nl, tlib, &kernel, INPUT_SLEW, ARC_SWEEP_MARGIN);
         prop_assert_eq!(arcs.num_gates(), nl.num_gates());
         for gid in nl.gate_ids() {
             let pins = nl.gate(gid).inputs().len() as u8;
@@ -77,8 +82,19 @@ proptest! {
                     prop_assert_eq!(a.delay_hi.to_bits(), b.delay_hi.to_bits());
                     prop_assert_eq!(a.slew_lo.to_bits(), b.slew_lo.to_bits());
                     prop_assert_eq!(a.slew_hi.to_bits(), b.slew_hi.to_bits());
+                    prop_assert_eq!(
+                        bounds.get(gid, pin, v).to_bits(),
+                        bounds_compiled.get(gid, pin, v).to_bits()
+                    );
                 }
             }
+        }
+        let bits = |r: Option<(f64, f64)>| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        for net in nl.net_ids() {
+            prop_assert_eq!(
+                bits(bounds.slew_range(net)),
+                bits(bounds_compiled.slew_range(net))
+            );
         }
 
         // Claim 2a: 100 % certificate enclosure at every thread count.

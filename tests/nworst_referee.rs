@@ -6,19 +6,27 @@
 //! enumeration runs neither, so its first N paths in canonical order are
 //! exactly what a sound cut must return. These tests compare the two
 //! byte for byte over the serialized certificate set, at 1, 2 and 4
-//! threads, on catalog circuits and on random mapped logic. Both sides
-//! must be complete runs (no budget trip, no aborted justification
-//! call): an incomplete referee proves nothing.
+//! threads, on catalog circuits and on random mapped logic, at 5, 60 and
+//! 400 ps primary-input slews. Both sides must be complete runs (no
+//! budget trip, no aborted justification call): an incomplete referee
+//! proves nothing.
+//!
+//! The full enumeration also checks the table the cut trusts: every
+//! stage of every path it finds takes its input slew from inside the
+//! slew hull of its input net, and takes no longer than its arc's bound.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use sta_cells::{Corner, Library, Technology};
+use sta_cells::{Corner, Edge, Library, Technology};
 use sta_charlib::{characterize, CharConfig, TimingLibrary};
 use sta_circuits::randlogic::{random_logic, RandParams};
 use sta_circuits::{catalog, map_netlist};
-use sta_core::{CertificateSet, EnumerationConfig, PathEnumerator, TruePath};
+use sta_core::{
+    arc_bounds_compiled, path_delay_compiled, CertificateSet, EnumerationConfig, PathEnumerator,
+    TruePath, ARC_SWEEP_MARGIN,
+};
 use sta_netlist::Netlist;
 
 fn setup() -> (&'static Library, &'static TimingLibrary, Technology) {
@@ -36,21 +44,80 @@ fn certificates(nl: &Netlist, cfg: &EnumerationConfig, paths: Vec<TruePath>) -> 
     CertificateSet::new(nl, cfg.input_slew, paths).to_json()
 }
 
+/// The primary-input slews, ps, every referee case runs at.
+const INPUT_SLEWS: [f64; 3] = [60.0, 5.0, 400.0];
+
+/// Checks that the arc-bound table the dominance cut uses encloses every
+/// stage of `paths`: the stage's input slew lies in its input net's slew
+/// hull, and its delay is at most its arc's bound.
+fn check_bound_table(
+    nl: &Netlist,
+    cfg: &EnumerationConfig,
+    paths: &[TruePath],
+    what: &str,
+) -> Result<(), String> {
+    let (_, tlib, _) = setup();
+    let kernel = tlib.compile_corner(cfg.corner);
+    let bounds = arc_bounds_compiled(nl, tlib, &kernel, cfg.input_slew, ARC_SWEEP_MARGIN);
+    for path in paths {
+        for (launch, timing) in [(Edge::Rise, &path.rise), (Edge::Fall, &path.fall)] {
+            if timing.is_none() {
+                continue;
+            }
+            let delays = path_delay_compiled(nl, tlib, &kernel, path, launch, cfg.input_slew)
+                .map_err(|e| format!("{what}: {e}"))?;
+            let mut slew_in = cfg.input_slew;
+            for (arc, &(delay, slew_out)) in path.arcs.iter().zip(&delays.stages) {
+                let net = nl.gate(arc.gate).inputs()[arc.pin as usize];
+                match bounds.slew_range(net) {
+                    Some((lo, hi)) if lo <= slew_in && slew_in <= hi => {}
+                    range => {
+                        return Err(format!(
+                            "{what}: {launch:?} launch of a path from net {}: input slew \
+                             {slew_in} ps of gate {} pin {} lies outside the hull {range:?}",
+                            path.source.index(),
+                            arc.gate.index(),
+                            arc.pin
+                        ))
+                    }
+                }
+                let bound = bounds.get(arc.gate, arc.pin, arc.vector);
+                if delay > bound {
+                    return Err(format!(
+                        "{what}: {launch:?} launch of a path from net {}: delay {delay} ps of \
+                         gate {} pin {} vector {} exceeds its arc bound {bound} ps",
+                        path.source.index(),
+                        arc.gate.index(),
+                        arc.pin,
+                        arc.vector
+                    ));
+                }
+                slew_in = slew_out;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Checks every N in `ns` at 1, 2 and 4 threads against one complete
-/// full enumeration of `nl`. Returns the first mismatch as an error
-/// message, so the proptest below can report its case.
-fn referee(nl: &Netlist, what: &str, ns: &[usize]) -> Result<(), String> {
+/// full enumeration of `nl` at `input_slew`, and the arc-bound table
+/// against every path of that enumeration. Returns the first mismatch as
+/// an error message, so the proptest below can report its case.
+fn referee(nl: &Netlist, what: &str, ns: &[usize], input_slew: f64) -> Result<(), String> {
     let (lib, tlib, tech) = setup();
+    let what = &format!("{what} at {input_slew} ps");
     // No per-call effort cap: c432's full enumeration drops three calls
     // at the default cap, which would leave the referee incomplete.
     let mut cfg = EnumerationConfig::new(Corner::nominal(&tech));
     cfg.justify_decision_limit = 0;
+    cfg.input_slew = input_slew;
     let (all, stats) = PathEnumerator::new(nl, lib, tlib, cfg.clone()).run();
     if !stats.complete() {
         return Err(format!(
             "{what}: the full enumeration is incomplete: {stats:?}"
         ));
     }
+    check_bound_table(nl, &cfg, &all, what)?;
     for &n in ns {
         let want = certificates(nl, &cfg, all.iter().take(n).cloned().collect());
         for threads in [1, 2, 4] {
@@ -75,7 +142,9 @@ fn referee(nl: &Netlist, what: &str, ns: &[usize]) -> Result<(), String> {
 fn referee_catalog(name: &str, ns: &[usize]) {
     let (lib, _, _) = setup();
     let nl = catalog::mapped(name, lib).unwrap().unwrap();
-    referee(&nl, name, ns).unwrap();
+    for input_slew in INPUT_SLEWS {
+        referee(&nl, name, ns, input_slew).unwrap();
+    }
 }
 
 #[test]
@@ -88,7 +157,7 @@ fn sample_nworst_matches_the_full_enumeration() {
     referee_catalog("sample", &[5]);
 }
 
-/// Release-only: the unoptimized c432 full enumeration and its six
+/// Release-only: the unoptimized c432 full enumerations and their
 /// N-worst runs cost minutes and add no coverage the release pass lacks.
 #[cfg(not(debug_assertions))]
 #[test]
@@ -148,7 +217,9 @@ proptest! {
             window: 8,
         };
         let nl = map_netlist(&random_logic(&params), lib).expect("mapping succeeds");
-        let checked = referee(&nl, &format!("seed {seed}"), &[1, 3, 10]);
-        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        for input_slew in INPUT_SLEWS {
+            let checked = referee(&nl, &format!("seed {seed}"), &[1, 3, 10], input_slew);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
     }
 }

@@ -659,6 +659,50 @@ mod tests {
         }
     }
 
+    /// Delay need not be monotone in slew, so the hull sweep samples the
+    /// `SLEW_SWEEP` points strictly inside each input net's hull, not only
+    /// its ends. A synthetic model makes the inverter's output hull about
+    /// [82, 918] ps and gives the NAND2 a delay that peaks at 1000 ps at
+    /// the interior point 500 ps; a sweep of the hull ends alone bounds
+    /// it at about 594 ps.
+    #[test]
+    fn hull_sweep_samples_interior_slews() {
+        let (nl, lib) = small_mapped();
+        let tlib = characterize(&lib, &Technology::n90(), &CharConfig::fast()).unwrap();
+        let inv = lib.cell_by_name("INV").unwrap().id();
+        let nand2 = lib.cell_by_name("NAND2").unwrap().id();
+        let bounds = arc_bounds_with(
+            &nl,
+            &tlib,
+            60.0,
+            ARC_SWEEP_MARGIN,
+            |cell, _, _, edge, _, slew| {
+                if cell == inv {
+                    (10.0, if edge == Edge::Rise { 100.0 } else { 900.0 })
+                } else {
+                    (1000.0 - (slew - 500.0).abs(), 100.0)
+                }
+            },
+        );
+        let g = nl
+            .gate_ids()
+            .find(|&g| matches!(nl.gate(g).kind(), GateKind::Cell(c) if c == nand2))
+            .unwrap();
+        // NAND2 pin 0 is fed by the first inverter.
+        let (lo, hi) = bounds.slew_range(nl.gate(g).inputs()[0]).unwrap();
+        assert!(
+            (lo - 82.0).abs() < 1.0 && (hi - 918.0).abs() < 1.0,
+            "inverter output hull [{lo}, {hi}]"
+        );
+        for v in 0..tlib.cell(nand2).num_vectors(0) {
+            let bound = bounds.get(g, 0, v);
+            assert!(
+                bound >= 1000.0,
+                "vector {v}: bound {bound} below the 1000 ps peak"
+            );
+        }
+    }
+
     /// Compiled and interpreted two-sided interval tables agree bitwise,
     /// and every interval is well-formed with the delay upper bound over
     /// the same-margin `arc_bounds` ceiling.

@@ -937,7 +937,7 @@ impl Search<'_, '_> {
             (self.sink)(path);
             // Keep the threshold set loosely bounded; refresh the
             // admission threshold from the current N-th worst.
-            if self.worst_arrivals.len() >= 2 * n {
+            if self.worst_arrivals.len() >= n.saturating_mul(2) {
                 self.worst_arrivals.sort_by(|a, b| b.total_cmp(a));
                 self.worst_arrivals.truncate(n);
             }
@@ -1242,7 +1242,8 @@ mod tests {
         assert_eq!(stats_a, stats_b, "deterministic search");
     }
 
-    /// N-worst mode returns the same top paths as full enumeration.
+    /// N-worst mode returns the same top paths as full enumeration, and
+    /// an N above the path count, up to `usize::MAX`, returns them all.
     #[test]
     fn n_worst_agrees_with_full_enumeration() {
         let tech = Technology::n90();
@@ -1260,22 +1261,24 @@ mod tests {
         let corner = Corner::nominal(&tech);
         let (all_paths, _) =
             PathEnumerator::new(&nl, lib, tlib, EnumerationConfig::new(corner)).run();
-        let (top, _) = PathEnumerator::new(
-            &nl,
-            lib,
-            tlib,
-            EnumerationConfig::new(corner).with_n_worst(3),
-        )
-        .run();
-        assert!(top.len() <= 3);
-        let full_top: Vec<f64> = all_paths
-            .iter()
-            .take(top.len())
-            .map(TruePath::worst_arrival)
-            .collect();
-        let got: Vec<f64> = top.iter().map(TruePath::worst_arrival).collect();
-        for (a, b) in full_top.iter().zip(&got) {
-            assert!((a - b).abs() < 1e-6, "full {full_top:?} vs nworst {got:?}");
+        for n in [3, usize::MAX] {
+            let (top, _) = PathEnumerator::new(
+                &nl,
+                lib,
+                tlib,
+                EnumerationConfig::new(corner).with_n_worst(n),
+            )
+            .run();
+            assert_eq!(top.len(), n.min(all_paths.len()));
+            let full_top: Vec<f64> = all_paths
+                .iter()
+                .take(top.len())
+                .map(TruePath::worst_arrival)
+                .collect();
+            let got: Vec<f64> = top.iter().map(TruePath::worst_arrival).collect();
+            for (a, b) in full_top.iter().zip(&got) {
+                assert!((a - b).abs() < 1e-6, "full {full_top:?} vs nworst {got:?}");
+            }
         }
     }
 }

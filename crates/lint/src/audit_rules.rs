@@ -14,14 +14,19 @@
 //! * **AI004** — the endpoint slew lies inside the abstract slew
 //!   interval.
 //!
+//! [`audit_flow`] runs these rules and the ECO002 cache invariants over
+//! one circuit: the leg `lint --audit-flow` and the daemon's `audit` op
+//! share.
+//!
 //! All rules are independent oracles: they reuse the enumeration's arc
 //! models but never its search state, so a PR-7-style soundness bug in
 //! the engine surfaces here as a lint error instead of a multi-hour
 //! identity bisect.
 
-use crate::diag::{Diagnostic, RuleCode};
+use crate::diag::{Diagnostic, RuleCode, Severity};
+use crate::eco_rules::audit_source_cache;
 use crate::interval::{arrival_prefix, for_source, NodeIntervals, ENCLOSURE_TOL};
-use sta_core::{ArcIntervals, CertificateSet, StaticTiming};
+use sta_core::{ArcIntervals, CertificateSet, SourceCache, StaticTiming};
 use sta_netlist::{NetId, Netlist};
 use std::collections::HashMap;
 
@@ -191,6 +196,85 @@ pub fn audit_structural_dominance(
     ds
 }
 
+/// One circuit's inputs to [`audit_flow`].
+#[derive(Clone, Copy, Debug)]
+pub struct FlowAuditInput<'a> {
+    /// Reporting name (the diagnostic location prefix).
+    pub circuit: &'a str,
+    /// The analyzed netlist revision.
+    pub netlist: &'a Netlist,
+    /// Swept two-sided arc envelopes of `netlist`
+    /// (`sta_core::arc_intervals_compiled`).
+    pub arcs: &'a ArcIntervals,
+    /// The structural static bound at the search's `prune_margin`.
+    pub static_timing: &'a StaticTiming,
+    /// The certificates to audit.
+    pub certs: &'a CertificateSet,
+    /// The per-source path cache of `netlist`.
+    pub cache: &'a SourceCache,
+    /// Whether the cache's splice must reproduce `certs` byte for byte —
+    /// only when neither side was truncated.
+    pub check_splice: bool,
+    /// Primary-input transition time, ps.
+    pub input_slew: f64,
+}
+
+/// The flow audit's shared leg over one circuit: every certificate
+/// inside its source's intervals (AI001/AI003/AI004), the structural
+/// bound above the interval hull (AI002), then the per-source cache
+/// invariants (ECO002). Bumps `audit.certificates_checked`,
+/// `audit.certificates_enclosed`, `audit.sources_checked`,
+/// `audit.circuits`, and `audit.errors` / `audit.warnings` for these
+/// findings; the returned outcome carries every diagnostic in that order.
+pub fn audit_flow(input: FlowAuditInput, obs: &sta_obs::Observer) -> FlowAuditOutcome {
+    let FlowAuditInput {
+        circuit,
+        netlist,
+        arcs,
+        static_timing,
+        certs,
+        cache,
+        check_splice,
+        input_slew,
+    } = input;
+    let mut outcome = audit_certificates(netlist, circuit, arcs, certs, input_slew);
+    obs.counter("audit.certificates_checked")
+        .add(outcome.certificates as u64);
+    obs.counter("audit.certificates_enclosed")
+        .add(outcome.enclosed as u64);
+    obs.counter("audit.sources_checked")
+        .add(outcome.sources_checked as u64);
+    let hull = crate::interval::hull(netlist, arcs, input_slew);
+    outcome.diagnostics.extend(audit_structural_dominance(
+        circuit,
+        netlist,
+        &hull,
+        static_timing,
+    ));
+    outcome.diagnostics.extend(audit_source_cache(
+        circuit,
+        netlist,
+        cache,
+        check_splice.then_some(certs),
+    ));
+    obs.counter("audit.circuits").add(1);
+    record_audit_severities(obs, &outcome.diagnostics);
+    outcome
+}
+
+/// Bumps `audit.errors` / `audit.warnings` for one batch of audit
+/// findings (the counters are pre-registered, so a clean run still
+/// reports them at zero).
+pub fn record_audit_severities(obs: &sta_obs::Observer, findings: &[Diagnostic]) {
+    let errors = findings
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .count() as u64;
+    obs.counter("audit.errors").add(errors);
+    obs.counter("audit.warnings")
+        .add(findings.len() as u64 - errors);
+}
+
 /// The fixed `audit.*` metric-name set, identical at every thread count
 /// (the PR 5 golden-test discipline): pre-registering the full set keeps
 /// `metric_names()` thread-count-invariant even when a run fires no rule.
@@ -202,7 +286,6 @@ pub fn audit_metric_names() -> &'static [&'static str] {
         "audit.certificates_enclosed",
         "audit.sources_checked",
         "audit.eco_samples",
-        "audit.srv_exemplars",
         "audit.errors",
         "audit.warnings",
     ]

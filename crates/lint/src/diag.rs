@@ -99,12 +99,6 @@ pub enum RuleCode {
     /// `ECO003` — a dirty-source mask is malformed (wrong length, or a
     /// function-changing edit without an all-dirty mask).
     EcoDirtyMaskMalformed,
-    /// `SRV001` — the serve protocol schema and parser disagree on an
-    /// exemplar request line.
-    SrvSchemaParserDisagree,
-    /// `SRV002` — the checked-in serve schema drifted from the protocol
-    /// structs (op/kind/tech enums or the field set).
-    SrvSchemaDrift,
 }
 
 impl RuleCode {
@@ -135,8 +129,6 @@ impl RuleCode {
             RuleCode::EcoDirtyUnderapprox => "ECO001",
             RuleCode::EcoCacheInvariant => "ECO002",
             RuleCode::EcoDirtyMaskMalformed => "ECO003",
-            RuleCode::SrvSchemaParserDisagree => "SRV001",
-            RuleCode::SrvSchemaDrift => "SRV002",
         }
     }
 
@@ -161,9 +153,7 @@ impl RuleCode {
             | RuleCode::AiSlewOutsideInterval
             | RuleCode::EcoDirtyUnderapprox
             | RuleCode::EcoCacheInvariant
-            | RuleCode::EcoDirtyMaskMalformed
-            | RuleCode::SrvSchemaParserDisagree
-            | RuleCode::SrvSchemaDrift => Severity::Error,
+            | RuleCode::EcoDirtyMaskMalformed => Severity::Error,
             RuleCode::NlDanglingNet | RuleCode::NlConstantOutput | RuleCode::LibNonMonotone => {
                 Severity::Warn
             }
@@ -200,8 +190,6 @@ impl RuleCode {
             RuleCode::EcoDirtyUnderapprox => "dirty-source set misses an affected source",
             RuleCode::EcoCacheInvariant => "source-cache splice invariant violated",
             RuleCode::EcoDirtyMaskMalformed => "malformed dirty-source mask",
-            RuleCode::SrvSchemaParserDisagree => "serve schema and parser disagree on exemplar",
-            RuleCode::SrvSchemaDrift => "serve schema drifted from protocol structs",
         }
     }
 }
@@ -416,8 +404,6 @@ mod tests {
             RuleCode::EcoDirtyUnderapprox,
             RuleCode::EcoCacheInvariant,
             RuleCode::EcoDirtyMaskMalformed,
-            RuleCode::SrvSchemaParserDisagree,
-            RuleCode::SrvSchemaDrift,
         ];
         let mut codes: Vec<&str> = all.iter().map(|r| r.code()).collect();
         codes.sort_unstable();

@@ -9,7 +9,7 @@
 //! re-certifies emitted paths by replaying their witness vectors through
 //! the nine-valued forward simulator.
 //!
-//! Seven rule families, each with stable diagnostic codes:
+//! Six rule families, each with stable diagnostic codes:
 //!
 //! * `NLxxx` — structural netlist checks ([`lint_netlist`]): combinational
 //!   cycles (iterative SCC), undriven / dangling / multiply-driven nets,
@@ -35,9 +35,11 @@
 //!   checked against them;
 //! * `ECOxxx` — incremental re-analysis audit ([`audit_dirty_sources`],
 //!   [`audit_source_cache`]): the dirty-source over-approximation and the
-//!   per-source splice invariants behind the serve daemon's ECO path;
-//! * `SRVxxx` — serve protocol audit ([`check_serve_protocol`]): the
-//!   checked-in request schema versus the daemon's self-described parser.
+//!   per-source splice invariants behind the serve daemon's ECO path.
+//!
+//! [`audit_flow`] runs the AI rules and ECO002 over one circuit's
+//! certificates and path cache: the leg `lint --audit-flow` and the
+//! daemon's `audit` op share.
 //!
 //! Diagnostics carry a severity ([`Severity`]) and render either as
 //! human-readable lines or as JSON ([`LintReport`]); a `--deny warnings`
@@ -54,11 +56,10 @@ pub mod library_rules;
 pub mod netlist_rules;
 pub mod path_rules;
 pub mod sched_rules;
-pub mod serve_rules;
 
 pub use audit_rules::{
-    audit_certificates, audit_metric_names, audit_structural_dominance, register_audit_metrics,
-    FlowAuditOutcome,
+    audit_certificates, audit_flow, audit_metric_names, audit_structural_dominance,
+    record_audit_severities, register_audit_metrics, FlowAuditInput, FlowAuditOutcome,
 };
 pub use diag::{Diagnostic, LintReport, RuleCode, Severity};
 pub use eco_rules::{audit_dirty_sources, audit_source_cache};
@@ -67,4 +68,3 @@ pub use library_rules::{lint_library, LibLintConfig};
 pub use netlist_rules::lint_netlist;
 pub use path_rules::{verify_path, verify_paths, PathVerifyOutcome};
 pub use sched_rules::{check_compiled_schedule, check_schedule};
-pub use serve_rules::{check_serve_protocol, ProtocolExemplar, ProtocolSpec};

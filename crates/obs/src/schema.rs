@@ -1,10 +1,11 @@
 //! A minimal JSON-Schema subset validator.
 //!
 //! CI validates every emitted run manifest against the checked-in
-//! `docs/manifest.schema.json`, and the daemon's protocol audit checks
-//! request lines against `docs/serve.schema.json`, without network
-//! access or external tooling, so the repository carries its own
-//! validator. The supported subset — `type`, `required`, `properties`,
+//! `docs/manifest.schema.json`, and the serve daemon validates every
+//! request against `docs/serve.schema.json` before serving it, without
+//! network access or external tooling, so the repository carries its own
+//! validator. Its messages (`json-pointer: message`) are the daemon's
+//! in-band refusals. The supported subset — `type`, `required`, `properties`,
 //! `additionalProperties`, `items`, `enum`, `minimum`, `maximum` — is
 //! exactly what those two schemas use; unknown keywords are ignored, as
 //! JSON Schema prescribes, so a schema that needs another keyword needs

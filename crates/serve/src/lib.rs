@@ -15,10 +15,11 @@
 //!
 //! The wire protocol is newline-delimited JSON on stdin/stdout (or a Unix
 //! socket): one request object per line, one response object per line,
-//! `"ok"` distinguishing results from errors. The request schema is
-//! checked in at `docs/serve.schema.json` and validated by
-//! `sta_obs::schema`; see DESIGN.md §5.10 for the full protocol and the
-//! ECO cone-splice proof obligation.
+//! `"ok"` distinguishing results from errors. The request schema checked
+//! in at `docs/serve.schema.json` is the protocol's one description:
+//! every request is validated against it (`sta_obs::schema`) before it
+//! is served, and a violation is refused in-band. See DESIGN.md §5.10
+//! for the full protocol and the ECO cone-splice proof obligation.
 //!
 //! # Example
 //!
@@ -37,10 +38,7 @@
 pub mod protocol;
 pub mod server;
 
-pub use protocol::{
-    drift_schema_enum, drift_schema_field, parse_request, protocol_spec, EditKind, Request,
-    SERVE_SCHEMA_JSON,
-};
+pub use protocol::{parse_request, EditKind, Request, SERVE_SCHEMA_JSON};
 #[cfg(unix)]
 pub use server::serve_socket;
 pub use server::{serve_lines, serve_stdio, Server, ServerConfig};

@@ -1,12 +1,17 @@
 //! The daemon's wire protocol: newline-delimited JSON requests.
 //!
-//! Requests are parsed by hand over [`serde::Value`] — the shimmed serde
-//! derive has no support for defaulted or optional map fields, and a wire
-//! protocol needs both (most request fields are optional with documented
-//! defaults). Every request is an object with an `"op"` discriminator and
-//! an optional `"id"` echoed verbatim into the response so clients can
-//! pipeline. The machine-readable schema lives in `docs/serve.schema.json`
-//! (validated by `sta_obs::schema`; a unit test keeps the two in sync).
+//! Every request is an object with an `"op"` discriminator and an
+//! optional `"id"` echoed verbatim into the response so clients can
+//! pipeline. The checked-in schema `docs/serve.schema.json` (embedded as
+//! [`SERVE_SCHEMA_JSON`]) is the one statement of the protocol's field
+//! names, types, enums and ranges: past the version check below,
+//! [`parse_request`] validates every request against it with
+//! `sta_obs::schema` before reading any other field. The parser itself
+//! only extracts typed values, applies the documented defaults, and
+//! checks which fields each op requires — the one rule the schema subset
+//! cannot state. It reads by hand over [`serde::Value`] because the
+//! shimmed serde derive has no support for defaulted or optional map
+//! fields.
 //!
 //! # Versioning
 //!
@@ -15,7 +20,10 @@
 //! `verify`. Requests may pin a version with an optional
 //! `"schema_version"` field; a request without one is served at the
 //! current version. Version 2 is the only one spoken: any other pinned
-//! version, 1 included, is rejected with an in-band error.
+//! version, 1 included, is rejected with an in-band error that names
+//! both versions, before the schema is consulted.
+
+use std::sync::OnceLock;
 
 use serde::Value;
 
@@ -110,7 +118,7 @@ pub enum Request {
         /// single-scenario re-run instead (schema version 2).
         scenario: Option<String>,
     },
-    /// Run the whole-flow soundness audit (`sta-lint` AI/ECO/SRV rules)
+    /// Run the whole-flow soundness audit (`sta-lint` AI and ECO rules)
     /// over one resident circuit, or over every resident circuit.
     Audit {
         /// Loaded circuit to audit (default: all resident circuits).
@@ -122,8 +130,9 @@ pub enum Request {
     Shutdown,
 }
 
-/// The checked-in wire-protocol schema, embedded so the daemon (and the
-/// `audit` op) can validate requests without a filesystem lookup.
+/// The checked-in wire-protocol schema, embedded so the daemon validates
+/// requests without a filesystem lookup. It is the one statement of the
+/// protocol's field names, types, enums and ranges.
 pub const SERVE_SCHEMA_JSON: &str = include_str!("../../../docs/serve.schema.json");
 
 /// The protocol version this daemon speaks (and serves to requests that
@@ -132,324 +141,144 @@ pub const SCHEMA_VERSION: usize = 2;
 
 /// The most worker threads one request may start. Every worker is an OS
 /// thread, so without a cap one request could ask for more threads than
-/// the host can start. The parser caps `threads` and `batch_threads`
-/// each at this value (the schema's `maximum`); since an `analyze_batch`
-/// runs `batch_threads` searches at once, each with the session's
-/// `threads` workers, the server also refuses a batch whose product of
-/// the two exceeds it — a rule the schema subset cannot state.
+/// the host can start. The schema caps `threads` and `batch_threads`
+/// each at this value (its `maximum`); since an `analyze_batch` runs
+/// `batch_threads` searches at once, each with the session's `threads`
+/// workers, the server also refuses a batch whose product of the two
+/// exceeds it — a rule the schema subset cannot state.
 pub const MAX_THREADS: usize = 64;
+
+/// The embedded schema, parsed on first use.
+fn schema() -> &'static Value {
+    static SCHEMA: OnceLock<Value> = OnceLock::new();
+    SCHEMA.get_or_init(|| {
+        serde_json::from_str(SERVE_SCHEMA_JSON).expect("docs/serve.schema.json is valid JSON")
+    })
+}
 
 fn field<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+/// The whole number a JSON number spells, if it spells one. The schema's
+/// `integer` type admits whole floats, so `2.0` reads as 2.
+fn whole_number(v: &Value) -> Option<i128> {
+    match *v {
+        Value::Int(i) => Some(i.into()),
+        Value::UInt(u) => Some(u.into()),
+        Value::Float(f) if f.fract() == 0.0 => Some(f as i128),
+        _ => None,
+    }
+}
+
+/// An optional count field. The schema has checked its type and range.
+fn opt_count(map: &[(String, Value)], key: &str) -> Option<usize> {
+    field(map, key)
+        .and_then(whole_number)
+        .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
+}
+
+fn opt_str(map: &[(String, Value)], key: &str) -> Option<String> {
+    match field(map, key) {
+        Some(Value::Str(s)) => Some(s.clone()),
+        _ => None,
+    }
+}
+
+/// A field the op requires — which fields each op requires is the one
+/// rule the schema subset (no conditionals) cannot state.
+fn required<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field {key:?}"))
+}
+
 fn str_field(map: &[(String, Value)], key: &str) -> Result<String, String> {
-    match field(map, key) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("field {key:?} must be a string")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn opt_usize_field(map: &[(String, Value)], key: &str) -> Result<Option<usize>, String> {
-    match field(map, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Int(i)) if *i >= 0 => Ok(Some(*i as usize)),
-        Some(Value::UInt(u)) => Ok(Some(*u as usize)),
-        Some(_) => Err(format!("field {key:?} must be a non-negative integer")),
-    }
-}
-
-/// An optional count in `1..=max` (the schema's `minimum: 1` and
-/// `maximum`). A count of 0 asks for nothing — no paths, no workers — so
-/// it is refused rather than rounded up.
-fn opt_count_field(
-    map: &[(String, Value)],
-    key: &str,
-    max: usize,
-) -> Result<Option<usize>, String> {
-    match opt_usize_field(map, key)? {
-        Some(0) => Err(format!("field {key:?} must be at least 1")),
-        Some(n) if n > max => Err(format!("field {key:?} must be at most {max}")),
-        n => Ok(n),
-    }
-}
-
-fn opt_str_field(map: &[(String, Value)], key: &str) -> Result<Option<String>, String> {
-    match field(map, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(format!("field {key:?} must be a string")),
-    }
+    required(opt_str(map, key), key)
 }
 
 /// Parses one request line. Returns the request and the client's `"id"`
 /// value (echoed into the response), or a message describing what is
 /// malformed.
 ///
+/// A pinned `schema_version` other than 2 is refused first, so a client
+/// of another version learns that before anything else. The request is
+/// then validated against the embedded schema; what passes is only
+/// read: typed values are extracted and defaults applied.
+///
 /// # Errors
 ///
 /// Returns a human-readable message for invalid JSON, a non-object
-/// request, a missing or unknown `"op"`, or missing/mistyped fields.
+/// request, an unsupported `schema_version`, every schema violation
+/// (`json-pointer: message`, joined by `; `), or a field the op requires
+/// that is missing.
 pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
     let doc: Value =
         serde_json::from_str(line.trim()).map_err(|e| format!("invalid JSON request: {e}"))?;
-    let Value::Map(map) = doc else {
+    let Value::Map(map) = &doc else {
         return Err("request must be a JSON object".to_string());
     };
-    let id = field(&map, "id").cloned();
-    let version = opt_usize_field(&map, "schema_version")?.unwrap_or(SCHEMA_VERSION);
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "unsupported schema_version {version} (this daemon speaks {SCHEMA_VERSION})"
-        ));
+    if let Some(version) = field(map, "schema_version").and_then(whole_number) {
+        if version != SCHEMA_VERSION as i128 {
+            return Err(format!(
+                "unsupported schema_version {version} (this daemon speaks {SCHEMA_VERSION})"
+            ));
+        }
     }
-    let op = str_field(&map, "op")?;
+    sta_obs::schema::validate(schema(), &doc).map_err(|errors| errors.join("; "))?;
+    let id = field(map, "id").cloned();
+    let op = str_field(map, "op")?;
     let req = match op.as_str() {
         "load" => Request::Load {
-            circuit: str_field(&map, "circuit")?,
-            tech: opt_str_field(&map, "tech")?.unwrap_or_else(|| "90nm".to_string()),
-            n_worst: opt_count_field(&map, "nworst", usize::MAX)?,
-            threads: opt_count_field(&map, "threads", MAX_THREADS)?.unwrap_or(1),
+            circuit: str_field(map, "circuit")?,
+            tech: opt_str(map, "tech").unwrap_or_else(|| "90nm".to_string()),
+            n_worst: opt_count(map, "nworst"),
+            threads: opt_count(map, "threads").unwrap_or(1),
         },
         "edit" => {
-            let circuit = str_field(&map, "circuit")?;
-            let kind = match str_field(&map, "kind")?.as_str() {
+            let circuit = str_field(map, "circuit")?;
+            let kind = match str_field(map, "kind")?.as_str() {
                 "swap" => EditKind::Swap {
-                    instance: str_field(&map, "instance")?,
-                    cell: str_field(&map, "cell")?,
+                    instance: str_field(map, "instance")?,
+                    cell: str_field(map, "cell")?,
                 },
                 "resize" => EditKind::Resize {
-                    instance: str_field(&map, "instance")?,
+                    instance: str_field(map, "instance")?,
                 },
                 "rewire" => EditKind::Rewire {
-                    instance: str_field(&map, "instance")?,
-                    pin: opt_usize_field(&map, "pin")?
-                        .ok_or_else(|| "missing field \"pin\"".to_string())?,
-                    net: str_field(&map, "net")?,
+                    instance: str_field(map, "instance")?,
+                    pin: required(opt_count(map, "pin"), "pin")?,
+                    net: str_field(map, "net")?,
                 },
-                other => {
-                    return Err(format!(
-                        "unknown edit kind {other:?} (expected swap | resize | rewire)"
-                    ))
-                }
+                other => return Err(format!("edit kind {other:?} is not served")),
             };
             Request::Edit { circuit, kind }
         }
         "analyze_batch" => Request::AnalyzeBatch {
-            circuit: str_field(&map, "circuit")?,
-            corners: opt_str_field(&map, "corners")?,
-            modes: opt_str_field(&map, "modes")?,
-            n_worst: opt_count_field(&map, "nworst", usize::MAX)?,
-            batch_threads: opt_count_field(&map, "batch_threads", MAX_THREADS)?.unwrap_or(1),
+            circuit: str_field(map, "circuit")?,
+            corners: opt_str(map, "corners"),
+            modes: opt_str(map, "modes"),
+            n_worst: opt_count(map, "nworst"),
+            batch_threads: opt_count(map, "batch_threads").unwrap_or(1),
         },
         "paths" => Request::Paths {
-            circuit: str_field(&map, "circuit")?,
-            limit: opt_count_field(&map, "limit", usize::MAX)?.unwrap_or(10),
-            scenario: opt_str_field(&map, "scenario")?,
+            circuit: str_field(map, "circuit")?,
+            limit: opt_count(map, "limit").unwrap_or(10),
+            scenario: opt_str(map, "scenario"),
         },
         "slack" => Request::Slack {
-            circuit: str_field(&map, "circuit")?,
+            circuit: str_field(map, "circuit")?,
         },
         "verify" => Request::Verify {
-            circuit: str_field(&map, "circuit")?,
-            scenario: opt_str_field(&map, "scenario")?,
+            circuit: str_field(map, "circuit")?,
+            scenario: opt_str(map, "scenario"),
         },
         "audit" => Request::Audit {
-            circuit: opt_str_field(&map, "circuit")?,
+            circuit: opt_str(map, "circuit"),
         },
         "status" => Request::Status,
         "shutdown" => Request::Shutdown,
-        other => return Err(format!("unknown op {other:?}")),
+        other => return Err(format!("op {other:?} is not served")),
     };
     Ok((req, id))
-}
-
-/// The daemon's protocol self-description for the SRV audit rules: enum
-/// sets and field universe mirroring [`parse_request`], plus annotated
-/// exemplar lines whose `parser_accepts` verdicts are computed against
-/// the *real* parser — so the lint check compares the live parser, not a
-/// transcription of it, against the checked-in schema.
-pub fn protocol_spec() -> sta_lint::ProtocolSpec {
-    let ops = [
-        "load",
-        "edit",
-        "analyze_batch",
-        "paths",
-        "slack",
-        "verify",
-        "audit",
-        "status",
-        "shutdown",
-    ];
-    let kinds = ["swap", "resize", "rewire"];
-    let techs = ["130nm", "90nm", "65nm"];
-    let fields = [
-        "op",
-        "id",
-        "schema_version",
-        "circuit",
-        "tech",
-        "nworst",
-        "threads",
-        "kind",
-        "instance",
-        "cell",
-        "pin",
-        "net",
-        "limit",
-        "corners",
-        "modes",
-        "scenario",
-        "batch_threads",
-    ];
-    // (description, line, schema_should_accept)
-    let exemplars: [(&str, &str, bool); 24] = [
-        (
-            "load-full",
-            r#"{"op":"load","circuit":"c17","tech":"90nm","nworst":10,"threads":2}"#,
-            true,
-        ),
-        (
-            "edit-swap",
-            r#"{"id":1,"op":"edit","circuit":"c17","kind":"swap","instance":"g1","cell":"NAND2_X2"}"#,
-            true,
-        ),
-        (
-            "edit-rewire",
-            r#"{"op":"edit","circuit":"c17","kind":"rewire","instance":"g1","pin":0,"net":"a"}"#,
-            true,
-        ),
-        ("paths", r#"{"op":"paths","circuit":"c17","limit":5}"#, true),
-        ("slack", r#"{"op":"slack","circuit":"c17"}"#, true),
-        ("verify", r#"{"op":"verify","circuit":"c17"}"#, true),
-        (
-            "analyze-batch",
-            r#"{"op":"analyze_batch","circuit":"c17","corners":"typ,slow","modes":"func=600,test=900","nworst":10,"batch_threads":2}"#,
-            true,
-        ),
-        (
-            "paths-scenario",
-            r#"{"op":"paths","circuit":"c17","scenario":"typ/func","limit":5,"schema_version":2}"#,
-            true,
-        ),
-        (
-            "verify-scenario",
-            r#"{"op":"verify","circuit":"c17","scenario":"typ/func"}"#,
-            true,
-        ),
-        (
-            "future-version",
-            r#"{"op":"status","schema_version":3}"#,
-            false,
-        ),
-        (
-            "retired-version",
-            r#"{"op":"status","schema_version":1}"#,
-            false,
-        ),
-        ("audit-one", r#"{"op":"audit","circuit":"c17"}"#, true),
-        ("audit-all", r#"{"op":"audit"}"#, true),
-        ("status", r#"{"op":"status"}"#, true),
-        ("shutdown", r#"{"op":"shutdown"}"#, true),
-        ("missing-op", r#"{"circuit":"c17"}"#, false),
-        ("unknown-op", r#"{"op":"fly"}"#, false),
-        (
-            "unknown-tech",
-            r#"{"op":"load","circuit":"c17","tech":"45nm"}"#,
-            false,
-        ),
-        (
-            "unknown-field",
-            r#"{"op":"load","circuit":"c17","bogus":1}"#,
-            false,
-        ),
-        (
-            "zero-limit",
-            r#"{"op":"paths","circuit":"c17","limit":0}"#,
-            false,
-        ),
-        (
-            "zero-nworst",
-            r#"{"op":"load","circuit":"c17","nworst":0}"#,
-            false,
-        ),
-        (
-            "zero-threads",
-            r#"{"op":"load","circuit":"c17","threads":0}"#,
-            false,
-        ),
-        (
-            "zero-batch-threads",
-            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#,
-            false,
-        ),
-        (
-            "oversized-threads",
-            r#"{"op":"load","circuit":"c17","threads":65}"#,
-            false,
-        ),
-    ];
-    sta_lint::ProtocolSpec {
-        ops: ops.iter().map(|s| s.to_string()).collect(),
-        kinds: kinds.iter().map(|s| s.to_string()).collect(),
-        techs: techs.iter().map(|s| s.to_string()).collect(),
-        fields: fields.iter().map(|s| s.to_string()).collect(),
-        exemplars: exemplars
-            .iter()
-            .map(|&(desc, line, schema_ok)| sta_lint::ProtocolExemplar {
-                description: desc.to_string(),
-                line: line.to_string(),
-                parser_accepts: parse_request(line).is_ok(),
-                schema_should_accept: schema_ok,
-            })
-            .collect(),
-    }
-}
-
-/// Fault injector: removes one property from a parsed schema document so
-/// the SRV002 field-universe comparison fires. Returns `false` when the
-/// schema has no such property.
-pub fn drift_schema_field(schema: &mut Value, field: &str) -> bool {
-    let Value::Map(entries) = schema else {
-        return false;
-    };
-    let Some(Value::Map(props)) = entries
-        .iter_mut()
-        .find(|(k, _)| k == "properties")
-        .map(|(_, v)| v)
-    else {
-        return false;
-    };
-    let before = props.len();
-    props.retain(|(k, _)| k != field);
-    props.len() != before
-}
-
-/// Fault injector: drops the last entry of a property's string enum
-/// (e.g. an op or tech name) so the SRV002 enum-set comparison fires —
-/// and, for `op`, so exemplars of the dropped op flip to
-/// schema-rejected, which SRV001 reports as a parser/schema
-/// disagreement. Returns `false` when the property has no enum to
-/// shrink.
-pub fn drift_schema_enum(schema: &mut Value, prop: &str) -> bool {
-    let Value::Map(entries) = schema else {
-        return false;
-    };
-    let Some(Value::Map(props)) = entries
-        .iter_mut()
-        .find(|(k, _)| k == "properties")
-        .map(|(_, v)| v)
-    else {
-        return false;
-    };
-    let Some(Value::Map(p)) = props.iter_mut().find(|(k, _)| k == prop).map(|(_, v)| v) else {
-        return false;
-    };
-    let Some(Value::Seq(en)) = p.iter_mut().find(|(k, _)| k == "enum").map(|(_, v)| v) else {
-        return false;
-    };
-    en.pop().is_some()
 }
 
 /// Builds a JSON object value from string keys (insertion-ordered).
@@ -567,32 +396,50 @@ mod tests {
         assert!(parse_request("[1,2]").unwrap_err().contains("object"));
         assert!(parse_request(r#"{"circuit":"c17"}"#)
             .unwrap_err()
-            .contains("\"op\""));
+            .contains("missing required property \"op\""));
         assert!(parse_request(r#"{"op":"fly"}"#)
             .unwrap_err()
-            .contains("unknown op"));
+            .contains("/op: value not in enum"));
         assert!(
             parse_request(r#"{"op":"edit","circuit":"c17","kind":"resize"}"#)
                 .unwrap_err()
-                .contains("instance")
+                .contains("missing field \"instance\"")
         );
         assert!(parse_request(r#"{"op":"load","circuit":17}"#)
             .unwrap_err()
-            .contains("string"));
+            .contains("/circuit: expected type string"));
         for line in [
             r#"{"op":"load","circuit":"c17","nworst":0}"#,
             r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
         ] {
             let err = parse_request(line).unwrap_err();
-            assert!(err.contains("\"nworst\" must be at least 1"), "{err}");
+            assert!(err.contains("/nworst: 0 below minimum 1"), "{err}");
         }
         let err = parse_request(r#"{"op":"load","circuit":"c17","threads":0}"#).unwrap_err();
-        assert!(err.contains("\"threads\" must be at least 1"), "{err}");
+        assert!(err.contains("/threads: 0 below minimum 1"), "{err}");
         let err = parse_request(r#"{"op":"analyze_batch","circuit":"c17","batch_threads":65}"#)
             .unwrap_err();
-        assert!(
-            err.contains("\"batch_threads\" must be at most 64"),
-            "{err}"
+        assert!(err.contains("/batch_threads: 65 above maximum 64"), "{err}");
+    }
+
+    /// The schema decides what is valid: an unknown field is refused (the
+    /// schema sets `additionalProperties: false`), and a whole float is
+    /// an integer (the schema's `integer` type admits `2.0`).
+    #[test]
+    fn the_schema_decides_field_names_and_number_types() {
+        let err =
+            parse_request(r#"{"op":"paths","circuit":"c17","limit":2,"bogus":1}"#).unwrap_err();
+        assert!(err.contains("unexpected property \"bogus\""), "{err}");
+        let (req, _) = parse_request(r#"{"op":"paths","circuit":"c17","limit":2.0}"#).unwrap();
+        assert_eq!(
+            req,
+            Request::Paths {
+                circuit: "c17".to_string(),
+                limit: 2,
+                scenario: None,
+            }
         );
+        let err = parse_request(r#"{"op":"paths","circuit":"c17","limit":2.5}"#).unwrap_err();
+        assert!(err.contains("/limit: expected type integer"), "{err}");
     }
 }

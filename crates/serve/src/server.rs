@@ -722,16 +722,17 @@ impl Server {
         Ok(fields)
     }
 
-    /// The whole-flow soundness audit as a service: runs the `sta-lint`
-    /// AI rules (interval enclosure of the resident certificates,
-    /// structural dominance of the interval hull), the ECO002 cache
-    /// invariants, and the SRV protocol check against the embedded
-    /// schema — without disturbing any resident state.
+    /// The whole-flow soundness audit as a service: runs the shared
+    /// `sta-lint` flow leg (interval enclosure of the resident
+    /// certificates, structural dominance of the interval hull, and the
+    /// ECO002 cache invariants) over the resident circuits, without
+    /// disturbing any resident state.
     fn op_audit(&mut self, circuit: Option<&str>) -> Result<Vec<(&'static str, Value)>, String> {
         let input_slew = self.cfg.input_slew;
-        sta_lint::register_audit_metrics(&self.cfg.obs);
-        self.cfg.obs.counter("serve.audits").add(1);
-        self.cfg.obs.counter("audit.flow_runs").add(1);
+        let obs = &self.cfg.obs;
+        sta_lint::register_audit_metrics(obs);
+        obs.counter("serve.audits").add(1);
+        obs.counter("audit.flow_runs").add(1);
         let names: Vec<String> = match circuit {
             Some(c) => {
                 self.session(c)?; // fail fast on an unloaded circuit
@@ -751,29 +752,6 @@ impl Server {
                 input_slew,
                 ARC_SWEEP_MARGIN,
             );
-            let outcome = sta_lint::audit_certificates(
-                &session.netlist,
-                name,
-                &arcs,
-                &session.certs,
-                input_slew,
-            );
-            certificates += outcome.certificates as u64;
-            enclosed += outcome.enclosed as u64;
-            self.cfg
-                .obs
-                .counter("audit.certificates_checked")
-                .add(outcome.certificates as u64);
-            self.cfg
-                .obs
-                .counter("audit.certificates_enclosed")
-                .add(outcome.enclosed as u64);
-            self.cfg
-                .obs
-                .counter("audit.sources_checked")
-                .add(outcome.sources_checked as u64);
-            report.extend(outcome.diagnostics);
-            let hull = sta_lint::hull(&session.netlist, &arcs, input_slew);
             let st = static_bounds_compiled(
                 &session.netlist,
                 &session.tlib,
@@ -781,35 +759,27 @@ impl Server {
                 input_slew,
                 session.search.prune_margin,
             );
-            report.extend(sta_lint::audit_structural_dominance(
-                name,
-                &session.netlist,
-                &hull,
-                &st,
-            ));
-            // The splice identity only holds untruncated; the structural
-            // slot invariants always hold.
-            let certs = (!session.stats.truncated).then_some(&session.certs);
-            report.extend(sta_lint::audit_source_cache(
-                name,
-                &session.netlist,
-                &session.cache,
-                certs,
-            ));
-            self.cfg.obs.counter("audit.circuits").add(1);
+            let outcome = sta_lint::audit_flow(
+                sta_lint::FlowAuditInput {
+                    circuit: name,
+                    netlist: &session.netlist,
+                    arcs: &arcs,
+                    static_timing: &st,
+                    certs: &session.certs,
+                    cache: &session.cache,
+                    // The splice identity only holds untruncated; the
+                    // structural slot invariants always hold.
+                    check_splice: !session.stats.truncated,
+                    input_slew,
+                },
+                obs,
+            );
+            certificates += outcome.certificates as u64;
+            enclosed += outcome.enclosed as u64;
+            report.extend(outcome.diagnostics);
         }
-        let schema: Value = serde_json::from_str(crate::protocol::SERVE_SCHEMA_JSON)
-            .map_err(|e| format!("embedded serve schema is not valid JSON: {e}"))?;
-        let spec = crate::protocol::protocol_spec();
-        self.cfg
-            .obs
-            .counter("audit.srv_exemplars")
-            .add(spec.exemplars.len() as u64);
-        report.extend(sta_lint::check_serve_protocol(&schema, &spec));
         let errors = report.count(sta_lint::Severity::Error) as u64;
         let warnings = report.count(sta_lint::Severity::Warn) as u64;
-        self.cfg.obs.counter("audit.errors").add(errors);
-        self.cfg.obs.counter("audit.warnings").add(warnings);
         const MAX_FINDINGS: usize = 20;
         let findings: Vec<Value> = report
             .diagnostics
@@ -1248,19 +1218,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_conform_to_the_checked_in_schema() {
+    fn serve_schema() -> Value {
         let schema_text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../docs/serve.schema.json"
         ))
         .expect("docs/serve.schema.json is checked in");
-        let schema: Value = serde_json::from_str(&schema_text).unwrap();
+        // The embedded copy is the same document CI reads.
+        assert_eq!(schema_text, crate::protocol::SERVE_SCHEMA_JSON);
+        serde_json::from_str(&schema_text).unwrap()
+    }
+
+    #[test]
+    fn requests_conform_to_the_checked_in_schema() {
+        let schema = serve_schema();
+        // Every line names the fields its op requires, so the parser's
+        // verdict is exactly the schema's. The thread counts 64 are
+        // MAX_THREADS: parsed only, never served (each would start that
+        // many workers).
         let valid = [
             r#"{"op":"load","circuit":"c17","tech":"90nm","nworst":10,"threads":2}"#,
             r#"{"id":1,"op":"edit","circuit":"c17","kind":"swap","instance":"g1","cell":"NAND2_X2"}"#,
             r#"{"op":"edit","circuit":"c17","kind":"rewire","instance":"g1","pin":0,"net":"a"}"#,
             r#"{"op":"paths","circuit":"c17","limit":5}"#,
+            r#"{"op":"paths","circuit":"c17","limit":2.0}"#,
             r#"{"op":"slack","circuit":"c17"}"#,
             r#"{"op":"verify","circuit":"c17"}"#,
             r#"{"op":"analyze_batch","circuit":"c17","corners":"typ,slow","modes":"func=600","nworst":10,"batch_threads":2}"#,
@@ -1270,60 +1251,92 @@ mod tests {
             r#"{"op":"audit"}"#,
             r#"{"op":"status"}"#,
             r#"{"op":"shutdown"}"#,
+            r#"{"op":"load","circuit":"c17","threads":64}"#,
+            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":64}"#,
         ];
-        for line in valid {
-            let doc: Value = serde_json::from_str(line).unwrap();
-            sta_obs::schema::validate(&schema, &doc)
-                .unwrap_or_else(|e| panic!("schema rejects {line}: {e:?}"));
-            // The schema and the parser must agree on what is valid.
-            parse_request(line).unwrap_or_else(|e| panic!("parser rejects {line}: {e}"));
-        }
-        // The largest thread counts both sides accept (parsed only, never
-        // served: each would start that many workers).
-        for line in [
-            format!(r#"{{"op":"load","circuit":"c17","threads":{MAX_THREADS}}}"#),
-            format!(r#"{{"op":"analyze_batch","circuit":"c17","batch_threads":{MAX_THREADS}}}"#),
-        ] {
-            let doc: Value = serde_json::from_str(&line).unwrap();
-            sta_obs::schema::validate(&schema, &doc)
-                .unwrap_or_else(|e| panic!("schema rejects {line}: {e:?}"));
-            parse_request(&line).unwrap_or_else(|e| panic!("parser rejects {line}: {e}"));
-        }
-        let too_many = MAX_THREADS + 1;
-        let out_of_range = [
-            r#"{"op":"paths","circuit":"c17","limit":0}"#.to_string(),
-            r#"{"op":"load","circuit":"c17","threads":0}"#.to_string(),
-            format!(r#"{{"op":"load","circuit":"c17","threads":{too_many}}}"#),
-            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#.to_string(),
-            format!(r#"{{"op":"analyze_batch","circuit":"c17","batch_threads":{too_many}}}"#),
-            r#"{"op":"load","circuit":"c17","nworst":0}"#.to_string(),
-            r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#.to_string(),
-        ];
+        // A count out of its range is refused, not rounded into range, and
+        // so is an unknown op, tech, field or version.
         let invalid = [
+            r#"{"op":"paths","circuit":"c17","limit":0}"#,
+            r#"{"op":"load","circuit":"c17","threads":0}"#,
+            r#"{"op":"load","circuit":"c17","threads":65}"#,
+            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":0}"#,
+            r#"{"op":"analyze_batch","circuit":"c17","batch_threads":65}"#,
+            r#"{"op":"load","circuit":"c17","nworst":0}"#,
+            r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
+            r#"{"op":"paths","circuit":"c17","limit":2.5}"#,
             r#"{"circuit":"c17"}"#,
             r#"{"op":"fly"}"#,
             r#"{"op":"load","circuit":"c17","tech":"45nm"}"#,
             r#"{"op":"load","circuit":"c17","bogus":1}"#,
+            r#"{"op":"paths","circuit":"c17","limit":2,"bogus":1}"#,
             r#"{"op":"status","schema_version":3}"#,
             r#"{"op":"status","schema_version":1}"#,
         ];
-        for line in out_of_range.iter().map(String::as_str).chain(invalid) {
+        let lines = valid.map(|l| (l, true)).into_iter();
+        for (line, expected) in lines.chain(invalid.map(|l| (l, false))) {
             let doc: Value = serde_json::from_str(line).unwrap();
-            assert!(
-                sta_obs::schema::validate(&schema, &doc).is_err(),
-                "schema accepts invalid request {line}"
+            let schema_ok = sta_obs::schema::validate(&schema, &doc).is_ok();
+            assert_eq!(schema_ok, expected, "schema verdict on {line}");
+            let parsed = parse_request(line);
+            assert_eq!(
+                parsed.is_ok(),
+                schema_ok,
+                "parser vs schema on {line}: {parsed:?}"
             );
         }
-        // A count out of its range is refused by the parser too, not
-        // rounded into range.
-        for line in &out_of_range {
-            assert!(
-                parse_request(line).is_err(),
-                "parser accepts out-of-range request {line}"
-            );
+    }
+
+    /// The schema's enums and ranges name nothing the daemon cannot
+    /// serve: every `op` and `kind` parses to that op and kind, every
+    /// `tech` resolves, and the thread maximum is [`MAX_THREADS`].
+    #[test]
+    fn every_schema_value_is_served() {
+        let schema = serve_schema();
+        let prop = |name: &str, key: &str| -> Value {
+            let props = get(&schema, "properties");
+            get(get(props, name), key).clone()
+        };
+        let strings = |name: &str| -> Vec<String> {
+            let Value::Seq(values) = prop(name, "enum") else {
+                panic!("{name} has no enum")
+            };
+            values
+                .into_iter()
+                .map(|v| match v {
+                    Value::Str(s) => s,
+                    other => panic!("{name} enum holds {other:?}"),
+                })
+                .collect()
+        };
+        for op in strings("op") {
+            // Every op reads the fields it requires and ignores the rest.
+            let line =
+                format!(r#"{{"op":"{op}","circuit":"c17","kind":"resize","instance":"g1"}}"#);
+            let (req, _) = parse_request(&line).unwrap_or_else(|e| panic!("op {op}: {e}"));
+            assert_eq!(op_name(&req), op);
         }
-        // The embedded copy is the same document CI and the audit op use.
-        assert_eq!(schema_text, crate::protocol::SERVE_SCHEMA_JSON);
+        for kind in strings("kind") {
+            let line = format!(
+                r#"{{"op":"edit","circuit":"c17","kind":"{kind}","instance":"g1","cell":"INV_X1","pin":0,"net":"a"}}"#
+            );
+            let (req, _) = parse_request(&line).unwrap_or_else(|e| panic!("kind {kind}: {e}"));
+            let Request::Edit { kind: parsed, .. } = req else {
+                panic!("{line} is not an edit")
+            };
+            let parsed = match parsed {
+                EditKind::Swap { .. } => "swap",
+                EditKind::Resize { .. } => "resize",
+                EditKind::Rewire { .. } => "rewire",
+            };
+            assert_eq!(parsed, kind);
+        }
+        for tech in strings("tech") {
+            assert!(Technology::by_name(&tech).is_some(), "tech {tech}");
+        }
+        for name in ["threads", "batch_threads"] {
+            assert_eq!(as_u64(&prop(name, "maximum")), MAX_THREADS as u64, "{name}");
+        }
     }
 
     #[test]
@@ -1449,50 +1462,12 @@ mod tests {
             "every certificate must fall inside its abstract interval"
         );
 
-        // Without a circuit, the audit covers every resident session —
-        // and still runs (protocol-only) with none resident.
+        // Without a circuit, the audit covers every resident session.
         let all = reply(&mut server, r#"{"op":"audit"}"#);
         assert_ok(&all);
         assert_eq!(as_u64(get(&all, "circuits")), 1);
 
         let missing = reply(&mut server, r#"{"op":"audit","circuit":"c432"}"#);
         assert_eq!(get(&missing, "ok"), &Value::Bool(false));
-    }
-
-    #[test]
-    fn drift_injectors_pin_srv_rule_codes() {
-        use crate::protocol::{drift_schema_enum, drift_schema_field, protocol_spec};
-        let pristine: Value = serde_json::from_str(crate::protocol::SERVE_SCHEMA_JSON).unwrap();
-        let spec = protocol_spec();
-        let clean = sta_lint::check_serve_protocol(&pristine, &spec);
-        assert!(
-            clean.is_empty(),
-            "shipped schema/spec must agree: {clean:?}"
-        );
-
-        let mut dropped_field = pristine.clone();
-        assert!(drift_schema_field(&mut dropped_field, "limit"));
-        let ds = sta_lint::check_serve_protocol(&dropped_field, &spec);
-        assert!(
-            ds.iter().any(|d| d.rule.code() == "SRV002"),
-            "dropped property must be SRV002: {ds:?}"
-        );
-
-        let mut dropped_op = pristine.clone();
-        assert!(drift_schema_enum(&mut dropped_op, "op"));
-        let ds = sta_lint::check_serve_protocol(&dropped_op, &spec);
-        assert!(ds.iter().any(|d| d.rule.code() == "SRV002"), "{ds:?}");
-        assert!(
-            ds.iter().any(|d| d.rule.code() == "SRV001"),
-            "an exemplar of the dropped op must now disagree: {ds:?}"
-        );
-
-        let mut dropped_tech = pristine.clone();
-        assert!(drift_schema_enum(&mut dropped_tech, "tech"));
-        let ds = sta_lint::check_serve_protocol(&dropped_tech, &spec);
-        assert!(ds.iter().any(|d| d.rule.code() == "SRV002"), "{ds:?}");
-
-        assert!(!drift_schema_field(&mut pristine.clone(), "no-such-field"));
-        assert!(!drift_schema_enum(&mut pristine.clone(), "instance"));
     }
 }

@@ -178,9 +178,9 @@ fn print_usage() {
                     --verify-paths) replay every enumerated path certificate;\n\
                     --audit-flow additionally runs the whole-flow soundness\n\
                     audit: interval abstract interpretation over the timing\n\
-                    graph (AI rules), a sampled ECO edit against the dirty-\n\
-                    source and cache invariants (ECO rules), and the serve\n\
-                    protocol schema/parser conformance check (SRV rules);\n\
+                    graph (AI rules), then the path cache and a sampled ECO\n\
+                    edit against the dirty-source and cache invariants\n\
+                    (ECO rules);\n\
                     circuits may be catalog names or .bench file paths;\n\
                     no circuits = the whole catalog\n\
            validate-manifest <file> [--schema FILE]   check a run manifest\n\
@@ -1080,76 +1080,36 @@ fn cmd_cell(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Bumps `audit.errors` / `audit.warnings` for one batch of audit
-/// findings (the counters are pre-registered, so a clean run still
-/// reports them at zero).
-fn record_audit_severities(obs: &Observer, findings: &[sta_lint::Diagnostic]) {
-    let errors = findings
-        .iter()
-        .filter(|d| d.severity == sta_lint::Severity::Error)
-        .count() as u64;
-    obs.counter("audit.errors").add(errors);
-    obs.counter("audit.warnings")
-        .add(findings.len() as u64 - errors);
-}
-
 /// One circuit's `--audit-flow` pass (see DESIGN.md §5.11):
 ///
-/// * **AI leg** — builds the swept two-sided arc envelopes through the
-///   compiled kernels (so the audit sees the same delay tables the
-///   search sees), re-derives single-source
-///   abstract intervals, and checks every enumerated certificate for
-///   enclosure (AI001/AI003/AI004) plus the structural static bound
-///   against the interval hull (AI002).
-/// * **ECO leg** — builds the per-source cache, checks its structural
-///   and splice invariants (ECO002), then applies one deterministic
-///   delay-only resize edit and audits the dirty-source mask against
-///   per-source interval tables (ECO001/ECO003) and the incrementally
-///   updated cache.
+/// * **shared leg** ([`sta_lint::audit_flow`], which the daemon's
+///   `audit` op also runs) over swept two-sided arc envelopes built
+///   through the compiled kernels, so the audit sees the delay tables the
+///   search sees: every enumerated certificate's enclosure
+///   (AI001/AI003/AI004), the structural static bound against the
+///   interval hull (AI002), and a fresh per-source cache's structural and
+///   splice invariants (ECO002).
+/// * **sampled edit** — applies one deterministic delay-only resize edit
+///   and audits the dirty-source mask against per-source interval tables
+///   (ECO001/ECO003) and the incrementally updated cache.
 fn audit_flow_circuit(
     name: &str,
     ctx: &AnalysisContext,
     obs: &Observer,
 ) -> Vec<sta_lint::Diagnostic> {
     let slew = ctx.input_slew();
-    let mut findings = Vec::new();
     // The corner kernel depends only on (timing library, corner): one
     // compile covers both the pristine and the edited netlist.
     let kernel = ctx.timing.compile_corner(ctx.corner);
     let intervals_for =
         |nl: &Netlist| arc_intervals_compiled(nl, &ctx.timing, &kernel, slew, ARC_SWEEP_MARGIN);
 
-    // AI001/AI003/AI004: every certificate inside its source's intervals.
     let run = ctx.enumerate();
     let plain_truncated = run.stats.truncated;
     let certs = CertificateSet::new(&ctx.netlist, slew, run.paths);
     let arcs = intervals_for(&ctx.netlist);
-    let outcome = sta_lint::audit_certificates(&ctx.netlist, name, &arcs, &certs, slew);
-    eprintln!(
-        "{name}: audit: {}/{} certificates enclosed across {} sources",
-        outcome.enclosed, outcome.certificates, outcome.sources_checked
-    );
-    obs.counter("audit.certificates_checked")
-        .add(outcome.certificates as u64);
-    obs.counter("audit.certificates_enclosed")
-        .add(outcome.enclosed as u64);
-    obs.counter("audit.sources_checked")
-        .add(outcome.sources_checked as u64);
-    findings.extend(outcome.diagnostics);
-
-    // AI002: the structural static bound must dominate the hull.
-    let hull = sta_lint::hull(&ctx.netlist, &arcs, slew);
     let prune_margin = ctx.config().prune_margin;
     let st = static_bounds_compiled(&ctx.netlist, &ctx.timing, &kernel, slew, prune_margin);
-    findings.extend(sta_lint::audit_structural_dominance(
-        name,
-        &ctx.netlist,
-        &hull,
-        &st,
-    ));
-
-    // ECO002: per-source cache invariants, and — when neither side
-    // truncated — the splice must reproduce the cold enumeration above.
     // The cache runs the facade's configuration, decision budget
     // included, since per-source enumeration prunes far more weakly than
     // a global N-worst run.
@@ -1159,13 +1119,27 @@ fn audit_flow_circuit(
             PathEnumerator::new(&ctx.netlist, &ctx.lib, &ctx.timing, per_source_cfg.clone());
         SourceCache::build(&enumr)
     };
-    let splice_certs = (!plain_truncated && !build_stats.truncated).then_some(&certs);
-    findings.extend(sta_lint::audit_source_cache(
-        name,
-        &ctx.netlist,
-        &cache,
-        splice_certs,
-    ));
+    let outcome = sta_lint::audit_flow(
+        sta_lint::FlowAuditInput {
+            circuit: name,
+            netlist: &ctx.netlist,
+            arcs: &arcs,
+            static_timing: &st,
+            certs: &certs,
+            cache: &cache,
+            // The splice must reproduce the cold enumeration above when
+            // neither side truncated.
+            check_splice: !plain_truncated && !build_stats.truncated,
+            input_slew: slew,
+        },
+        obs,
+    );
+    eprintln!(
+        "{name}: audit: {}/{} certificates enclosed across {} sources",
+        outcome.enclosed, outcome.certificates, outcome.sources_checked
+    );
+    let mut findings = outcome.diagnostics;
+    let mut edit_findings = Vec::new();
 
     // ECO001/ECO003: one sampled delay-only edit — resize the first
     // resizable gate at or after the middle of the gate list.
@@ -1185,7 +1159,7 @@ fn audit_flow_circuit(
         Some(edit) => {
             let dirty = dirty_sources(&edited, &edit);
             let arcs_after = intervals_for(&edited);
-            findings.extend(sta_lint::audit_dirty_sources(
+            edit_findings.extend(sta_lint::audit_dirty_sources(
                 name,
                 &ctx.netlist,
                 &arcs,
@@ -1201,11 +1175,13 @@ fn audit_flow_circuit(
                 let enumr = PathEnumerator::new(&edited, &ctx.lib, &ctx.timing, cfg);
                 cache.update(&enumr);
             }
-            findings.extend(sta_lint::audit_source_cache(name, &edited, &cache, None));
+            edit_findings.extend(sta_lint::audit_source_cache(name, &edited, &cache, None));
             obs.counter("audit.eco_samples").add(1);
         }
         None => eprintln!("{name}: audit: no resizable gate, ECO edit sample skipped"),
     }
+    sta_lint::record_audit_severities(obs, &edit_findings);
+    findings.append(&mut edit_findings);
     findings
 }
 
@@ -1299,27 +1275,10 @@ fn cmd_lint(opts: &Opts, args: &[String]) -> Result<(), CliError> {
                 let _span = obs.span_with("audit-flow", vec![("circuit", name.clone())]);
                 audit_flow_circuit(name, &ctx, &obs)
             };
-            obs.counter("audit.circuits").add(1);
-            record_audit_severities(&obs, &findings);
             report.extend(findings);
         }
         drop(ctx);
     }
-    if opts.audit_flow {
-        // SRV leg, once per invocation: the checked-in serve request
-        // schema must agree with the daemon's hand-written parser on
-        // every protocol exemplar, and must not have drifted from the
-        // protocol's field/enum universe.
-        let schema: Value = serde_json::from_str(sta_serve::SERVE_SCHEMA_JSON)
-            .map_err(|e| CliError::Invalid(format!("embedded serve schema: {e}")))?;
-        let spec = sta_serve::protocol_spec();
-        obs.counter("audit.srv_exemplars")
-            .add(spec.exemplars.len() as u64);
-        let findings = sta_lint::check_serve_protocol(&schema, &spec);
-        record_audit_severities(&obs, &findings);
-        report.extend(findings);
-    }
-
     if opts.deny_warnings {
         report.deny_warnings();
     }

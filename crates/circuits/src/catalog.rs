@@ -45,8 +45,8 @@ pub struct BenchmarkInfo {
     pub iscas_gates: usize,
     /// Recommended justification-decision budget for N-worst runs of
     /// this circuit (`None` = the engine default suffices). The large
-    /// surrogates carry a budget so the shipped flows (CLI defaults,
-    /// `bench_mcmm`) terminate in bounded time; budgeted runs report
+    /// surrogates carry a budget so the shipped flows (the CLI defaults,
+    /// MCMM batches included) terminate in bounded time; budgeted runs report
     /// `truncated` honestly. The values are the ones the pruning
     /// benchmarks established.
     pub decision_budget: Option<u64>,

@@ -3,7 +3,9 @@
 //! [`arc_bounds`] and [`tightened_remaining`] are the bounds the
 //! dominance cut of the N-worst true-path search prunes with: per-arc
 //! delay bounds over each net's forward slew hull, and per-source
-//! remaining-delay bounds built from them. [`static_bounds`] is the
+//! remaining-delay bounds built from them. The remaining-bound pass is
+//! also the search's per-source reachability test, in full enumeration
+//! too (there with a zero arc bound). [`static_bounds`] is the
 //! classic levelized, slew-blind structural analysis behind structural
 //! slack and the lint's dominance audit; [`arc_intervals`] is the
 //! two-sided full-sweep table the lint's interval interpreter reads.
@@ -478,8 +480,7 @@ fn arc_intervals_with(
 
 /// Per-source tightened remaining-delay bound: like the `remaining` half
 /// of [`static_bounds`], but restricted to arcs whose side requirements
-/// do not contradict the launch source's toggle analysis (the same
-/// necessary condition `sensitizable_reach` uses) and taken per
+/// do not contradict the launch source's toggle analysis and taken per
 /// (pin, vector) from `bounds` instead of the per-gate maximum.
 ///
 /// `rem[net]` therefore upper-bounds the delay of *any true sensitizable
@@ -487,13 +488,30 @@ fn arc_intervals_with(
 /// true path traverses must assign its side values without a toggle
 /// conflict, so per-vector arcs excluded here can never appear on one.
 /// Nets with no such suffix get `-inf` (the search never continues into
-/// them unless they are outputs, which carry `0`).
+/// them); primary outputs carry at least `0`.
 pub fn tightened_remaining(
     nl: &Netlist,
     lib: &Library,
     bounds: &ArcBounds,
     deltas: &[Toggle],
     is_output: &[bool],
+) -> Vec<f64> {
+    remaining_with(nl, lib, deltas, is_output, |g, pin, v| {
+        bounds.get(g, pin, v)
+    })
+}
+
+/// The backward pass of [`tightened_remaining`] with the per-arc bound
+/// `arc_bound(gate, pin, vector)` as a closure. Which entries stay `-inf`
+/// depends only on the toggle analysis and the outputs, not on the bound
+/// (so long as it is never NaN or `-inf`), so with a zero bound the pass
+/// is the search's per-source reachability test in full enumeration.
+pub(crate) fn remaining_with(
+    nl: &Netlist,
+    lib: &Library,
+    deltas: &[Toggle],
+    is_output: &[bool],
+    arc_bound: impl Fn(GateId, u8, usize) -> f64,
 ) -> Vec<f64> {
     let mut rem = vec![f64::NEG_INFINITY; nl.num_nets()];
     for (i, &po) in is_output.iter().enumerate() {
@@ -524,7 +542,7 @@ pub fn tightened_remaining(
                 if !ok {
                     continue;
                 }
-                let cand = out_rem + bounds.get(g, pin, v_idx);
+                let cand = out_rem + arc_bound(g, pin, v_idx);
                 if cand > rem[input.index()] {
                     rem[input.index()] = cand;
                 }

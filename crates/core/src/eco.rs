@@ -25,7 +25,8 @@
 //!    re-runs only the dirty sources (via
 //!    [`EnumerationConfig::source_filter`]) and [`SourceCache::splice`]
 //!    rebuilds the global answer: concatenate, sort by
-//!    [`TruePath::canonical_cmp`], truncate to `n_worst`.
+//!    [`TruePath::canonical_cmp`], truncate to `n_worst` — the same top-N
+//!    rule `PathEnumerator::run` and every per-source list apply.
 //!
 //! **Splice identity proof.** If a path `p` from source `s` is among the
 //! global N worst, then fewer than N paths precede it in the canonical
@@ -43,7 +44,7 @@ use sta_circuits::GateEdit;
 use sta_netlist::{NetId, Netlist};
 
 use crate::enumerate::{EnumerationStats, PathEnumerator};
-use crate::path::TruePath;
+use crate::path::{canonical_top_n, TruePath};
 
 #[cfg(doc)]
 use crate::enumerate::EnumerationConfig;
@@ -156,11 +157,7 @@ impl SourceCache {
             n_worst: enumr.cfg.n_worst,
             per_source: vec![Vec::new(); enumr.nl.inputs().len()],
         };
-        let pos = pi_positions(enumr.nl);
-        let stats = enumr.run_with(|p| cache.per_source[pos[&p.source]].push(p));
-        for i in 0..cache.per_source.len() {
-            cache.normalize(i);
-        }
+        let stats = cache.refill(enumr);
         (cache, stats)
     }
 
@@ -194,26 +191,26 @@ impl SourceCache {
             enumr.cfg.n_worst, self.n_worst,
             "incremental update must keep the cache's n_worst"
         );
-        for (i, &dirty) in filter.iter().enumerate() {
+        for (slot, &dirty) in self.per_source.iter_mut().zip(filter.iter()) {
             if dirty {
-                self.per_source[i].clear();
+                slot.clear();
             }
         }
-        let pos = pi_positions(enumr.nl);
-        let stats = enumr.run_with(|p| self.per_source[pos[&p.source]].push(p));
-        for (i, &dirty) in filter.iter().enumerate() {
-            if dirty {
-                self.normalize(i);
-            }
-        }
-        stats
+        self.refill(enumr)
     }
 
-    fn normalize(&mut self, i: usize) {
-        self.per_source[i].sort_by(TruePath::canonical_cmp);
-        if let Some(n) = self.n_worst {
-            self.per_source[i].truncate(n);
+    /// Runs `enumr`, files each path under its source, and applies the
+    /// top-N rule to every slot (a no-op on the slots the run skipped).
+    fn refill(&mut self, enumr: &PathEnumerator) -> EnumerationStats {
+        let (paths, stats) = enumr.run_unsorted();
+        let pos = pi_positions(enumr.nl);
+        for p in paths {
+            self.per_source[pos[&p.source]].push(p);
         }
+        for slot in &mut self.per_source {
+            canonical_top_n(slot, self.n_worst);
+        }
+        stats
     }
 
     /// The global answer: all cached lists concatenated, canonically
@@ -222,10 +219,7 @@ impl SourceCache {
     /// truncated its search (see the module documentation).
     pub fn splice(&self) -> Vec<TruePath> {
         let mut all: Vec<TruePath> = self.per_source.iter().flatten().cloned().collect();
-        all.sort_by(TruePath::canonical_cmp);
-        if let Some(n) = self.n_worst {
-            all.truncate(n);
-        }
+        canonical_top_n(&mut all, self.n_worst);
         all
     }
 

@@ -14,21 +14,31 @@
 //!
 //! Both launch polarities are traced simultaneously through the dual-value
 //! logic system (`sta-logic`), so each path is traversed once.
+//!
+//! Per source, one backward pass over the arcs whose side requirements
+//! the source's toggle analysis allows
+//! ([`crate::arrival::tightened_remaining`]) marks the nets that can still
+//! reach an output; the DFS never forks into the rest. In N-worst mode
+//! the same pass bounds the delay the rest of a path can add, which is
+//! what the search prunes with. [`PathEnumerator::run`] returns the
+//! admitted paths, canonically sorted and truncated to N.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use serde::Serialize;
 use sta_cells::{Corner, Edge, Library, Polarity};
 use sta_charlib::{CompiledCorner, TimingLibrary};
-use sta_logic::{Dual, ImplicationEngine, Mask, Toggle, TriVal, V9};
+use sta_logic::{Dual, ImplicationEngine, Mask, TriVal, V9};
 
 use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch};
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
 use crate::arrival::ArcBounds;
-use crate::parallel::RunBudget;
-use crate::path::{LaunchTiming, PathArc, PiValue, TruePath};
+use crate::parallel::{decode_bound, encode_bound, RunBudget};
+use crate::path::{canonical_top_n, LaunchTiming, PathArc, PiValue, TruePath};
 
 /// Configuration of a true-path enumeration run.
 #[derive(Clone, Debug)]
@@ -326,31 +336,24 @@ impl<'a> PathEnumerator<'a> {
 
     /// Runs the enumeration and returns the discovered true paths (sorted
     /// by the canonical order of [`TruePath::canonical_cmp`]: descending
-    /// worst arrival with deterministic tie-breaking) together with run
-    /// statistics. Unless a budget truncates the run, the returned path
-    /// set is identical at any [`EnumerationConfig::threads`] setting.
+    /// worst arrival with deterministic tie-breaking, and truncated to
+    /// `n_worst`) together with run statistics. Unless a budget truncates
+    /// the run, the returned path set is identical at any
+    /// [`EnumerationConfig::threads`] setting.
     pub fn run(&self) -> (Vec<TruePath>, EnumerationStats) {
-        let mut collected: Vec<TruePath> = Vec::new();
-        let stats = self.run_with(|p| collected.push(p));
-        collected.sort_by(TruePath::canonical_cmp);
-        if let Some(n) = self.cfg.n_worst {
-            collected.truncate(n);
-        }
-        (collected, stats)
+        let (mut paths, stats) = self.run_unsorted();
+        canonical_top_n(&mut paths, self.cfg.n_worst);
+        (paths, stats)
     }
 
-    /// Streaming variant of [`PathEnumerator::run`]: every emitted path is
-    /// handed to `sink` instead of being stored (essential for full
-    /// enumerations that produce hundreds of thousands of vectors, where
-    /// the caller only wants counts or per-structural-path aggregates).
-    ///
-    /// With `n_worst` configured, the admission threshold still prunes the
-    /// search, but paths below the final threshold may reach the sink —
-    /// the sink sees a superset of the N worst.
-    pub fn run_with(&self, mut sink: impl FnMut(TruePath)) -> EnumerationStats {
-        let stats = crate::parallel::run(self, &mut sink);
+    /// [`PathEnumerator::run`] before its final sort and truncation: every
+    /// admitted path, in root-task order. With `n_worst` configured this
+    /// is a superset of the N worst — paths admitted before the threshold
+    /// rose past them stay in it.
+    pub(crate) fn run_unsorted(&self) -> (Vec<TruePath>, EnumerationStats) {
+        let (paths, stats) = crate::parallel::run(self);
         self.ingest_stats(&stats);
-        stats
+        (paths, stats)
     }
 
     /// Per-arc delay bound table of the dominance cut (`None` in full
@@ -444,53 +447,6 @@ pub(crate) fn cell_of(nl: &Netlist, g: GateId) -> sta_netlist::CellId {
     }
 }
 
-/// Per-source static reachability: can a transition at a net still reach a
-/// primary output through arcs whose side requirements do not contradict
-/// the toggle analysis? An arc is *potentially sensitizable* iff some
-/// vector of the traversed pin requires no stable side value on a net
-/// that provably toggles. Sound (necessary-condition) pruning: a net with
-/// `reach = false` has no true continuation, so the DFS never forks into
-/// it — this is what keeps reconvergent XOR fabrics (c499/c1355) from
-/// exploding into 2^depth refuted sub-paths.
-pub(crate) fn sensitizable_reach(
-    nl: &Netlist,
-    lib: &Library,
-    deltas: &[Toggle],
-    is_output: &[bool],
-) -> Vec<bool> {
-    let mut reach = vec![false; nl.num_nets()];
-    for (i, &po) in is_output.iter().enumerate() {
-        if po {
-            reach[i] = true;
-        }
-    }
-    let order = nl.topo_gates();
-    for &g in order.iter().rev() {
-        let gate = nl.gate(g);
-        if !reach[gate.output().index()] {
-            continue;
-        }
-        let cell = lib.cell(cell_of(nl, g));
-        for pin in 0..gate.fanin() as u8 {
-            let input = gate.inputs()[pin as usize];
-            if reach[input.index()] {
-                continue;
-            }
-            let arc_ok = cell.vectors_of(pin).iter().any(|v| {
-                (0..gate.fanin() as u8).all(|p| {
-                    p == pin
-                        || v.side_value(p).is_none()
-                        || deltas[gate.inputs()[p as usize].index()] != Toggle::One
-                })
-            });
-            if arc_ok {
-                reach[input.index()] = true;
-            }
-        }
-    }
-    reach
-}
-
 /// Arrival/slew of one launch polarity.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct EdgeState {
@@ -525,7 +481,7 @@ impl PolTimings {
     }
 }
 
-pub(crate) struct Search<'a, 'b> {
+pub(crate) struct Search<'a> {
     pub(crate) nl: &'a Netlist,
     pub(crate) lib: &'a Library,
     pub(crate) cfg: &'a EnumerationConfig,
@@ -535,21 +491,21 @@ pub(crate) struct Search<'a, 'b> {
     /// Equivalent fanout per gate (precomputed).
     pub(crate) fanouts: Vec<f64>,
     pub(crate) is_output: Vec<bool>,
-    /// Per-source sensitizable reachability (see [`sensitizable_reach`]).
-    pub(crate) reach: Vec<bool>,
     /// Nets whose values were assigned (not implied) and therefore need
     /// justification from the PIs.
     pub(crate) obligations: Vec<NetId>,
     /// Per-gate delays along the current partial path, per polarity.
     pub(crate) delays_r: Vec<f64>,
     pub(crate) delays_f: Vec<f64>,
-    /// Where emitted paths go.
-    pub(crate) sink: &'b mut dyn FnMut(TruePath),
+    /// Paths admitted by the current root task; the worker takes them
+    /// after each task.
+    pub(crate) found: Vec<TruePath>,
     /// The run-wide decision and path tally every worker spends from.
     pub(crate) budget: &'a RunBudget,
-    /// Worst arrivals of admitted paths (threshold bookkeeping in N-worst
-    /// mode).
-    pub(crate) worst_arrivals: Vec<f64>,
+    /// The N largest admitted worst arrivals in N-worst mode, encoded by
+    /// `encode_bound` with the smallest on top: once it holds N, its top
+    /// is the admission threshold.
+    pub(crate) top_arrivals: BinaryHeap<Reverse<u64>>,
     /// N-worst admission threshold (−∞ until the set is full).
     pub(crate) threshold: f64,
     /// Tightest published N-worst threshold, shared by all workers of the
@@ -569,11 +525,11 @@ pub(crate) struct Search<'a, 'b> {
     /// Per-arc delay bounds of the dominance cut (`None` in full
     /// enumeration).
     pub(crate) arc_bounds: Option<Arc<ArcBounds>>,
-    /// Per-source tightened remaining bounds (see
-    /// `arrival::tightened_remaining`), refreshed at every source switch;
-    /// `None` whenever `arc_bounds` is. The only bound the search prunes
-    /// with.
-    pub(crate) tight_rem: Option<Vec<f64>>,
+    /// Per-source remaining bounds, refreshed at every source switch:
+    /// [`crate::arrival::tightened_remaining`] in N-worst mode (the only
+    /// bound the search prunes with), zero-bound in full enumeration.
+    /// A `−∞` entry marks a net with no true continuation to an output.
+    pub(crate) rem: Vec<f64>,
     pub(crate) stats: EnumerationStats,
     /// Progress tap (installed via `sta_obs::Observer::install_progress`);
     /// relaxed side-state counters only, never read back by the search.
@@ -587,7 +543,7 @@ pub(crate) struct Search<'a, 'b> {
     pub(crate) bound_updates: sta_obs::Counter,
 }
 
-impl Search<'_, '_> {
+impl Search<'_> {
     /// The N-worst admission threshold in force: the worker-local one,
     /// tightened by the shared bound published by other workers. Every
     /// published value is some worker's N-th-largest admitted arrival,
@@ -596,7 +552,7 @@ impl Search<'_, '_> {
     /// drops a path that belongs in the final N — see the `parallel`
     /// module docs for the full argument.
     pub(crate) fn effective_threshold(&self) -> f64 {
-        self.threshold.max(crate::parallel::decode_bound(
+        self.threshold.max(decode_bound(
             self.shared_bound.load(std::sync::atomic::Ordering::Relaxed),
         ))
     }
@@ -604,7 +560,7 @@ impl Search<'_, '_> {
     fn publish_threshold(&self) {
         if self.threshold > f64::NEG_INFINITY {
             self.shared_bound.fetch_max(
-                crate::parallel::encode_bound(self.threshold),
+                encode_bound(self.threshold),
                 std::sync::atomic::Ordering::Relaxed,
             );
         }
@@ -621,12 +577,12 @@ impl Search<'_, '_> {
 
     /// Whether the subtree at `net` cannot reach the N-worst admission
     /// threshold: the worst alive arrival plus the per-source tightened
-    /// remaining bound stays below it. Never true in full enumeration.
+    /// remaining bound stays below it. Never true in full enumeration,
+    /// whose threshold stays `−∞`.
     pub(crate) fn prunes(&self, net: NetId, mask: Mask, timing: &PolTimings) -> bool {
-        self.tight_rem.as_ref().is_some_and(|rem| {
-            let threshold = self.effective_threshold();
-            threshold > f64::NEG_INFINITY && timing.worst_alive(mask) + rem[net.index()] < threshold
-        })
+        let threshold = self.effective_threshold();
+        threshold > f64::NEG_INFINITY
+            && timing.worst_alive(mask) + self.rem[net.index()] < threshold
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -660,8 +616,7 @@ impl Search<'_, '_> {
                 // was the hottest allocation of the DFS.
                 let nl = self.nl;
                 for pr in nl.net(net).fanout() {
-                    let out_net = nl.gate(pr.gate).output();
-                    if !self.reach[out_net.index()] && !self.is_output[out_net.index()] {
+                    if self.rem[nl.gate(pr.gate).output().index()] == f64::NEG_INFINITY {
                         continue;
                     }
                     let cell_id = cell_of(nl, pr.gate);
@@ -706,12 +661,13 @@ impl Search<'_, '_> {
         // subtree is cut before any side value is assigned. Bound-safe: every path in the subtree would be
         // rejected by `record` anyway (strict `<`, and the threshold
         // only tightens), so the emitted set is unchanged.
-        if let (Some(tight), Some(ab)) = (&self.tight_rem, &self.arc_bounds) {
+        if let Some(ab) = &self.arc_bounds {
             let threshold = self.effective_threshold();
             if threshold > f64::NEG_INFINITY {
                 let out_net = self.nl.gate(gate).output();
-                let best =
-                    timing.worst_alive(mask) + ab.get(gate, pin, vector) + tight[out_net.index()];
+                let best = timing.worst_alive(mask)
+                    + ab.get(gate, pin, vector)
+                    + self.rem[out_net.index()];
                 if best < threshold {
                     self.stats.learn_bound_cuts += 1;
                     return;
@@ -923,28 +879,27 @@ impl Search<'_, '_> {
             let w = path.worst_arrival();
             // Ties with the threshold are admitted (strict `<`): the final
             // cutoff arrival may be shared by several paths, and the
-            // deterministic truncation in `run` needs all of them in the
-            // sink to pick the same N regardless of discovery order (and
-            // of thread count). The local threshold stays −∞ until N
+            // deterministic truncation in `run` needs all of them
+            // admitted to pick the same N regardless of discovery order
+            // (and of thread count). The local threshold stays −∞ until N
             // local admissions, so the shared bound alone can also reject
             // (any published bound is ≤ the global N-th largest arrival).
             if w < self.effective_threshold() {
                 return;
             }
-            self.note_emission(&path);
-            self.worst_arrivals.push(w);
-            self.budget.admit();
-            (self.sink)(path);
-            // Keep the threshold set loosely bounded; refresh the
-            // admission threshold from the current N-th worst.
-            if self.worst_arrivals.len() >= n.saturating_mul(2) {
-                self.worst_arrivals.sort_by(|a, b| b.total_cmp(a));
-                self.worst_arrivals.truncate(n);
+            self.admit(path);
+            // Refresh the admission threshold from the current N-th
+            // largest admitted arrival.
+            self.top_arrivals.push(Reverse(encode_bound(w)));
+            if self.top_arrivals.len() > n {
+                self.top_arrivals.pop();
             }
-            if self.worst_arrivals.len() >= n {
-                let mut arrivals = self.worst_arrivals.clone();
-                arrivals.sort_by(f64::total_cmp);
-                self.threshold = arrivals[arrivals.len() - n];
+            if self.top_arrivals.len() == n {
+                // N = 0 admits nothing past the first path.
+                self.threshold = self
+                    .top_arrivals
+                    .peek()
+                    .map_or(f64::INFINITY, |&Reverse(nth)| decode_bound(nth));
                 self.bound_updates.inc();
                 if let Some(p) = &self.progress {
                     p.set_bound(self.threshold);
@@ -952,22 +907,23 @@ impl Search<'_, '_> {
                 self.publish_threshold();
             }
         } else {
-            self.note_emission(&path);
-            self.budget.admit();
-            (self.sink)(path);
+            self.admit(path);
         }
     }
 
-    /// Observability tap on path admission: progress counters and the
-    /// path-length histogram. Side-state only — nothing here is read back
-    /// by the search.
-    fn note_emission(&mut self, path: &TruePath) {
+    /// Admits a path: counts it against the run budget, keeps it for the
+    /// task's result, and feeds the observability tap (progress counters
+    /// and the path-length histogram, side-state that nothing in the
+    /// search reads back).
+    fn admit(&mut self, path: TruePath) {
         self.path_len_hist.observe(path.arcs.len() as f64);
         if let Some(p) = &self.progress {
             use std::sync::atomic::Ordering::Relaxed;
             p.paths.fetch_add(1, Relaxed);
             p.frontier_depth.store(path.nodes.len() as u64, Relaxed);
         }
+        self.budget.admit();
+        self.found.push(path);
     }
 
     /// Complete backward justification of every pending obligation.
@@ -1223,27 +1179,25 @@ mod tests {
         }
     }
 
-    /// The streaming sink sees exactly the paths the collecting API
-    /// returns (full enumeration), and never allocates the result vector.
+    /// The unsorted run lists the admitted paths in root-task order, so
+    /// in full enumeration it is the same sequence at any thread count.
     #[test]
-    fn run_with_streams_every_emission() {
+    fn unsorted_run_is_in_task_order_at_any_thread_count() {
         let tech = Technology::n90();
         let (lib, tlib) = setup(&tech);
-        let ao22 = lib.cell_by_name("AO22").unwrap().id();
-        let mut nl = Netlist::new("t");
-        let ins: Vec<_> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
-        let z = nl.add_gate(GateKind::Cell(ao22), &ins, None).unwrap();
-        nl.mark_output(z);
+        let nl = sta_circuits::catalog::mapped("c17", lib).unwrap().unwrap();
         let cfg = EnumerationConfig::new(Corner::nominal(&tech));
-        let (collected, stats_a) = PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run();
-        let mut streamed = 0usize;
-        let stats_b = PathEnumerator::new(&nl, lib, tlib, cfg).run_with(|_| streamed += 1);
-        assert_eq!(collected.len(), streamed);
-        assert_eq!(stats_a, stats_b, "deterministic search");
+        let (one, _) = PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_unsorted();
+        assert!(!one.is_empty());
+        for threads in [2, 4] {
+            let enumr = PathEnumerator::new(&nl, lib, tlib, cfg.clone().with_threads(threads));
+            assert_eq!(enumr.run_unsorted().0, one, "{threads} threads");
+        }
     }
 
-    /// N-worst mode returns the same top paths as full enumeration, and
-    /// an N above the path count, up to `usize::MAX`, returns them all.
+    /// N-worst mode returns the same top paths as full enumeration, an N
+    /// above the path count, up to `usize::MAX`, returns them all, and
+    /// N = 0 returns none.
     #[test]
     fn n_worst_agrees_with_full_enumeration() {
         let tech = Technology::n90();
@@ -1261,7 +1215,7 @@ mod tests {
         let corner = Corner::nominal(&tech);
         let (all_paths, _) =
             PathEnumerator::new(&nl, lib, tlib, EnumerationConfig::new(corner)).run();
-        for n in [3, usize::MAX] {
+        for n in [0, 3, usize::MAX] {
             let (top, _) = PathEnumerator::new(
                 &nl,
                 lib,

@@ -324,7 +324,7 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
 /// ordinal; the search is the `enumerate` child of the group's first
 /// member. Each outcome must equal what an independent single-scenario
 /// [`AnalysisRequest::run`] computes — the identity is pinned by
-/// `tests/mcmm_identity.rs` and re-checked by `bench_mcmm`.
+/// `tests/mcmm_identity.rs`.
 fn run_group(
     req: &AnalysisRequest,
     loaded: &Loaded,

@@ -8,19 +8,18 @@
 //! worker starts. Workers claim tasks in list order through one atomic
 //! cursor (`fetch_add`), and every worker runs the [`Search`] machinery
 //! with its own engine and its own justification memo table. `threads = 1`
-//! is a pool of one: its worker runs on the caller's thread, with no spawn
-//! and no channel.
+//! is a pool of one: the worker function runs on the caller's thread, with
+//! no spawn; a larger pool runs the same function on scoped threads.
 //!
 //! # Deterministic merge
 //!
 //! Tasks are listed in depth-first opening order (sources in
 //! primary-input order, then fanout arcs, then vectors); a task's index in
-//! that list is its merge key. Workers buffer the paths of one task and
-//! send `(index, paths)` over a channel; the coordinator releases buffers
-//! to the caller's sink strictly in index order. A lone worker claims its
-//! tasks in index order, so it streams straight to the sink. In full
-//! enumeration this makes the `run_with` stream — and therefore the `run`
-//! result — byte-identical at any thread count.
+//! that list is its merge key. Each worker returns, with its statistics,
+//! the paths of every task it ran keyed by task index; the coordinator
+//! sorts those buffers by index and concatenates them. In full
+//! enumeration the unsorted result is therefore byte-identical at any
+//! thread count, and so is the `run` result.
 //!
 //! # Shared pruning bound (N-worst mode)
 //!
@@ -32,12 +31,11 @@
 //! admitted arrival never exceeds the global N-th-largest `T` (its
 //! admissions are a subset of all paths), so the effective threshold
 //! `max(local, shared)` is always ≤ `T`; with tie-inclusive admission
-//! (`w < threshold` rejects, ties pass) every path with arrival ≥ `T`
-//! reaches the sink under any schedule. `run` then sorts by the canonical
-//! total order of [`TruePath::canonical_cmp`] and truncates to N —
-//! identical output at any thread count, though the *superset* streamed
-//! by `run_with` (and the search-effort counters) may differ with the
-//! schedule.
+//! (`w < threshold` rejects, ties pass) every path with arrival ≥ `T` is
+//! admitted under any schedule. `run` then sorts by the canonical total
+//! order of [`TruePath::canonical_cmp`] and truncates to N — identical
+//! output at any thread count, though the admitted *superset* (and the
+//! search-effort counters) may differ with the schedule.
 //!
 //! # Budgets
 //!
@@ -52,20 +50,18 @@
 //! is reproducible; above one it depends on the schedule, and so does
 //! which paths a truncated run emits.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use sta_cells::Library;
 use sta_charlib::CompiledCorner;
 use sta_logic::{toggle_analysis, Dual, ImplicationEngine, Mask, Toggle};
 use sta_netlist::{GateId, NetId, Netlist};
 
-use crate::arrival::ArcBounds;
+use crate::arrival::{remaining_with, tightened_remaining, ArcBounds};
 use crate::enumerate::{
-    cell_of, sensitizable_reach, EnumerationConfig, EnumerationStats, PathEnumerator, PolTimings,
-    Search,
+    cell_of, EnumerationConfig, EnumerationStats, PathEnumerator, PolTimings, Search,
 };
 use crate::justify::{JustifyCache, JustifyScratch};
 use crate::path::{PathArc, TruePath};
@@ -113,7 +109,7 @@ impl RunBudget {
         self.decisions.fetch_add(decisions, Relaxed);
     }
 
-    /// Counts one path handed to the sink.
+    /// Counts one admitted path.
     pub(crate) fn admit(&self) {
         self.paths.fetch_add(1, Relaxed);
     }
@@ -143,11 +139,11 @@ struct RootTask {
 struct SrcPlan {
     src: NetId,
     deltas: Vec<Toggle>,
-    reach: Vec<bool>,
-    /// Toggle-compatible arrival upper bound to any PO, per net
-    /// (see [`crate::arrival::tightened_remaining`]); present in N-worst
-    /// mode only.
-    tight_rem: Option<Vec<f64>>,
+    /// Remaining-delay bound to any PO over toggle-compatible arcs, per
+    /// net: [`tightened_remaining`] in N-worst mode, the same pass with a
+    /// zero arc bound in full enumeration. `−∞` marks a net with no such
+    /// continuation, one the search never enters.
+    rem: Vec<f64>,
 }
 
 /// Read-only context shared by all workers.
@@ -177,9 +173,9 @@ struct WorkerCtx<'a> {
     arc_bounds: Option<Arc<ArcBounds>>,
 }
 
-/// Runs the enumeration of `enumr` over `cfg.threads` workers, streaming
-/// emitted paths to `sink` in task order.
-pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) -> EnumerationStats {
+/// Runs the enumeration of `enumr` over `cfg.threads` workers and returns
+/// every admitted path, unsorted, in task order.
+pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStats) {
     let nl = enumr.nl;
     let lib = enumr.lib;
     let is_output = enumr.output_flags();
@@ -208,8 +204,16 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
         // stable-value requirements on nets that provably toggle
         // (crucial on reconvergent XOR logic).
         let deltas = toggle_analysis(nl, lib, src);
-        let reach = sensitizable_reach(nl, lib, &deltas, &is_output);
-        if !reach[src.index()] {
+        // One backward pass gives both the pruning bound and
+        // reachability: a `−∞` entry has no true continuation, so the
+        // DFS never forks into it — this is what keeps reconvergent XOR
+        // fabrics (c499/c1355) from exploding into 2^depth refuted
+        // sub-paths.
+        let rem = match &arc_bounds {
+            Some(ab) => tightened_remaining(nl, lib, ab, &deltas, &is_output),
+            None => remaining_with(nl, lib, &deltas, &is_output, |_, _, _| 0.0),
+        };
+        if rem[src.index()] == f64::NEG_INFINITY {
             continue;
         }
         eng.set_toggles(Some(deltas.clone()));
@@ -223,8 +227,7 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
         }
         let src_idx = plans.len();
         for pr in nl.net(src).fanout() {
-            let out = nl.gate(pr.gate).output();
-            if !reach[out.index()] && !is_output[out.index()] {
+            if rem[nl.gate(pr.gate).output().index()] == f64::NEG_INFINITY {
                 continue;
             }
             let cell_id = cell_of(nl, pr.gate);
@@ -238,18 +241,10 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
                 });
             }
         }
-        let tight_rem = arc_bounds
-            .as_ref()
-            .map(|ab| crate::arrival::tightened_remaining(nl, lib, ab, &deltas, &is_output));
-        plans.push(SrcPlan {
-            src,
-            deltas,
-            reach,
-            tight_rem,
-        });
+        plans.push(SrcPlan { src, deltas, rem });
     }
     if tasks.is_empty() {
-        return EnumerationStats::default();
+        return (Vec::new(), EnumerationStats::default());
     }
 
     let threads = enumr.cfg.threads.clamp(1, tasks.len());
@@ -283,65 +278,38 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, sink: &mut dyn FnMut(TruePath)) ->
         arc_bounds,
     };
 
-    if threads == 1 {
-        // A pool of one: the worker runs here and claims the tasks in
-        // index order, so its paths go straight to the sink.
-        return worker_loop(&ctx, sink, |_| true);
+    let results = if threads == 1 {
+        // A pool of one runs on the caller's thread, so the search keeps
+        // its stack.
+        vec![worker_loop(&ctx)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| s.spawn(|| worker_loop(&ctx)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    let mut stats = EnumerationStats::default();
+    let mut buffers = Vec::new();
+    for (worker_stats, done) in results {
+        stats.merge(&worker_stats);
+        buffers.extend(done);
     }
-    let (tx, rx) = mpsc::channel::<(usize, Vec<TruePath>)>();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let tx = tx.clone();
-                let ctx = &ctx;
-                s.spawn(move || {
-                    // The task buffer the search writes into; shipped to
-                    // the coordinator with the task's index.
-                    let buf = RefCell::new(Vec::new());
-                    worker_loop(ctx, &mut |p| buf.borrow_mut().push(p), |index| {
-                        tx.send((index, buf.take())).is_ok()
-                    })
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Reorder window: release task buffers to the sink strictly in
-        // index order. Tasks the budget cut never arrive; whatever waits
-        // behind such a gap is released in order once every worker has
-        // finished (or died — the joins below re-raise its panic).
-        let mut pending: BTreeMap<usize, Vec<TruePath>> = BTreeMap::new();
-        let mut next = 0usize;
-        for (index, paths) in rx {
-            pending.insert(index, paths);
-            while let Some(batch) = pending.remove(&next) {
-                batch.into_iter().for_each(&mut *sink);
-                next += 1;
-            }
-        }
-        for batch in pending.into_values() {
-            batch.into_iter().for_each(&mut *sink);
-        }
-
-        let mut total = EnumerationStats::default();
-        for h in handles {
-            match h.join() {
-                Ok(ws) => total.merge(&ws),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        total
-    })
+    // Every task index is claimed once, so sorting restores opening
+    // order; tasks the budget cut simply have no buffer.
+    buffers.sort_unstable_by_key(|&(index, _)| index);
+    let paths = buffers.into_iter().flat_map(|(_, paths)| paths).collect();
+    (paths, stats)
 }
 
 /// One worker: claims root tasks in index order until none is left or the
-/// run budget has tripped, handing emitted paths to `sink` and calling
-/// `task_done` with each finished task's index (`false` stops the worker).
-fn worker_loop(
-    ctx: &WorkerCtx<'_>,
-    sink: &mut dyn FnMut(TruePath),
-    mut task_done: impl FnMut(usize) -> bool,
-) -> EnumerationStats {
+/// run budget has tripped, and returns its statistics with the paths each
+/// task it ran admitted, keyed by task index.
+fn worker_loop(ctx: &WorkerCtx<'_>) -> (EnumerationStats, Vec<(usize, Vec<TruePath>)>) {
     let mut search = Search {
         nl: ctx.nl,
         lib: ctx.lib,
@@ -350,13 +318,12 @@ fn worker_loop(
         eng: ImplicationEngine::new(ctx.nl, ctx.lib),
         fanouts: ctx.fanouts.to_vec(),
         is_output: ctx.is_output.to_vec(),
-        reach: Vec::new(),
         obligations: Vec::new(),
         delays_r: Vec::new(),
         delays_f: Vec::new(),
-        sink,
+        found: Vec::new(),
         budget: ctx.budget,
-        worst_arrivals: Vec::new(),
+        top_arrivals: BinaryHeap::new(),
         threshold: f64::NEG_INFINITY,
         shared_bound: ctx.shared_bound,
         justify_cache: JustifyCache::new(),
@@ -364,7 +331,7 @@ fn worker_loop(
         justify_todo: Vec::new(),
         justify_scratch: JustifyScratch::default(),
         arc_bounds: ctx.arc_bounds.clone(),
-        tight_rem: None,
+        rem: Vec::new(),
         stats: EnumerationStats::default(),
         progress: ctx.cfg.obs.progress(),
         justify_hist: ctx.cfg.obs.histogram("justify.decisions_per_call"),
@@ -379,6 +346,7 @@ fn worker_loop(
     // Path stacks live outside the task loop: one allocation per worker.
     let mut nodes: Vec<NetId> = Vec::new();
     let mut arcs: Vec<PathArc> = Vec::new();
+    let mut done = Vec::new();
     loop {
         let index = ctx.cursor.fetch_add(1, Relaxed);
         let Some(task) = ctx.tasks.get(index) else {
@@ -393,15 +361,14 @@ fn worker_loop(
             // Install the per-source state: toggle deltas, the launched
             // transition (whose trail entries persist across this
             // source's tasks — each try_arc rolls back to its own mark),
-            // and the reachability map.
+            // and the remaining-bound table.
             search.eng.reset();
             search.eng.set_toggles(Some(plan.deltas.clone()));
             let conflicts = search
                 .eng
                 .assign(plan.src, Dual::transition(false), Mask::BOTH);
             mask = Mask::BOTH.minus(conflicts);
-            search.reach.clone_from(&plan.reach);
-            search.tight_rem.clone_from(&plan.tight_rem);
+            search.rem.clone_from(&plan.rem);
             search.obligations.clear();
             search.delays_r.clear();
             search.delays_f.clear();
@@ -410,7 +377,7 @@ fn worker_loop(
                 // admissions and publish/read bounds through this
                 // source's own atomic.
                 search.threshold = f64::NEG_INFINITY;
-                search.worst_arrivals.clear();
+                search.top_arrivals.clear();
                 search.shared_bound = &bounds[task.src];
             }
             current_src = Some(task.src);
@@ -434,12 +401,10 @@ fn worker_loop(
                 &mut arcs,
             );
         }
-        if !task_done(index) {
-            break;
-        }
+        done.push((index, std::mem::take(&mut search.found)));
     }
     search.stats.justify_cache_hits = search.justify_cache.hits;
-    search.stats
+    (search.stats, done)
 }
 
 #[cfg(test)]

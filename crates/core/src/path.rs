@@ -171,6 +171,18 @@ impl TruePath {
     }
 }
 
+/// The one top-N rule: sorts `paths` by [`TruePath::canonical_cmp`] and
+/// keeps the first `n` (all of them when `n` is `None`).
+/// [`crate::PathEnumerator::run`], the per-source lists of
+/// [`crate::SourceCache`] and its splice all apply it; the splice-identity
+/// proof (see [`crate::eco`]) needs the three to be the same rule.
+pub(crate) fn canonical_top_n(paths: &mut Vec<TruePath>, n: Option<usize>) {
+    paths.sort_by(TruePath::canonical_cmp);
+    if let Some(n) = n {
+        paths.truncate(n);
+    }
+}
+
 /// Groups emitted paths by their structural key (node sequence). Each
 /// group holds every sensitization-vector variant of one physical path —
 /// the unit the paper's Table 6 calls a "path having more than one

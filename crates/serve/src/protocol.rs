@@ -195,27 +195,33 @@ fn str_field(map: &[(String, Value)], key: &str) -> Result<String, String> {
     required(opt_str(map, key), key)
 }
 
-/// Parses one request line. Returns the request and the client's `"id"`
-/// value (echoed into the response), or a message describing what is
-/// malformed.
+/// Parses one request line. Returns the client's `"id"` value, to be
+/// echoed into the reply, with the request or a message describing what
+/// is malformed.
 ///
-/// A pinned `schema_version` other than 2 is refused first, so a client
-/// of another version learns that before anything else. The request is
-/// then validated against the embedded schema; what passes is only
-/// read: typed values are extracted and defaults applied.
+/// The `id` is read from any line that is a JSON object, before anything
+/// is checked, so a refusal can be matched to its request too. A pinned
+/// `schema_version` other than 2 is refused first, so a client of another
+/// version learns that before anything else. The request is then
+/// validated against the embedded schema; what passes is only read:
+/// typed values are extracted and defaults applied.
 ///
-/// # Errors
-///
-/// Returns a human-readable message for invalid JSON, a non-object
-/// request, an unsupported `schema_version`, every schema violation
-/// (`json-pointer: message`, joined by `; `), or a field the op requires
-/// that is missing.
-pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
-    let doc: Value =
-        serde_json::from_str(line.trim()).map_err(|e| format!("invalid JSON request: {e}"))?;
-    let Value::Map(map) = &doc else {
-        return Err("request must be a JSON object".to_string());
+/// The message names invalid JSON, a non-object request, an unsupported
+/// `schema_version`, every schema violation (`json-pointer: message`,
+/// joined by `; `), or a field the op requires that is missing.
+pub fn parse_request(line: &str) -> (Option<Value>, Result<Request, String>) {
+    let doc: Value = match serde_json::from_str(line.trim()) {
+        Ok(doc) => doc,
+        Err(e) => return (None, Err(format!("invalid JSON request: {e}"))),
     };
+    let Value::Map(map) = &doc else {
+        return (None, Err("request must be a JSON object".to_string()));
+    };
+    (field(map, "id").cloned(), read_request(&doc, map))
+}
+
+/// Checks and reads one request object (see [`parse_request`]).
+fn read_request(doc: &Value, map: &[(String, Value)]) -> Result<Request, String> {
     if let Some(version) = field(map, "schema_version").and_then(whole_number) {
         if version != SCHEMA_VERSION as i128 {
             return Err(format!(
@@ -223,8 +229,7 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
             ));
         }
     }
-    sta_obs::schema::validate(schema(), &doc).map_err(|errors| errors.join("; "))?;
-    let id = field(map, "id").cloned();
+    sta_obs::schema::validate(schema(), doc).map_err(|errors| errors.join("; "))?;
     let op = str_field(map, "op")?;
     let req = match op.as_str() {
         "load" => Request::Load {
@@ -278,7 +283,7 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
         "shutdown" => Request::Shutdown,
         other => return Err(format!("op {other:?} is not served")),
     };
-    Ok((req, id))
+    Ok(req)
 }
 
 /// Builds a JSON object value from string keys (insertion-ordered).
@@ -300,11 +305,16 @@ pub(crate) fn jstr(s: impl Into<String>) -> Value {
 mod tests {
     use super::*;
 
+    /// The request a line parses to, or the refusal message.
+    fn parse(line: &str) -> Result<Request, String> {
+        parse_request(line).1
+    }
+
     #[test]
     fn parses_every_op_with_defaults() {
-        let (req, id) = parse_request(r#"{"op":"load","circuit":"c17"}"#).unwrap();
+        let (id, req) = parse_request(r#"{"op":"load","circuit":"c17"}"#);
         assert_eq!(
-            req,
+            req.unwrap(),
             Request::Load {
                 circuit: "c17".to_string(),
                 tech: "90nm".to_string(),
@@ -314,20 +324,19 @@ mod tests {
         );
         assert!(id.is_none());
 
-        let (req, id) = parse_request(
+        let (id, req) = parse_request(
             r#"{"id":7,"op":"edit","circuit":"c17","kind":"rewire","instance":"g1","pin":0,"net":"a"}"#,
-        )
-        .unwrap();
+        );
         assert_eq!(id, Some(Value::Int(7)));
         assert!(matches!(
-            req,
+            req.unwrap(),
             Request::Edit {
                 kind: EditKind::Rewire { pin: 0, .. },
                 ..
             }
         ));
 
-        let (req, _) = parse_request(r#"{"op":"paths","circuit":"c17","limit":3}"#).unwrap();
+        let req = parse(r#"{"op":"paths","circuit":"c17","limit":3}"#).unwrap();
         assert_eq!(
             req,
             Request::Paths {
@@ -336,22 +345,14 @@ mod tests {
                 scenario: None,
             }
         );
-        assert_eq!(
-            parse_request(r#"{"op":"status"}"#).unwrap().0,
-            Request::Status
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"shutdown"}"#).unwrap().0,
-            Request::Shutdown
-        );
+        assert_eq!(parse(r#"{"op":"status"}"#).unwrap(), Request::Status);
+        assert_eq!(parse(r#"{"op":"shutdown"}"#).unwrap(), Request::Shutdown);
     }
 
     #[test]
     fn schema_version_2_is_the_only_version() {
         // No version pinned = version 2: the MCMM surface parses.
-        let (req, _) =
-            parse_request(r#"{"op":"analyze_batch","circuit":"c17","corners":"typ,slow"}"#)
-                .unwrap();
+        let req = parse(r#"{"op":"analyze_batch","circuit":"c17","corners":"typ,slow"}"#).unwrap();
         assert_eq!(
             req,
             Request::AnalyzeBatch {
@@ -362,15 +363,13 @@ mod tests {
                 batch_threads: 1,
             }
         );
-        let (req, _) =
-            parse_request(r#"{"op":"paths","circuit":"c17","scenario":"typ/func"}"#).unwrap();
+        let req = parse(r#"{"op":"paths","circuit":"c17","scenario":"typ/func"}"#).unwrap();
         assert!(matches!(&req, Request::Paths { scenario: Some(s), .. } if s == "typ/func"));
 
         // Pinning 2 is the same as pinning nothing.
-        let (pinned, _) = parse_request(
-            r#"{"op":"paths","circuit":"c17","scenario":"typ/func","schema_version":2}"#,
-        )
-        .unwrap();
+        let pinned =
+            parse(r#"{"op":"paths","circuit":"c17","scenario":"typ/func","schema_version":2}"#)
+                .unwrap();
         assert_eq!(pinned, req);
 
         // Every other version is rejected outright, the retired 1 included,
@@ -379,46 +378,42 @@ mod tests {
             r#"{"op":"paths","circuit":"c17","schema_version":1}"#,
             r#"{"op":"analyze_batch","circuit":"c17","schema_version":1}"#,
         ] {
-            let err = parse_request(line).unwrap_err();
+            let err = parse(line).unwrap_err();
             assert!(err.contains("unsupported schema_version 1"), "{err}");
         }
-        let err = parse_request(r#"{"op":"status","schema_version":3}"#).unwrap_err();
+        let err = parse(r#"{"op":"status","schema_version":3}"#).unwrap_err();
         assert!(err.contains("unsupported schema_version 3"), "{err}");
-        let err = parse_request(r#"{"op":"status","schema_version":0}"#).unwrap_err();
+        let err = parse(r#"{"op":"status","schema_version":0}"#).unwrap_err();
         assert!(err.contains("unsupported schema_version 0"), "{err}");
     }
 
     #[test]
     fn malformed_requests_are_described() {
-        assert!(parse_request("nonsense")
-            .unwrap_err()
-            .contains("invalid JSON"));
-        assert!(parse_request("[1,2]").unwrap_err().contains("object"));
-        assert!(parse_request(r#"{"circuit":"c17"}"#)
+        assert!(parse("nonsense").unwrap_err().contains("invalid JSON"));
+        assert!(parse("[1,2]").unwrap_err().contains("object"));
+        assert!(parse(r#"{"circuit":"c17"}"#)
             .unwrap_err()
             .contains("missing required property \"op\""));
-        assert!(parse_request(r#"{"op":"fly"}"#)
+        assert!(parse(r#"{"op":"fly"}"#)
             .unwrap_err()
             .contains("/op: value not in enum"));
-        assert!(
-            parse_request(r#"{"op":"edit","circuit":"c17","kind":"resize"}"#)
-                .unwrap_err()
-                .contains("missing field \"instance\"")
-        );
-        assert!(parse_request(r#"{"op":"load","circuit":17}"#)
+        assert!(parse(r#"{"op":"edit","circuit":"c17","kind":"resize"}"#)
+            .unwrap_err()
+            .contains("missing field \"instance\""));
+        assert!(parse(r#"{"op":"load","circuit":17}"#)
             .unwrap_err()
             .contains("/circuit: expected type string"));
         for line in [
             r#"{"op":"load","circuit":"c17","nworst":0}"#,
             r#"{"op":"analyze_batch","circuit":"c17","nworst":0}"#,
         ] {
-            let err = parse_request(line).unwrap_err();
+            let err = parse(line).unwrap_err();
             assert!(err.contains("/nworst: 0 below minimum 1"), "{err}");
         }
-        let err = parse_request(r#"{"op":"load","circuit":"c17","threads":0}"#).unwrap_err();
+        let err = parse(r#"{"op":"load","circuit":"c17","threads":0}"#).unwrap_err();
         assert!(err.contains("/threads: 0 below minimum 1"), "{err}");
-        let err = parse_request(r#"{"op":"analyze_batch","circuit":"c17","batch_threads":65}"#)
-            .unwrap_err();
+        let err =
+            parse(r#"{"op":"analyze_batch","circuit":"c17","batch_threads":65}"#).unwrap_err();
         assert!(err.contains("/batch_threads: 65 above maximum 64"), "{err}");
     }
 
@@ -427,10 +422,9 @@ mod tests {
     /// an integer (the schema's `integer` type admits `2.0`).
     #[test]
     fn the_schema_decides_field_names_and_number_types() {
-        let err =
-            parse_request(r#"{"op":"paths","circuit":"c17","limit":2,"bogus":1}"#).unwrap_err();
+        let err = parse(r#"{"op":"paths","circuit":"c17","limit":2,"bogus":1}"#).unwrap_err();
         assert!(err.contains("unexpected property \"bogus\""), "{err}");
-        let (req, _) = parse_request(r#"{"op":"paths","circuit":"c17","limit":2.0}"#).unwrap();
+        let req = parse(r#"{"op":"paths","circuit":"c17","limit":2.0}"#).unwrap();
         assert_eq!(
             req,
             Request::Paths {
@@ -439,7 +433,7 @@ mod tests {
                 scenario: None,
             }
         );
-        let err = parse_request(r#"{"op":"paths","circuit":"c17","limit":2.5}"#).unwrap_err();
+        let err = parse(r#"{"op":"paths","circuit":"c17","limit":2.5}"#).unwrap_err();
         assert!(err.contains("/limit: expected type integer"), "{err}");
     }
 }

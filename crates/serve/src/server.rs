@@ -206,8 +206,9 @@ impl Server {
     pub fn handle_line(&mut self, line: &str) -> (String, bool) {
         self.requests += 1;
         self.cfg.obs.counter("serve.requests").add(1);
-        let (reply, shutdown) = match parse_request(line) {
-            Ok((req, id)) => {
+        let (id, parsed) = parse_request(line);
+        let (reply, shutdown) = match parsed {
+            Ok(req) => {
                 let op = op_name(&req);
                 let span = self
                     .cfg
@@ -227,7 +228,7 @@ impl Server {
                     Err(msg) => (self.error_reply(Some(op), id, msg), false),
                 }
             }
-            Err(msg) => (self.error_reply(None, None, msg), false),
+            Err(msg) => (self.error_reply(None, id, msg), false),
         };
         let text = serde_json::to_string(&reply).expect("responses always serialize");
         (text, shutdown)
@@ -1116,6 +1117,39 @@ mod tests {
         assert_eq!(manifest.errors, 3);
     }
 
+    /// A refused request object echoes its `id`, whatever refused it, so
+    /// a pipelining client can match the refusal to its request; a line
+    /// that is not an object has no `id` to echo.
+    #[test]
+    fn refusals_echo_the_request_id() {
+        let mut server = fast_server();
+        for (line, why) in [
+            (
+                r#"{"id":6,"op":"paths","circuit":"c17","bogus":1}"#,
+                "unexpected property",
+            ),
+            (
+                r#"{"id":6,"op":"load","circuit":"c17","nworst":0}"#,
+                "/nworst: 0 below minimum 1",
+            ),
+            (
+                r#"{"id":6,"op":"status","schema_version":1}"#,
+                "unsupported schema_version 1",
+            ),
+        ] {
+            let refused = reply(&mut server, line);
+            assert_eq!(get(&refused, "ok"), &Value::Bool(false), "{line}");
+            assert_eq!(as_u64(get(&refused, "id")), 6, "{line}");
+            assert!(matches!(get(&refused, "error"), Value::Str(s) if s.contains(why)));
+        }
+        for line in [r#"{"id":6,"op":"status""#, r#"[{"id":6}]"#] {
+            let Value::Map(fields) = reply(&mut server, line) else {
+                panic!("reply is not an object")
+            };
+            assert!(fields.iter().all(|(k, _)| k != "id"), "{line}: {fields:?}");
+        }
+    }
+
     /// `nworst: 0`, zero or oversized thread counts, a batch whose
     /// `batch_threads` times the session's `threads` exceeds
     /// `MAX_THREADS`, a zero `limit`, a non-finite corner supply and a
@@ -1278,7 +1312,7 @@ mod tests {
             let doc: Value = serde_json::from_str(line).unwrap();
             let schema_ok = sta_obs::schema::validate(&schema, &doc).is_ok();
             assert_eq!(schema_ok, expected, "schema verdict on {line}");
-            let parsed = parse_request(line);
+            let parsed = parse_request(line).1;
             assert_eq!(
                 parsed.is_ok(),
                 schema_ok,
@@ -1313,14 +1347,18 @@ mod tests {
             // Every op reads the fields it requires and ignores the rest.
             let line =
                 format!(r#"{{"op":"{op}","circuit":"c17","kind":"resize","instance":"g1"}}"#);
-            let (req, _) = parse_request(&line).unwrap_or_else(|e| panic!("op {op}: {e}"));
+            let req = parse_request(&line)
+                .1
+                .unwrap_or_else(|e| panic!("op {op}: {e}"));
             assert_eq!(op_name(&req), op);
         }
         for kind in strings("kind") {
             let line = format!(
                 r#"{{"op":"edit","circuit":"c17","kind":"{kind}","instance":"g1","cell":"INV_X1","pin":0,"net":"a"}}"#
             );
-            let (req, _) = parse_request(&line).unwrap_or_else(|e| panic!("kind {kind}: {e}"));
+            let req = parse_request(&line)
+                .1
+                .unwrap_or_else(|e| panic!("kind {kind}: {e}"));
             let Request::Edit { kind: parsed, .. } = req else {
                 panic!("{line} is not an edit")
             };

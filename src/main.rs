@@ -41,6 +41,7 @@ use sta_lint::{
 };
 use sta_netlist::{Netlist, NetlistError};
 use sta_obs::{Heartbeat, Observer, RunManifest};
+use sta_serve::protocol::MAX_THREADS;
 
 // ---------------------------------------------------------------------------
 // Error type and exit codes
@@ -165,7 +166,8 @@ fn print_usage() {
                     N >= 1 worst paths, pruned by the per-arc dominance cut;\n\
                     --corners/--modes run the whole MCMM matrix as one batch\n\
                     with shared characterization/netlist/kernels, reporting\n\
-                    per-scenario results plus the merged worst-slack view)\n\
+                    per-scenario results plus the merged worst-slack view;\n\
+                    W x B worker threads, at most 64)\n\
            slack    <circuit> [--tech T] [--corner C] [--corners C,..] [--modes F,..]\n\
                     [--required PS] [--sdc FILE]   structural slack report\n\
                     (single scenario, or the merged MCMM matrix with --corners/--modes)\n\
@@ -366,6 +368,23 @@ impl Opts {
                 }
                 other => opts.positional.push(other.to_string()),
             }
+        }
+        // The daemon's thread rule: every worker is an OS thread.
+        for (flag, n) in [
+            ("--threads", opts.threads),
+            ("--batch-threads", opts.batch_threads),
+        ] {
+            if !(1..=MAX_THREADS).contains(&n) {
+                return Err(CliError::Usage(format!(
+                    "{flag} must be between 1 and {MAX_THREADS}, got {n}"
+                )));
+            }
+        }
+        if opts.batch_threads * opts.threads > MAX_THREADS {
+            return Err(CliError::Usage(format!(
+                "--batch-threads {} times --threads {} exceeds {MAX_THREADS} worker threads",
+                opts.batch_threads, opts.threads
+            )));
         }
         Ok(opts)
     }

@@ -106,4 +106,32 @@ fn exit_codes_are_stable_and_format_independent() {
     }
     let (code, _, stderr) = run(&["analyze", "c17", "--corner", "75,inf", "--fast-char"]);
     assert_eq!(code, 2, "non-finite corner supply: {stderr}");
+    // Thread counts follow the daemon's rule: 1 to 64 each, and at most
+    // 64 workers per batch. Refused before any characterization, so
+    // none of these starts a thread.
+    for args in [
+        &["analyze", "c17", "--threads", "0"][..],
+        &["analyze", "c17", "--threads", "65"],
+        &[
+            "analyze",
+            "c17",
+            "--corners",
+            "typ,slow",
+            "--batch-threads",
+            "33",
+            "--threads",
+            "2",
+        ],
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("threads"),
+            "{args:?} names the flag: {stderr}"
+        );
+        assert!(
+            !stderr.contains("characterizing"),
+            "{args:?} is refused before characterization: {stderr}"
+        );
+    }
 }

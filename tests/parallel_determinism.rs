@@ -1,12 +1,14 @@
 //! Enumeration is byte-identical at any thread count.
 //!
 //! The enumeration pool (see `sta-core`'s `parallel` module) claims its
-//! fixed root-task list in order through one atomic cursor and merges by
-//! task index. It promises that `PathEnumerator::run` produces the same
-//! path list at any thread count, and that in full enumeration even the
-//! `run_with` *stream* is identical. These tests pin both claims on catalog circuits and on
-//! randomly generated logic, and pin the run-wide budget rule: a
-//! truncated run is reproducible at one thread and bounded at any.
+//! fixed root-task list in order through one atomic cursor and merges the
+//! per-task results by task index. It promises that `PathEnumerator::run`
+//! produces the same path list at any thread count, and in full
+//! enumeration the same search-effort counters too. These tests pin that
+//! claim on catalog circuits and on randomly generated logic, pin
+//! 1-thread searches decision for decision, and pin the run-wide budget
+//! rule: a truncated run is reproducible at one thread and bounded at
+//! any.
 
 use std::sync::OnceLock;
 
@@ -48,8 +50,8 @@ fn bytes(paths: &[TruePath]) -> String {
     serde_json::to_string(paths).expect("paths serialize")
 }
 
-/// Full enumeration: identical path lists at 1/2/4 threads on catalog
-/// circuits, and the `run_with` stream itself is in the 1-thread order.
+/// Full enumeration: identical path lists and search effort at 1/2/4
+/// threads on catalog circuits.
 #[test]
 fn full_enumeration_is_byte_identical_across_thread_counts() {
     let (lib, tlib, tech) = setup();
@@ -71,19 +73,6 @@ fn full_enumeration_is_byte_identical_across_thread_counts() {
             let mut normalized = par_stats;
             normalized.justify_cache_hits = one_stats.justify_cache_hits;
             assert_eq!(one_stats, normalized, "{name}: {threads}-thread stats");
-
-            // The streamed emission order equals the 1-thread order, not
-            // just the sorted result.
-            let mut one_stream = Vec::new();
-            PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_with(|p| one_stream.push(p));
-            let mut par_stream = Vec::new();
-            PathEnumerator::new(&nl, lib, tlib, cfg.clone().with_threads(threads))
-                .run_with(|p| par_stream.push(p));
-            assert_eq!(
-                bytes(&one_stream),
-                bytes(&par_stream),
-                "{name}: {threads}-thread run_with stream differs"
-            );
         }
     }
 }
@@ -176,6 +165,10 @@ fn decision_budget_bounds_the_whole_run() {
 /// `max_paths` bounds the whole run: at one thread a truncated run stops
 /// at exactly the cap and is reproducible byte for byte; at any thread
 /// count each worker admits at most one path past it.
+///
+/// The 1-thread full enumeration is pinned decision for decision, with
+/// its certificate digest, so a change to the reachability check that
+/// full enumeration prunes with fails here.
 #[test]
 fn path_budget_bounds_the_whole_run() {
     let (lib, tlib, tech) = setup();
@@ -187,6 +180,13 @@ fn path_budget_bounds_the_whole_run() {
     assert!(a_stats.truncated && b_stats.truncated, "budget must bite");
     assert_eq!(a.len(), 100);
     assert_eq!(bytes(&a), bytes(&b), "1-thread truncated runs differ");
+    assert_eq!(a_stats.decisions, 9_474, "1-thread trip point");
+    let certs = CertificateSet::new(&nl, cfg.input_slew, a).to_json();
+    assert_eq!(
+        sta_obs::digest_string(certs.as_bytes()),
+        "fnv1a64:b086446ca30f4297",
+        "1-thread truncated certificate bytes"
+    );
     for threads in [2, 4] {
         let (paths, stats) = run_at(&nl, lib, tlib, &cfg, threads);
         assert!(stats.truncated, "{threads} threads: budget must bite");

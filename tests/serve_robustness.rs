@@ -2,8 +2,9 @@
 //!
 //! A malformed line, an unknown op, a zero `nworst` and a request pinned
 //! to an unsupported `schema_version` each get an in-band
-//! `{"ok":false,...}` reply from the real `serve` binary. The session
-//! keeps answering afterwards, and the process exits 0 at `shutdown`.
+//! `{"ok":false,...}` reply from the real `serve` binary, carrying the
+//! request's `id` whenever the line is an object. The session keeps
+//! answering afterwards, and the process exits 0 at `shutdown`.
 //! A fuzzer drives the request loop of an in-process daemon with
 //! generated sessions of valid and invalid requests.
 
@@ -64,6 +65,14 @@ fn rejected_requests_leave_the_daemon_serving() {
     ] {
         assert!(line.contains(r#""ok":false"#), "rejected: {line}");
         assert!(line.contains(why), "reply names {why:?}: {line}");
+    }
+    // Broken JSON has no id to echo; every refused object echoes its own.
+    assert!(!lines[0].contains(r#""id""#), "{}", lines[0]);
+    for (id, line) in (2..).zip(&lines[1..5]) {
+        assert!(
+            line.contains(&format!(r#""id":{id}"#)),
+            "refusal echoes id {id}: {line}"
+        );
     }
     for line in &lines[5..] {
         assert!(line.contains(r#""ok":true"#), "served after errors: {line}");
@@ -285,9 +294,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Each generated line gets exactly one reply line with a boolean
-    /// `ok`; only schema-valid requests are served; the session manifest
-    /// of a closing `status` counts every line and every refusal.
-    /// (`shutdown` is not generated: it ends the loop.)
+    /// `ok`; only schema-valid requests are served; a reply to an object
+    /// line with an `id` echoes that id verbatim, refusals included; the
+    /// session manifest of a closing `status` counts every line and every
+    /// refusal. (`shutdown` is not generated: it ends the loop.)
     fn request_loop_survives_generated_sessions(lines in session_lines()) {
         let schema: Value = serde_json::from_str(SERVE_SCHEMA_JSON).unwrap();
         let mut server = Server::new(ServerConfig {
@@ -307,6 +317,11 @@ proptest! {
         for (line, reply) in lines.iter().zip(&replies) {
             let doc: Value = serde_json::from_str(reply)
                 .map_err(|e| TestCaseError::fail(format!("reply {reply}: {e}")))?;
+            if let Ok(request) = serde_json::from_str::<Value>(line) {
+                if let Some(id) = get(&request, "id") {
+                    prop_assert_eq!(get(&doc, "id"), Some(id), "id of {} -> {}", line, reply);
+                }
+            }
             match get(&doc, "ok") {
                 Some(Value::Bool(true)) => {
                     let request: Value = serde_json::from_str(line).unwrap();

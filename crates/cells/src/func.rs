@@ -1,7 +1,9 @@
-//! Logic functions of standard cells: expression ASTs and truth tables.
+//! Logic functions of standard cells: expression ASTs, truth tables and
+//! the ternary tables that three-valued simulation looks gates up in.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum number of cell input pins supported (truth tables are stored in
 /// a `u64`, i.e. up to 2⁶ rows).
@@ -56,6 +58,34 @@ impl Expr {
             Expr::And(es) => es.iter().all(|e| e.eval(pins)),
             Expr::Or(es) => es.iter().any(|e| e.eval(pins)),
             Expr::Xor(es) => es.iter().fold(false, |acc, e| acc ^ e.eval(pins)),
+        }
+    }
+
+    /// Evaluates the expression tree in strong Kleene logic, `None` being
+    /// unknown: each node from its children's values, so a 0 settles an
+    /// AND, a 1 settles an OR and any unknown leaves an XOR unknown (see
+    /// [`TernaryTable`]).
+    fn eval_kleene(&self, pins: &[Option<bool>]) -> Option<bool> {
+        match self {
+            Expr::Pin(p) => pins[*p as usize],
+            Expr::Not(e) => e.eval_kleene(pins).map(|v| !v),
+            Expr::And(es) | Expr::Or(es) => {
+                // A 0 settles an AND and a 1 settles an OR; otherwise any
+                // unknown child leaves the node unknown.
+                let settling = matches!(self, Expr::Or(_));
+                let mut out = Some(!settling);
+                for v in es.iter().map(|e| e.eval_kleene(pins)) {
+                    match v {
+                        Some(b) if b == settling => return Some(settling),
+                        None => out = None,
+                        Some(_) => {}
+                    }
+                }
+                out
+            }
+            Expr::Xor(es) => es
+                .iter()
+                .try_fold(false, |acc, e| Some(acc ^ e.eval_kleene(pins)?)),
         }
     }
 
@@ -245,6 +275,74 @@ impl fmt::Debug for TruthTable {
     }
 }
 
+/// The three-valued function of a cell expression, tabulated for
+/// evaluation by lookup: the expression tree evaluated node by node in
+/// strong Kleene logic over every assignment of 0, 1 and unknown to the
+/// pins. That is what three-valued simulation of the tree computes, not
+/// the exact ternary extension of the cell's [`TruthTable`]: a MUX with
+/// both data pins at 1 and an unknown select reads unknown here, though
+/// every completion of the select gives 1.
+///
+/// A pin value is a 2-bit code — [`TernaryTable::ZERO`],
+/// [`TernaryTable::ONE`] or [`TernaryTable::X`] — and pin `k` occupies
+/// bits `2k..2k+2` of the row index, so a `k`-pin table has `4^k`
+/// one-byte entries, each a code. The spare code 3 reads as unknown.
+/// The entries sit behind an `Arc`, so clones (drive-strength variants)
+/// share them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TernaryTable {
+    entries: Arc<[u8]>,
+}
+
+impl TernaryTable {
+    /// Code of logic 0.
+    pub const ZERO: u8 = 0;
+    /// Code of logic 1.
+    pub const ONE: u8 = 1;
+    /// Code of an unknown value.
+    pub const X: u8 = 2;
+
+    /// Tabulates the Kleene evaluation of `expr` over `num_pins` inputs.
+    ///
+    /// # Panics
+    ///
+    /// As [`TruthTable::from_expr`].
+    pub fn from_expr(expr: &Expr, num_pins: u8) -> Self {
+        assert!((1..=MAX_PINS).contains(&num_pins), "1..=6 pins supported");
+        if let Some(mp) = expr.max_pin() {
+            assert!(mp < num_pins, "expression references pin out of range");
+        }
+        let mut pins = vec![None; num_pins as usize];
+        let entries = (0..1usize << (2 * num_pins))
+            .map(|row| {
+                for (k, pin) in pins.iter_mut().enumerate() {
+                    *pin = match (row >> (2 * k) & 3) as u8 {
+                        TernaryTable::ZERO => Some(false),
+                        TernaryTable::ONE => Some(true),
+                        _ => None,
+                    };
+                }
+                match expr.eval_kleene(&pins) {
+                    Some(false) => TernaryTable::ZERO,
+                    Some(true) => TernaryTable::ONE,
+                    None => TernaryTable::X,
+                }
+            })
+            .collect();
+        TernaryTable { entries }
+    }
+
+    /// The output code for a row of pin codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is at or above `4^k` for a `k`-pin table.
+    #[inline]
+    pub fn lookup(&self, row: usize) -> u8 {
+        self.entries[row]
+    }
+}
+
 /// How a function responds to one of its inputs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Unateness {
@@ -309,6 +407,29 @@ mod tests {
         assert_eq!(oa12.display().to_string(), "(A+B)*C");
         let aoi21 = Expr::Or(vec![Expr::and_pins(&[0, 1]), Expr::Pin(2)]).not();
         assert_eq!(aoi21.display().to_string(), "!(A*B+C)");
+    }
+
+    /// Binary rows of the ternary table agree with the truth table; a row
+    /// with an unknown pin holds the tree's Kleene value, which on a MUX
+    /// with equal data pins and an unknown select is X, not the 1 that
+    /// every completion of the select gives.
+    #[test]
+    fn ternary_table_holds_the_kleene_evaluation() {
+        let mux = Expr::Or(vec![
+            Expr::And(vec![Expr::Pin(0), Expr::Pin(2).not()]),
+            Expr::and_pins(&[1, 2]),
+        ]);
+        let table = TernaryTable::from_expr(&mux, 3);
+        let tt = TruthTable::from_expr(&mux, 3);
+        for row in 0..8u32 {
+            let codes = (0..3).map(|k| ((row >> k & 1) as usize) << (2 * k)).sum();
+            assert_eq!(table.lookup(codes), u8::from(tt.value(row)), "row {row}");
+        }
+        let s_unknown =
+            |a: u8, b: u8| usize::from(a) | usize::from(b) << 2 | usize::from(TernaryTable::X) << 4;
+        assert_eq!(table.lookup(s_unknown(1, 1)), TernaryTable::X);
+        assert_eq!(table.lookup(s_unknown(0, 0)), TernaryTable::ZERO);
+        assert_eq!(table.lookup(s_unknown(1, 0)), TernaryTable::X);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod tech;
 pub mod topology;
 pub mod topology_report;
 
-pub use func::{Expr, TruthTable, Unateness};
+pub use func::{Expr, TernaryTable, TruthTable, Unateness};
 pub use library::{Cell, Library};
 pub use sensitization::{PinArcs, Polarity, SensVector};
 pub use tech::{Corner, Technology};

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use sta_netlist::verilog::{CellResolver, ResolvedCell};
 use sta_netlist::{CellId, GateKind, Netlist, NetlistError, PrimOp};
 
-use crate::func::{pin_name, Expr, TruthTable};
+use crate::func::{pin_name, Expr, TernaryTable, TruthTable};
 use crate::sensitization::{enumerate, PinArcs, SensVector};
 use crate::topology::CellTopology;
 
@@ -19,6 +19,10 @@ pub struct Cell {
     pin_names: Vec<String>,
     expr: Expr,
     tt: TruthTable,
+    /// Derived from `expr`; [`Library::rebuild_name_index`] rebuilds it
+    /// after deserialization.
+    #[serde(skip)]
+    ternary: TernaryTable,
     arcs: Vec<PinArcs>,
     topology: CellTopology,
 }
@@ -26,6 +30,7 @@ pub struct Cell {
 impl Cell {
     fn new(id: CellId, name: &str, num_pins: u8, expr: Expr) -> Self {
         let tt = TruthTable::from_expr(&expr, num_pins);
+        let ternary = TernaryTable::from_expr(&expr, num_pins);
         let arcs = enumerate(&tt);
         let topology = CellTopology::derive(&expr);
         let pin_names = (0..num_pins).map(|p| pin_name(p).to_string()).collect();
@@ -35,6 +40,7 @@ impl Cell {
             pin_names,
             expr,
             tt,
+            ternary,
             arcs,
             topology,
         }
@@ -74,6 +80,13 @@ impl Cell {
     #[inline]
     pub fn truth_table(&self) -> &TruthTable {
         &self.tt
+    }
+
+    /// The three-valued function of the expression, tabulated: what the
+    /// implication engine evaluates the cell's gates with.
+    #[inline]
+    pub fn ternary_table(&self) -> &TernaryTable {
+        &self.ternary
     }
 
     /// Sensitization arcs, one entry per pin (paper Tables 1–2).
@@ -232,7 +245,8 @@ impl Library {
     }
 
     /// Adds a drive-strength variant of an existing cell: same logic
-    /// function, pin names, truth table and sensitization arcs, with every
+    /// function, pin names, truth table, ternary table (shared, not
+    /// copied) and sensitization arcs, with every
     /// topology stage's transistor widths scaled by `scale`. The variant is
     /// named `BASE_X<scale>` (e.g. `NAND2_X2`) and returned.
     ///
@@ -359,9 +373,13 @@ impl Library {
         nl.outputs().iter().map(|o| value[o.index()]).collect()
     }
 
-    /// Rebuilds the name index after deserialization.
+    /// Rebuilds what deserialization skips: the name index and each
+    /// cell's ternary table.
     pub fn rebuild_name_index(&mut self) {
         self.by_name = self.cells.iter().map(|c| (c.name.clone(), c.id)).collect();
+        for cell in &mut self.cells {
+            cell.ternary = TernaryTable::from_expr(&cell.expr, cell.tt.num_pins());
+        }
     }
 }
 
@@ -451,6 +469,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("{} has no X2 variant", cell.name()));
             assert_eq!(var.truth_table(), cell.truth_table(), "{}", cell.name());
             assert_eq!(var.expr(), cell.expr(), "{}", cell.name());
+            assert_eq!(var.ternary_table(), cell.ternary_table(), "{}", cell.name());
             assert_eq!(var.arcs(), cell.arcs(), "{}", cell.name());
             assert_eq!(var.pin_names(), cell.pin_names(), "{}", cell.name());
             for (b, v) in cell.topology().stages.iter().zip(&var.topology().stages) {

@@ -23,9 +23,6 @@
 //! what the search prunes with. [`PathEnumerator::run`] returns the
 //! admitted paths, canonically sorted and truncated to N.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use serde::Serialize;
@@ -37,7 +34,7 @@ use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
 use crate::arrival::ArcBounds;
-use crate::parallel::{decode_bound, encode_bound, RunBudget};
+use crate::parallel::{Admissions, RunBudget};
 use crate::path::{canonical_top_n, LaunchTiming, PathArc, PiValue, TruePath};
 
 /// Configuration of a true-path enumeration run.
@@ -502,16 +499,10 @@ pub(crate) struct Search<'a> {
     pub(crate) found: Vec<TruePath>,
     /// The run-wide decision and path tally every worker spends from.
     pub(crate) budget: &'a RunBudget,
-    /// The N largest admitted worst arrivals in N-worst mode, encoded by
-    /// `encode_bound` with the smallest on top: once it holds N, its top
-    /// is the admission threshold.
-    pub(crate) top_arrivals: BinaryHeap<Reverse<u64>>,
-    /// N-worst admission threshold (−∞ until the set is full).
-    pub(crate) threshold: f64,
-    /// Tightest published N-worst threshold, shared by all workers of the
-    /// run (total-order f64 encoding, monotone `fetch_max`; see the
-    /// `parallel` module).
-    pub(crate) shared_bound: &'a AtomicU64,
+    /// The N-worst admission set this search admits into and prunes
+    /// against: the run's, or under threshold isolation the current
+    /// source's (see the `parallel` module).
+    pub(crate) admissions: &'a Admissions,
     /// Memo table over justification candidate enumeration.
     pub(crate) justify_cache: JustifyCache,
     /// Shared stack of pending side assignments: each [`Search::try_arc`]
@@ -544,28 +535,6 @@ pub(crate) struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// The N-worst admission threshold in force: the worker-local one,
-    /// tightened by the shared bound published by other workers. Every
-    /// published value is some worker's N-th-largest admitted arrival,
-    /// which never exceeds the global N-th-largest (a subset's N-th
-    /// largest is at most the superset's), so tightening with it never
-    /// drops a path that belongs in the final N — see the `parallel`
-    /// module docs for the full argument.
-    pub(crate) fn effective_threshold(&self) -> f64 {
-        self.threshold.max(decode_bound(
-            self.shared_bound.load(std::sync::atomic::Ordering::Relaxed),
-        ))
-    }
-
-    fn publish_threshold(&self) {
-        if self.threshold > f64::NEG_INFINITY {
-            self.shared_bound.fetch_max(
-                encode_bound(self.threshold),
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
-    }
-
     /// Checks the run-wide budget, latching `stats.truncated` once it has
     /// tripped.
     pub(crate) fn budget_exhausted(&mut self) -> bool {
@@ -580,7 +549,7 @@ impl Search<'_> {
     /// remaining bound stays below it. Never true in full enumeration,
     /// whose threshold stays `−∞`.
     pub(crate) fn prunes(&self, net: NetId, mask: Mask, timing: &PolTimings) -> bool {
-        let threshold = self.effective_threshold();
+        let threshold = self.admissions.threshold();
         threshold > f64::NEG_INFINITY
             && timing.worst_alive(mask) + self.rem[net.index()] < threshold
     }
@@ -662,7 +631,7 @@ impl Search<'_> {
         // rejected by `record` anyway (strict `<`, and the threshold
         // only tightens), so the emitted set is unchanged.
         if let Some(ab) = &self.arc_bounds {
-            let threshold = self.effective_threshold();
+            let threshold = self.admissions.threshold();
             if threshold > f64::NEG_INFINITY {
                 let out_net = self.nl.gate(gate).output();
                 let best = timing.worst_alive(mask)
@@ -875,36 +844,23 @@ impl Search<'_> {
     fn record(&mut self, path: TruePath) {
         self.stats.paths += 1;
         self.stats.input_vectors += path.num_polarities();
-        if let Some(n) = self.cfg.n_worst {
+        if self.cfg.n_worst.is_some() {
             let w = path.worst_arrival();
             // Ties with the threshold are admitted (strict `<`): the final
             // cutoff arrival may be shared by several paths, and the
             // deterministic truncation in `run` needs all of them
             // admitted to pick the same N regardless of discovery order
-            // (and of thread count). The local threshold stays −∞ until N
-            // local admissions, so the shared bound alone can also reject
-            // (any published bound is ≤ the global N-th largest arrival).
-            if w < self.effective_threshold() {
+            // (and of thread count). The threshold stays −∞ until N
+            // paths have been admitted.
+            if w < self.admissions.threshold() {
                 return;
             }
             self.admit(path);
-            // Refresh the admission threshold from the current N-th
-            // largest admitted arrival.
-            self.top_arrivals.push(Reverse(encode_bound(w)));
-            if self.top_arrivals.len() > n {
-                self.top_arrivals.pop();
-            }
-            if self.top_arrivals.len() == n {
-                // N = 0 admits nothing past the first path.
-                self.threshold = self
-                    .top_arrivals
-                    .peek()
-                    .map_or(f64::INFINITY, |&Reverse(nth)| decode_bound(nth));
+            if let Some(threshold) = self.admissions.insert(w) {
                 self.bound_updates.inc();
                 if let Some(p) = &self.progress {
-                    p.set_bound(self.threshold);
+                    p.set_bound(threshold);
                 }
-                self.publish_threshold();
             }
         } else {
             self.admit(path);

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use sta_cells::Library;
-use sta_logic::{eval_expr_v9, eval_prim_v9, Dual, ImplicationEngine, Mask, V9};
+use sta_logic::{eval_prim_v9, eval_table_dual, Dual, ImplicationEngine, Mask, V9};
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
 /// One alternative side-input assignment set justifying an obligation.
@@ -38,19 +38,47 @@ type Candidates = Vec<Candidate>;
 /// its inputs. The candidate set is a pure function of these — it never
 /// consults the engine's toggle deltas or any net outside the gate — so a
 /// cached entry is valid across launch sources and search branches.
+///
+/// The fields are packed into two words, so a lookup hashes 16 bytes:
+/// `head` holds the gate index (bits 0–31), the requirement (32–39), the
+/// mask (40–41) and the fan-in (42–45); `ins` holds the inputs' values,
+/// 8 bits each in pin order. A value takes 8 bits as four 2-bit
+/// [`TriVal`](sta_logic::TriVal) codes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct CandKey {
-    gate: u32,
-    req: Dual,
-    mask: Mask,
-    ins: [Dual; CandKey::MAX_FANIN],
-    fanin: u8,
+    head: u64,
+    ins: u64,
 }
 
 impl CandKey {
     /// Gates wider than this bypass the cache (none exist in the mapped
     /// standard-cell library; primitives can be wide).
     const MAX_FANIN: usize = 8;
+
+    /// Packs the key of a gate with at most [`CandKey::MAX_FANIN`] inputs.
+    fn pack(gate: u32, req: Dual, mask: Mask, ins: impl ExactSizeIterator<Item = Dual>) -> Self {
+        let fanin = ins.len() as u64;
+        debug_assert!(fanin as usize <= CandKey::MAX_FANIN);
+        let head = u64::from(gate)
+            | dual_bits(req) << 32
+            | u64::from(mask.r) << 40
+            | u64::from(mask.f) << 41
+            | fanin << 42;
+        let ins = ins
+            .enumerate()
+            .fold(0, |acc, (k, d)| acc | dual_bits(d) << (8 * k));
+        CandKey { head, ins }
+    }
+}
+
+/// The 8-bit code of a dual value: the [`TriVal`](sta_logic::TriVal)
+/// codes of its rising initial, rising final, falling initial and falling
+/// final levels.
+fn dual_bits(d: Dual) -> u64 {
+    [d.r.init(), d.r.fin(), d.f.init(), d.f.fin()]
+        .iter()
+        .enumerate()
+        .fold(0, |acc, (k, t)| acc | u64::from(t.code()) << (2 * k))
 }
 
 /// Memo table over [`minimal_candidates`]: branching candidates for a
@@ -201,10 +229,28 @@ pub(crate) fn justify_in(
 pub(crate) struct JustifyScratch {
     /// Unsatisfied obligations of the current fixpoint iteration.
     pending: Vec<(NetId, GateId)>,
-    /// Dedup set for the `pending` sweep.
-    seen: Vec<NetId>,
+    /// Per-net dedup stamps of the `pending` sweep: a net was swept in
+    /// the current fixpoint iteration iff its stamp equals `epoch`.
+    stamps: Vec<u32>,
+    /// The current fixpoint iteration's stamp; bumped once per sweep.
+    epoch: u32,
     /// Free (still-unknown) inputs of the gate under consideration.
     free: Vec<NetId>,
+}
+
+impl JustifyScratch {
+    /// Starts a dedup sweep over a netlist of `nets` nets: afterwards no
+    /// net carries the current stamp.
+    fn next_epoch(&mut self, nets: usize) {
+        if self.stamps.len() < nets {
+            self.stamps.resize(nets, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
 }
 
 struct Ctx<'a> {
@@ -223,19 +269,12 @@ fn cached_candidates(
 ) -> Rc<Candidates> {
     let g = ctx.nl.gate(gate);
     let key = match cache {
-        Some(_) if g.fanin() <= CandKey::MAX_FANIN => {
-            let mut ins = [Dual::XX; CandKey::MAX_FANIN];
-            for (slot, n) in ins.iter_mut().zip(g.inputs()) {
-                *slot = eng.value(*n);
-            }
-            Some(CandKey {
-                gate: gate.index() as u32,
-                req: eng.value(g.output()),
-                mask,
-                ins,
-                fanin: g.fanin() as u8,
-            })
-        }
+        Some(_) if g.fanin() <= CandKey::MAX_FANIN => Some(CandKey::pack(
+            gate.index() as u32,
+            eng.value(g.output()),
+            mask,
+            g.inputs().iter().map(|n| eng.value(*n)),
+        )),
         _ => None,
     };
     if let (Some(c), Some(key)) = (cache.as_deref_mut(), key) {
@@ -269,18 +308,18 @@ fn justify_rec(
     // contradictions. This (plus the toggle deltas in the engine) is what
     // tames the interlocking parity constraints of XOR-rich circuits.
     loop {
-        // Collect the currently unsatisfied obligations. The pending/seen
-        // buffers are shared down the recursion — only this iteration's
-        // contents matter, and the recursive calls below happen after the
-        // last read.
+        // Collect the currently unsatisfied obligations. The pending
+        // buffer and the stamps are shared down the recursion — only this
+        // iteration's contents matter, and the recursive calls below
+        // happen after the last read.
         scratch.pending.clear();
-        scratch.seen.clear();
+        scratch.next_epoch(nl.num_nets());
         for idx in (0..todo.len()).rev() {
             let net = todo[idx];
-            if scratch.seen.contains(&net) || nl.net(net).is_input() {
+            if scratch.stamps[net.index()] == scratch.epoch || nl.net(net).is_input() {
                 continue;
             }
-            scratch.seen.push(net);
+            scratch.stamps[net.index()] = scratch.epoch;
             let gate = nl.net(net).driver().expect("validated netlist");
             let computed = eng.computed_output(gate, alive);
             let req = eng.value(net);
@@ -443,16 +482,20 @@ fn minimal_candidates(
                 };
             }
         }
-        let per = |pick: fn(&Dual) -> V9| -> V9 {
-            let vals: Vec<V9> = ins.iter().map(pick).collect();
-            match g.kind() {
-                GateKind::Prim(op) => eval_prim_v9(op, &vals),
-                GateKind::Cell(c) => eval_expr_v9(ctx.lib.cell(c).expr(), &vals),
+        match g.kind() {
+            GateKind::Cell(c) => {
+                let table = ctx.lib.cell(c).ternary_table();
+                eval_table_dual(table, &ins, Mask::BOTH, Dual::XX)
             }
-        };
-        Dual {
-            r: per(|d| d.r),
-            f: per(|d| d.f),
+            GateKind::Prim(op) => {
+                let per = |pick: fn(&Dual) -> V9| {
+                    eval_prim_v9(op, &ins.iter().map(pick).collect::<Vec<_>>())
+                };
+                Dual {
+                    r: per(|d| d.r),
+                    f: per(|d| d.f),
+                }
+            }
         }
     };
     let locally_ok = |cand: &[(usize, bool)]| -> bool {
@@ -643,6 +686,73 @@ mod tests {
                 assert!(cache.hits >= 1, "second round should hit the memo table");
             }
         }
+    }
+
+    /// Two memo keys pack to equal words iff their fields are equal:
+    /// every gate, requirement and mask against a fixed input list, every
+    /// value at every position of every fan-in up to the cap, and
+    /// pseudo-random keys varying all fields at once.
+    #[test]
+    fn cand_keys_pack_to_equal_words_iff_fields_are_equal() {
+        use sta_logic::TriVal;
+        use std::collections::HashMap;
+        type Fields = (u32, Dual, Mask, Vec<Dual>);
+        let tri = [TriVal::Zero, TriVal::One, TriVal::X];
+        let v9: Vec<V9> = tri
+            .iter()
+            .flat_map(|&i| tri.iter().map(move |&f| V9::new(i, f)))
+            .collect();
+        let duals: Vec<Dual> = v9
+            .iter()
+            .flat_map(|&r| v9.iter().map(move |&f| Dual { r, f }))
+            .collect();
+        let masks = [
+            Mask::NONE,
+            Mask { r: true, f: false },
+            Mask { r: false, f: true },
+            Mask::BOTH,
+        ];
+        let mut fields: Vec<Fields> = Vec::new();
+        for gate in [0, 1, 7, 1 << 20, u32::MAX] {
+            for &req in &duals {
+                for mask in masks {
+                    fields.push((gate, req, mask, vec![Dual::XX, Dual::stable(true)]));
+                }
+            }
+        }
+        for fanin in 0..=CandKey::MAX_FANIN {
+            for pos in 0..fanin {
+                for &d in &duals {
+                    let mut ins = vec![Dual::stable(false); fanin];
+                    ins[pos] = d;
+                    fields.push((7, Dual::XX, Mask::BOTH, ins));
+                }
+            }
+        }
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let gate = next(64) as u32;
+            let req = duals[next(81)];
+            let mask = masks[next(4)];
+            let fanin = next(CandKey::MAX_FANIN + 1);
+            let ins = (0..fanin).map(|_| duals[next(81)]).collect();
+            fields.push((gate, req, mask, ins));
+        }
+        let mut owners: HashMap<CandKey, &Fields> = HashMap::new();
+        for f in &fields {
+            let key = CandKey::pack(f.0, f.1, f.2, f.3.iter().copied());
+            if let Some(prev) = owners.insert(key, f) {
+                assert_eq!(prev, f, "distinct fields pack to the same words");
+            }
+        }
+        let distinct: std::collections::HashSet<&Fields> = fields.iter().collect();
+        assert_eq!(owners.len(), distinct.len());
     }
 
     /// A zero backtrack limit makes a search that needs genuine branching

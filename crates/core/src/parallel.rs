@@ -23,19 +23,25 @@
 //!
 //! # Shared pruning bound (N-worst mode)
 //!
-//! Each worker keeps a local admission threshold (its N-th-largest
-//! admitted arrival) and additionally publishes it to an `AtomicU64`
-//! holding a total-order encoding of the `f64` bound (monotone
-//! `fetch_max`, relaxed ordering — the bound is a pure performance hint
-//! and never affects correctness). Soundness: a worker's N-th-largest
-//! admitted arrival never exceeds the global N-th-largest `T` (its
-//! admissions are a subset of all paths), so the effective threshold
-//! `max(local, shared)` is always ≤ `T`; with tie-inclusive admission
-//! (`w < threshold` rejects, ties pass) every path with arrival ≥ `T` is
-//! admitted under any schedule. `run` then sorts by the canonical total
-//! order of [`TruePath::canonical_cmp`] and truncates to N — identical
-//! output at any thread count, though the admitted *superset* (and the
-//! search-effort counters) may differ with the schedule.
+//! One admission set serves the whole run: a size-N min-heap of the
+//! largest admitted worst arrivals behind a `Mutex` ([`Admissions`]).
+//! Every admission pushes its arrival and, once the heap holds N,
+//! publishes the heap's top — the N-th largest arrival admitted so far —
+//! to an `AtomicU64` holding a total-order encoding of the `f64` bound.
+//! Pruning, the dominance cut and admission read that atomic alone, with
+//! relaxed ordering: the bound is a pure performance hint. Soundness: the
+//! heap holds arrivals of real paths, so its N-th largest never exceeds
+//! the N-th largest arrival `T` over all true paths; with tie-inclusive
+//! admission (`w < threshold` rejects, ties pass) every path with arrival
+//! ≥ `T` is admitted under any schedule. `run` then sorts by the
+//! canonical total order of [`TruePath::canonical_cmp`] and truncates to
+//! N — identical output at any thread count, though the admitted
+//! *superset* (and the search-effort counters) may differ with the
+//! schedule. Because every worker prunes against the N worst paths of
+//! the whole run rather than of its own admissions, a multi-worker
+//! search spends about the decisions of a one-worker search. Under
+//! [`EnumerationConfig::per_source_n_worst`] each source has its own
+//! admission set.
 //!
 //! # Budgets
 //!
@@ -50,9 +56,10 @@
 //! is reproducible; above one it depends on the schedule, and so does
 //! which paths a truncated run emits.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use sta_cells::Library;
 use sta_charlib::CompiledCorner;
@@ -67,8 +74,9 @@ use crate::justify::{JustifyCache, JustifyScratch};
 use crate::path::{PathArc, TruePath};
 
 /// Total-order encoding of an `f64` into a `u64`: `encode` is strictly
-/// monotone over the reals (including infinities), so `fetch_max` on the
-/// encoded value implements an atomic floating-point maximum.
+/// monotone over the reals (including infinities), so integer order on
+/// encoded values — the admission heap's order — is float order, and
+/// `fetch_max` on one implements an atomic floating-point maximum.
 pub(crate) fn encode_bound(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
@@ -124,6 +132,55 @@ impl RunBudget {
     }
 }
 
+/// An N-worst admission set shared by every worker: the N largest
+/// admitted worst arrivals, and the admission threshold published from
+/// them (see the module docs).
+pub(crate) struct Admissions {
+    n: usize,
+    /// The largest admitted arrivals, at most `n` of them, encoded by
+    /// [`encode_bound`] with the smallest on top.
+    top: Mutex<BinaryHeap<Reverse<u64>>>,
+    /// The heap's top once it holds `n` arrivals (`+∞` for `n = 0`), `−∞`
+    /// before; encoded by [`encode_bound`]. Written under the lock only,
+    /// so it never decreases.
+    threshold: AtomicU64,
+}
+
+impl Admissions {
+    fn new(n: usize) -> Self {
+        Admissions {
+            n,
+            top: Mutex::new(BinaryHeap::new()),
+            threshold: AtomicU64::new(encode_bound(f64::NEG_INFINITY)),
+        }
+    }
+
+    /// The admission threshold in force: a path whose worst arrival is
+    /// below it cannot be among the N worst.
+    pub(crate) fn threshold(&self) -> f64 {
+        decode_bound(self.threshold.load(Relaxed))
+    }
+
+    /// Adds an admitted arrival. Returns the threshold it publishes once
+    /// the set holds N arrivals, `None` before.
+    pub(crate) fn insert(&self, arrival: f64) -> Option<f64> {
+        let mut top = self.top.lock().expect("admission set poisoned");
+        top.push(Reverse(encode_bound(arrival)));
+        if top.len() > self.n {
+            top.pop();
+        }
+        if top.len() < self.n {
+            return None;
+        }
+        // N = 0 admits nothing past the first path.
+        let threshold = top
+            .peek()
+            .map_or(f64::INFINITY, |&Reverse(nth)| decode_bound(nth));
+        self.threshold.store(encode_bound(threshold), Relaxed);
+        Some(threshold)
+    }
+}
+
 /// One shard of the search: the first arc out of a source. Its index in
 /// the task list (depth-first opening order) is its merge key.
 struct RootTask {
@@ -161,12 +218,10 @@ struct WorkerCtx<'a> {
     tasks: &'a [RootTask],
     /// Index of the next unclaimed task in `tasks`.
     cursor: &'a AtomicUsize,
-    shared_bound: &'a AtomicU64,
-    /// Per-source published bounds (indexed like `plans`), replacing the
-    /// single `shared_bound` when
-    /// [`EnumerationConfig::per_source_n_worst`] isolates the admission
-    /// threshold per source. `None` otherwise.
-    src_bounds: Option<&'a [AtomicU64]>,
+    /// The run's N-worst admission set; one per source, indexed like
+    /// `plans`, when [`EnumerationConfig::per_source_n_worst`] isolates
+    /// the admission threshold per source.
+    admissions: &'a [Admissions],
     budget: &'a RunBudget,
     /// Per-arc delay upper bounds of the dominance cut (N-worst mode),
     /// computed once by the coordinator and shared read-only.
@@ -252,15 +307,17 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStat
     // worker starts), so relaxed `fetch_add` suffices to hand out each
     // index exactly once.
     let cursor = AtomicUsize::new(0);
-    let shared_bound = AtomicU64::new(encode_bound(f64::NEG_INFINITY));
-    // Per-source bounds for threshold isolation (see the config docs):
-    // one atomic per planned source, so workers on the same source still
-    // share pruning progress while sources stay independent.
-    let src_bounds: Option<Vec<AtomicU64>> = enumr.cfg.per_source_n_worst.then(|| {
-        (0..plans.len())
-            .map(|_| AtomicU64::new(encode_bound(f64::NEG_INFINITY)))
-            .collect()
-    });
+    // Threshold isolation (see the config docs) keeps one admission set
+    // per planned source: workers on the same source share pruning
+    // progress while sources stay independent. Full enumeration never
+    // touches its set, so its threshold stays −∞.
+    let sets = if enumr.cfg.per_source_n_worst {
+        plans.len()
+    } else {
+        1
+    };
+    let n = enumr.cfg.n_worst.unwrap_or(usize::MAX);
+    let admissions: Vec<Admissions> = (0..sets).map(|_| Admissions::new(n)).collect();
     let budget = RunBudget::new(&enumr.cfg);
     let ctx = WorkerCtx {
         nl,
@@ -272,8 +329,7 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStat
         is_output: &is_output,
         tasks: &tasks,
         cursor: &cursor,
-        shared_bound: &shared_bound,
-        src_bounds: src_bounds.as_deref(),
+        admissions: &admissions,
         budget: &budget,
         arc_bounds,
     };
@@ -323,9 +379,7 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> (EnumerationStats, Vec<(usize, Vec<TruePa
         delays_f: Vec::new(),
         found: Vec::new(),
         budget: ctx.budget,
-        top_arrivals: BinaryHeap::new(),
-        threshold: f64::NEG_INFINITY,
-        shared_bound: ctx.shared_bound,
+        admissions: &ctx.admissions[0],
         justify_cache: JustifyCache::new(),
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
@@ -372,13 +426,10 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> (EnumerationStats, Vec<(usize, Vec<TruePa
             search.obligations.clear();
             search.delays_r.clear();
             search.delays_f.clear();
-            if let Some(bounds) = ctx.src_bounds {
-                // Threshold isolation: forget the previous source's
-                // admissions and publish/read bounds through this
-                // source's own atomic.
-                search.threshold = f64::NEG_INFINITY;
-                search.top_arrivals.clear();
-                search.shared_bound = &bounds[task.src];
+            if ctx.cfg.per_source_n_worst {
+                // Threshold isolation: admit into and prune against this
+                // source's own set.
+                search.admissions = &ctx.admissions[task.src];
             }
             current_src = Some(task.src);
         }

@@ -11,11 +11,11 @@
 use std::collections::VecDeque;
 
 use sta_cells::func::Expr;
-use sta_cells::Library;
+use sta_cells::{Library, TernaryTable};
 use sta_netlist::{GateId, GateKind, NetId, Netlist, PrimOp};
 
 use crate::toggle::Toggle;
-use crate::value::V9;
+use crate::value::{TriVal, V9};
 
 /// A dual-transition value: the node's [`V9`] under a rising launch and
 /// under a falling launch of the path input.
@@ -222,40 +222,40 @@ impl<'a> ImplicationEngine<'a> {
         conflicts
     }
 
-    /// The value a gate's output takes given the current input values.
+    /// The value a gate's output takes given the current input values, in
+    /// the polarities of `mask`; a dead polarity keeps the output's
+    /// current value.
     pub fn computed_output(&self, gate: GateId, mask: Mask) -> Dual {
         let g = self.nl.gate(gate);
         let current = self.values[g.output().index()];
-        let mut out = Dual::XX;
-        // Hot path of forward propagation: avoid heap allocation for the
-        // small pin counts of mapped netlists; fall back to a Vec for
-        // wide primitives.
-        let mut small = [V9::XX; 8];
-        let mut big: Vec<V9>;
-        for pol in [Polarity::R, Polarity::F] {
-            if !pol.alive(mask) {
-                *pol.get_mut(&mut out) = pol.get(current);
-                continue;
-            }
-            let ins: &[V9] = if g.fanin() <= small.len() {
-                for (slot, n) in small.iter_mut().zip(g.inputs()) {
-                    *slot = pol.get(self.values[n.index()]);
+        match g.kind() {
+            GateKind::Cell(c) => eval_table_dual(
+                self.lib.cell(c).ternary_table(),
+                g.inputs().iter().map(|n| &self.values[n.index()]),
+                mask,
+                current,
+            ),
+            GateKind::Prim(op) => {
+                // Primitives can be wide: avoid heap allocation for small
+                // pin counts, fall back to a Vec otherwise.
+                let eval = |pol: Polarity| -> V9 {
+                    let vals = g.inputs().iter().map(|n| pol.get(self.values[n.index()]));
+                    let mut small = [V9::XX; 8];
+                    if g.fanin() <= small.len() {
+                        for (slot, v) in small.iter_mut().zip(vals) {
+                            *slot = v;
+                        }
+                        eval_prim_v9(op, &small[..g.fanin()])
+                    } else {
+                        eval_prim_v9(op, &vals.collect::<Vec<_>>())
+                    }
+                };
+                Dual {
+                    r: if mask.r { eval(Polarity::R) } else { current.r },
+                    f: if mask.f { eval(Polarity::F) } else { current.f },
                 }
-                &small[..g.fanin()]
-            } else {
-                big = g
-                    .inputs()
-                    .iter()
-                    .map(|n| pol.get(self.values[n.index()]))
-                    .collect();
-                &big
-            };
-            *pol.get_mut(&mut out) = match g.kind() {
-                GateKind::Prim(op) => eval_prim_v9(op, ins),
-                GateKind::Cell(c) => eval_expr_v9(self.lib.cell(c).expr(), ins),
-            };
+            }
         }
-        out
     }
 
     fn merge(&mut self, net: NetId, want: Dual, mask: Mask, conflicts: &mut Mask) {
@@ -356,7 +356,49 @@ pub fn eval_prim_v9(op: PrimOp, ins: &[V9]) -> V9 {
     }
 }
 
-/// Evaluates a cell expression over nine-valued pin values.
+/// Evaluates a cell gate over dual pin values (in pin order) through the
+/// cell's ternary table, in the polarities of `mask`; a dead polarity
+/// takes `current`'s value. One pass over the pins gathers the table rows
+/// of all four timeframes (rising and falling, initial and final), then
+/// each alive polarity costs one lookup per timeframe. Each timeframe
+/// equals [`eval_expr_v9`] on the cell's expression, because the table
+/// holds the expression tree's Kleene evaluation and the nine-valued
+/// operators act on each timeframe separately.
+///
+/// # Panics
+///
+/// Panics if more pins are given than the table has.
+#[inline]
+pub fn eval_table_dual<'d>(
+    table: &TernaryTable,
+    pins: impl IntoIterator<Item = &'d Dual>,
+    mask: Mask,
+    current: Dual,
+) -> Dual {
+    let mut rows = [0usize; 4];
+    for (k, d) in pins.into_iter().enumerate() {
+        let codes = [d.r.init(), d.r.fin(), d.f.init(), d.f.fin()];
+        for (row, t) in rows.iter_mut().zip(codes) {
+            *row |= usize::from(t.code()) << (2 * k);
+        }
+    }
+    let lookup = |row: usize| TriVal::from_code(table.lookup(row));
+    Dual {
+        r: if mask.r {
+            V9::new(lookup(rows[0]), lookup(rows[1]))
+        } else {
+            current.r
+        },
+        f: if mask.f {
+            V9::new(lookup(rows[2]), lookup(rows[3]))
+        } else {
+            current.f
+        },
+    }
+}
+
+/// Evaluates a cell expression over nine-valued pin values by walking the
+/// tree: the reference [`eval_table_dual`] is tested against.
 pub fn eval_expr_v9(expr: &Expr, pins: &[V9]) -> V9 {
     match expr {
         Expr::Pin(p) => pins[*p as usize],
@@ -383,6 +425,99 @@ mod tests {
 
     fn lib() -> Library {
         Library::standard()
+    }
+
+    /// Every cell of the standard library, drive variants included, is
+    /// evaluated by its ternary table exactly as by the tree walk of
+    /// `eval_expr_v9`: each table entry on all 3^k ternary pin
+    /// assignments, and `computed_output` on all 9^k nine-valued ones in
+    /// each polarity under every non-empty mask, where a dead polarity
+    /// keeps the output's current value.
+    #[test]
+    fn ternary_tables_match_the_expression_tree() {
+        let l = lib();
+        let tri = [TriVal::Zero, TriVal::One, TriVal::X];
+        let nine: Vec<V9> = tri
+            .iter()
+            .flat_map(|&i| tri.iter().map(move |&f| V9::new(i, f)))
+            .collect();
+        let digits = |idx: usize, base: usize, k: usize| -> Vec<usize> {
+            (0..k).map(|p| idx / base.pow(p as u32) % base).collect()
+        };
+        for cell in l.iter() {
+            let k = cell.num_pins() as usize;
+            let table = cell.ternary_table();
+            for idx in 0..3usize.pow(k as u32) {
+                let pins: Vec<TriVal> = digits(idx, 3, k).into_iter().map(|d| tri[d]).collect();
+                let row = pins
+                    .iter()
+                    .enumerate()
+                    .map(|(p, t)| usize::from(t.code()) << (2 * p))
+                    .sum();
+                let v9: Vec<V9> = pins.iter().map(|&t| V9::new(t, t)).collect();
+                let want = eval_expr_v9(cell.expr(), &v9).init();
+                let got = TriVal::from_code(table.lookup(row));
+                assert_eq!(got, want, "{} {pins:?}", cell.name());
+            }
+
+            let mut nl = Netlist::new("t");
+            let ins: Vec<NetId> = (0..k).map(|i| nl.add_input(format!("i{i}"))).collect();
+            let z = nl
+                .add_gate(GateKind::Cell(cell.id()), &ins, Some("z"))
+                .unwrap();
+            nl.mark_output(z);
+            let gate = nl.net(z).driver().unwrap();
+            let mut eng = ImplicationEngine::new(&nl, &l);
+            let n = 9usize.pow(k as u32);
+            let assignment = |idx: usize| -> Vec<V9> {
+                digits(idx, 9, k).into_iter().map(|d| nine[d]).collect()
+            };
+            for idx in 0..n {
+                let r = assignment(idx);
+                let f = assignment(n - 1 - idx);
+                let mark = eng.mark();
+                // A prior requirement on the output, so that its current
+                // value need not be what the inputs compute.
+                let prior = Dual {
+                    r: nine[idx % 9],
+                    f: nine[idx / 9 % 9],
+                };
+                eng.assign(z, prior, Mask::BOTH);
+                for (p, &net) in ins.iter().enumerate() {
+                    eng.assign(net, Dual { r: r[p], f: f[p] }, Mask::BOTH);
+                }
+                let current = eng.value(z);
+                let want_r = eval_expr_v9(cell.expr(), &r);
+                let want_f = eval_expr_v9(cell.expr(), &f);
+                for mask in [
+                    Mask::BOTH,
+                    Mask { r: true, f: false },
+                    Mask { r: false, f: true },
+                ] {
+                    let got = eng.computed_output(gate, mask);
+                    let ctx = || format!("{} r {r:?} f {f:?} {mask:?}", cell.name());
+                    assert_eq!(got.r, if mask.r { want_r } else { current.r }, "{}", ctx());
+                    assert_eq!(got.f, if mask.f { want_f } else { current.f }, "{}", ctx());
+                }
+                eng.rollback(mark);
+            }
+        }
+    }
+
+    /// MUX2 with both data pins at 1 and an unknown select evaluates to
+    /// X: the table holds the expression tree's Kleene value, not the
+    /// exact ternary extension of the truth table, which is 1 (both
+    /// completions of the select give 1).
+    #[test]
+    fn mux2_with_unknown_select_is_unknown() {
+        let l = lib();
+        let mux = l.cell_by_name("MUX2").unwrap();
+        let pins = [V9::S1, V9::S1, V9::XX];
+        let duals = pins.map(|v| Dual { r: v, f: v });
+        let out = eval_table_dual(mux.ternary_table(), &duals, Mask::BOTH, Dual::XX);
+        assert_eq!((out.r, out.f), (V9::XX, V9::XX));
+        assert_eq!(eval_expr_v9(mux.expr(), &pins), V9::XX);
+        assert!(mux.eval(&[true, true, false]) && mux.eval(&[true, true, true]));
     }
 
     /// AND2 chain: transition with an unknown side input becomes

@@ -39,7 +39,7 @@ pub mod toggle;
 pub mod value;
 
 pub use bitsim::BitSim;
-pub use engine::{eval_expr_v9, eval_prim_v9, Dual, ImplicationEngine, Mask};
+pub use engine::{eval_expr_v9, eval_prim_v9, eval_table_dual, Dual, ImplicationEngine, Mask};
 pub use schedule::{BitOp, Schedule};
 pub use toggle::{toggle_analysis, Toggle};
 pub use value::{TriVal, V9};

@@ -8,20 +8,39 @@
 //! the engine flag incompatibilities before every implied node is set.
 
 use serde::{Deserialize, Serialize};
+use sta_cells::TernaryTable;
 use std::fmt;
 
-/// A three-valued logic level.
+/// A three-valued logic level. Its discriminant is its 2-bit code in a
+/// cell's [`TernaryTable`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum TriVal {
     /// Logic 0.
-    Zero,
+    Zero = TernaryTable::ZERO,
     /// Logic 1.
-    One,
+    One = TernaryTable::ONE,
     /// Unknown.
-    X,
+    X = TernaryTable::X,
 }
 
 impl TriVal {
+    /// The value's [`TernaryTable`] code.
+    #[inline]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The value of a [`TernaryTable`] code (the spare code reads as X).
+    #[inline]
+    pub fn from_code(code: u8) -> TriVal {
+        match code {
+            TernaryTable::ZERO => TriVal::Zero,
+            TernaryTable::ONE => TriVal::One,
+            _ => TriVal::X,
+        }
+    }
+
     /// Three-valued AND.
     pub fn and(self, other: TriVal) -> TriVal {
         use TriVal::*;

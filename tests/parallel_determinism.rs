@@ -6,9 +6,10 @@
 //! produces the same path list at any thread count, and in full
 //! enumeration the same search-effort counters too. These tests pin that
 //! claim on catalog circuits and on randomly generated logic, pin
-//! 1-thread searches decision for decision, and pin the run-wide budget
-//! rule: a truncated run is reproducible at one thread and bounded at
-//! any.
+//! 1-thread searches decision for decision, bound the decisions an
+//! N-worst search spends at several threads by those of one, and pin the
+//! run-wide budget rule: a truncated run is reproducible at one thread
+//! and bounded at any.
 
 use std::sync::OnceLock;
 
@@ -117,6 +118,37 @@ fn n_worst_search_effort_is_pinned_at_one_thread() {
         "fnv1a64:d7b100e3962ab17c",
         "1-thread certificate bytes"
     );
+}
+
+/// Every worker admits into and prunes against one run-wide N-worst
+/// admission set, so a multi-worker N-worst search spends about the
+/// decisions of a one-worker search. How many depends on the schedule
+/// (single four-thread runs on a 2-vCPU host spent 29k–43k against the
+/// one-thread 32,434), so the bound is on the mean of five runs at each
+/// thread count: at most 1.25 times the one-thread count. Workers that
+/// each pruned against the N worst of their own admissions spent 1.47
+/// times as many or more in every two-thread run.
+#[test]
+fn n_worst_effort_stays_near_one_thread_at_any_thread_count() {
+    const RUNS: u64 = 5;
+    let (lib, tlib, tech) = setup();
+    let nl = catalog::mapped("c432", lib).unwrap().unwrap();
+    let cfg = EnumerationConfig::new(Corner::nominal(&tech)).with_n_worst(50);
+    let (one, one_stats) = run_at(&nl, lib, tlib, &cfg, 1);
+    for threads in [2, 4] {
+        let mut decisions = 0;
+        for _ in 0..RUNS {
+            let (par, stats) = run_at(&nl, lib, tlib, &cfg, threads);
+            assert_eq!(bytes(&one), bytes(&par), "{threads} threads: paths differ");
+            decisions += stats.decisions;
+        }
+        let mean = decisions / RUNS;
+        assert!(
+            mean * 4 <= one_stats.decisions * 5,
+            "{threads} threads: a mean of {mean} decisions exceeds 1.25 x the 1-thread {}",
+            one_stats.decisions
+        );
+    }
 }
 
 /// `max_decisions` bounds the whole run: at one thread a truncated run is

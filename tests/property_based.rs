@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sta_cells::func::{Expr, TruthTable};
+use sta_cells::func::{Expr, TernaryTable, TruthTable};
 use sta_cells::sensitization::enumerate;
 use sta_cells::topology::CellTopology;
 use sta_cells::{Edge, Library};
@@ -11,7 +11,9 @@ use sta_charlib::Lut2d;
 use sta_circuits::map_netlist;
 use sta_circuits::randlogic::{random_logic, RandParams};
 use sta_esim::Waveform;
-use sta_logic::{eval_expr_v9, BitSim, Dual, ImplicationEngine, Mask, Schedule, TriVal, V9};
+use sta_logic::{
+    eval_expr_v9, eval_table_dual, BitSim, Dual, ImplicationEngine, Mask, Schedule, TriVal, V9,
+};
 use sta_netlist::bench_fmt;
 
 /// A strategy for random cell expressions over up to 4 pins.
@@ -101,6 +103,18 @@ proptest! {
         let want_fin = expr.eval(&pins_fin);
         prop_assert_eq!(out.init(), sta_logic::TriVal::from_bool(want_init));
         prop_assert_eq!(out.fin(), sta_logic::TriVal::from_bool(want_fin));
+    }
+
+    /// A ternary table evaluates like the expression tree on random
+    /// nine-valued pins, semi-undetermined values included.
+    #[test]
+    fn ternary_table_matches_v9_eval(expr in arb_expr(), codes in prop::collection::vec(0usize..9, 4..5)) {
+        let tri = [TriVal::Zero, TriVal::One, TriVal::X];
+        let pins9: Vec<V9> = codes.iter().map(|&c| V9::new(tri[c / 3], tri[c % 3])).collect();
+        let table = TernaryTable::from_expr(&expr, 4);
+        let duals: Vec<Dual> = pins9.iter().map(|&v| Dual { r: v, f: v }).collect();
+        let out = eval_table_dual(&table, &duals, Mask::BOTH, Dual::XX);
+        prop_assert_eq!(out.r, eval_expr_v9(&expr, &pins9), "pins {:?}", pins9);
     }
 
     /// The technology mapper preserves circuit function on random logic.

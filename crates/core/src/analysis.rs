@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use sta_cells::{Corner, Library};
 use sta_charlib::{CharConfig, CharError, TimingLibrary};
@@ -116,7 +117,7 @@ pub struct AnalysisRequest {
     pub(crate) n_worst: Option<usize>,
     /// Worker threads *inside* each scenario's enumeration.
     pub(crate) threads: usize,
-    /// Concurrent scenario jobs in [`AnalysisRequest::run_batch`].
+    /// Concurrent search jobs in [`AnalysisRequest::run_batch`].
     pub(crate) batch_threads: usize,
     /// Path cap applied only in full-enumeration mode (no `n_worst`).
     pub(crate) full_enum_path_cap: Option<usize>,
@@ -171,11 +172,11 @@ impl AnalysisRequest {
         self.scenarios(vec![s])
     }
 
-    /// Sets the number of concurrent scenario jobs
+    /// Sets the number of concurrent search jobs (one per technology)
     /// [`AnalysisRequest::run_batch`] fans out (default 1). Independent
     /// of [`AnalysisRequest::threads`], which controls the workers
-    /// *inside* one scenario's enumeration; per-scenario results are
-    /// byte-identical at any combination of the two.
+    /// *inside* one search; per-scenario results are byte-identical at
+    /// any batch width.
     pub fn batch_threads(mut self, threads: usize) -> Self {
         self.batch_threads = threads.max(1);
         self
@@ -290,7 +291,7 @@ impl AnalysisRequest {
     ) -> Result<Loaded, AnalysisError> {
         let (lib, netlist) = {
             let _load = root.child("load");
-            let lib = Library::standard();
+            let lib = standard_library().clone();
             let nl = match &self.netlist_override {
                 Some(nl) => nl.clone(),
                 None => catalog::mapped(&self.circuit, &lib)?
@@ -333,8 +334,8 @@ impl AnalysisRequest {
 
     /// The search configuration at `corner`: the operating point plus
     /// request-wide settings. It reads no [`crate::Mode`] field, which is
-    /// why a batch runs one search per operating point and shares it
-    /// across that point's modes.
+    /// why a batch shares each search across modes (and a batch's search
+    /// over several corners takes them from its kernels, not from here).
     pub(crate) fn enumeration_config(&self, corner: Corner) -> EnumerationConfig {
         let mut cfg = EnumerationConfig::new(corner)
             .with_threads(self.threads)
@@ -368,14 +369,15 @@ impl AnalysisRequest {
 
     /// Runs the whole scenario set as one MCMM batch: scenario-invariant
     /// work (netlist load, per-technology characterization, per-corner
-    /// kernel compilation, per-mode SDC parsing) is
-    /// done exactly once, then one job per operating point — a single
-    /// true-path search shared by every mode of that point, plus each
-    /// mode's slack — is claimed in order by
-    /// [`AnalysisRequest::batch_threads`] workers. Every scenario's paths are byte-identical
-    /// to an independent [`AnalysisRequest::run`] of that scenario at any
-    /// thread count; the merged slack view is canonical in the scenario
-    /// set (see [`crate::MergedSlackReport`]).
+    /// kernel compilation, per-mode SDC parsing) is done exactly once,
+    /// then one job per technology — a single true-path search that times
+    /// every operating point of it, plus each scenario's slack — is
+    /// claimed in order by [`AnalysisRequest::batch_threads`] workers.
+    /// Every scenario's paths and search statistics are byte-identical to
+    /// an independent [`AnalysisRequest::run`] of that scenario at any
+    /// batch width (at one search thread; above one, an untruncated
+    /// scenario's paths are); the merged slack view is canonical in the
+    /// scenario set (see [`crate::MergedSlackReport`]).
     ///
     /// # Errors
     ///
@@ -384,6 +386,13 @@ impl AnalysisRequest {
     pub fn run_batch(&self) -> Result<BatchOutcome, AnalysisError> {
         crate::mcmm::run_batch(self)
     }
+}
+
+/// The standard cell library, built once per process; each load clones
+/// it (the cells' ternary tables are shared, not copied).
+fn standard_library() -> &'static Library {
+    static LIB: OnceLock<Library> = OnceLock::new();
+    LIB.get_or_init(Library::standard)
 }
 
 /// The scenario-invariant inputs of a scenario set (see

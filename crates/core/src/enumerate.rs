@@ -22,6 +22,20 @@
 //! the same pass bounds the delay the rest of a path can add, which is
 //! what the search prunes with. [`PathEnumerator::run`] returns the
 //! admitted paths, canonically sorted and truncated to N.
+//!
+//! One search serves every corner of one timing library
+//! ([`PathEnumerator::with_corners`]): temperature and supply are inputs
+//! of the delay model (§IV.A), and the search's logic — implication,
+//! justification, toggle deltas, reachability, every witness — reads no
+//! delay. What does is per corner: the timing along the partial path and
+//! its compiled kernel, the arc bounds and remaining bounds, the N-worst
+//! admission set and the budget tally. Each DFS frame carries the set of
+//! corners whose own search would be there; a subtree or arc is cut for
+//! the corners whose bound falls short of their threshold, and skipped
+//! once no corner is left. An emitted path enters each corner whose
+//! threshold it reaches, timed at that corner, and
+//! [`PathEnumerator::run_corners`] sorts and truncates each corner's
+//! list. A single-corner run is the one-corner case of the same code.
 
 use std::sync::Arc;
 
@@ -40,7 +54,9 @@ use crate::path::{canonical_top_n, LaunchTiming, PathArc, PiValue, TruePath};
 /// Configuration of a true-path enumeration run.
 #[derive(Clone, Debug)]
 pub struct EnumerationConfig {
-    /// Operating corner for delay evaluation.
+    /// Operating corner for delay evaluation: [`PathEnumerator::new`]
+    /// compiles its kernel for it. A search over several corners
+    /// ([`PathEnumerator::with_corners`]) takes them from its kernels.
     pub corner: Corner,
     /// Transition time applied at the primary inputs, ps; it also seeds
     /// the slew hulls of the dominance cut's arc bounds.
@@ -56,7 +72,9 @@ pub struct EnumerationConfig {
     /// the interval hull.
     pub prune_margin: f64,
     /// Abort the run after this many search decisions (0 = unlimited),
-    /// counted over the whole run at any thread count. When hit,
+    /// counted over the whole run at any thread count, and per corner in
+    /// a search over several: a corner is charged the decisions its own
+    /// search would make and stops when they reach the budget. When hit,
     /// [`EnumerationStats::truncated`] is set.
     pub max_decisions: u64,
     /// Stop after this many emitted paths, counted over the whole run
@@ -248,7 +266,35 @@ impl EnumerationStats {
     }
 }
 
+/// The most corners one search carries ([`PathEnumerator::with_corners`]):
+/// the corners still active in a DFS frame are a 64-bit mask. A batch
+/// splits a larger set of one technology's operating points over several
+/// searches.
+pub const MAX_CORNERS: usize = 64;
+
+/// What one search over the corners of a [`PathEnumerator`] returns.
+#[derive(Clone, Debug)]
+pub struct CornerRuns {
+    /// Per corner, in kernel order: the paths (sorted as
+    /// [`PathEnumerator::run`] sorts them) and the statistics of that
+    /// corner. Each is what an independent run at that corner alone
+    /// returns — byte for byte at one thread, and above one whenever the
+    /// corner's run is untruncated (see the `parallel` module). A corner's
+    /// `justify_cache_hits` are the shared memo table's.
+    pub corners: Vec<(Vec<TruePath>, EnumerationStats)>,
+    /// The search's own effort: every arc decision, justification call,
+    /// conflict and kernel evaluation it made, counted once whichever
+    /// corners it served. `pruned` and `learn_bound_cuts` count the
+    /// subtrees and arcs every active corner cut; `truncated` is set when
+    /// any corner's budget cut its run short. With one corner this equals
+    /// that corner's statistics.
+    pub search: EnumerationStats,
+}
+
 /// The true-path enumeration engine.
+///
+/// One enumerator times its paths at one or more corners of one timing
+/// library, through one search (see [`PathEnumerator::with_corners`]).
 ///
 /// # Example
 ///
@@ -258,15 +304,16 @@ pub struct PathEnumerator<'a> {
     pub(crate) lib: &'a Library,
     pub(crate) tlib: &'a TimingLibrary,
     pub(crate) cfg: EnumerationConfig,
-    /// Corner-compiled kernel table, built once at construction — or
-    /// injected pre-built via [`PathEnumerator::with_prebuilt`], e.g. by
-    /// the timing daemon which keeps it resident across requests — and
-    /// shared read-only by every worker.
-    pub(crate) kernel: Arc<CompiledCorner>,
+    /// One corner-compiled kernel table per corner, built at construction
+    /// — or injected pre-built, e.g. by the timing daemon which keeps its
+    /// table resident across requests — and shared read-only by every
+    /// worker.
+    pub(crate) kernels: Vec<Arc<CompiledCorner>>,
 }
 
 impl<'a> PathEnumerator<'a> {
-    /// Creates an enumerator over a mapped netlist.
+    /// Creates an enumerator over a mapped netlist at the configured
+    /// corner.
     ///
     /// # Panics
     ///
@@ -279,7 +326,7 @@ impl<'a> PathEnumerator<'a> {
         cfg: EnumerationConfig,
     ) -> Self {
         let kernel = Arc::new(tlib.compile_corner(cfg.corner));
-        Self::with_prebuilt(nl, lib, tlib, cfg, kernel, None)
+        Self::with_corners(nl, lib, tlib, cfg, vec![kernel])
     }
 
     /// Like [`PathEnumerator::new`], but reuses a caller-owned
@@ -305,6 +352,32 @@ impl<'a> PathEnumerator<'a> {
         kernel: Arc<CompiledCorner>,
         _retired: Option<std::convert::Infallible>,
     ) -> Self {
+        Self::with_corners(nl, lib, tlib, cfg, vec![kernel])
+    }
+
+    /// An enumerator that times every path at each corner of `kernels`
+    /// (tables compiled from `tlib`), through one search: the search's
+    /// logic — implication, justification, every witness — reads no
+    /// delay, so only pruning and admission are per corner (see the
+    /// `parallel` module). [`PathEnumerator::run_corners`] returns one
+    /// answer per kernel; `cfg.corner` is not read.
+    ///
+    /// # Panics
+    ///
+    /// As [`PathEnumerator::new`], and if `kernels` is empty or holds more
+    /// than [`MAX_CORNERS`] tables.
+    pub fn with_corners(
+        nl: &'a Netlist,
+        lib: &'a Library,
+        tlib: &'a TimingLibrary,
+        cfg: EnumerationConfig,
+        kernels: Vec<Arc<CompiledCorner>>,
+    ) -> Self {
+        assert!(
+            (1..=MAX_CORNERS).contains(&kernels.len()),
+            "a search times 1 to {MAX_CORNERS} corners, not {}",
+            kernels.len()
+        );
         assert_eq!(nl.topo_gates().len(), nl.num_gates(), "netlist has a cycle");
         assert!(
             nl.gate_ids()
@@ -316,31 +389,41 @@ impl<'a> PathEnumerator<'a> {
             lib,
             tlib,
             cfg,
-            kernel,
+            kernels,
         }
     }
 
-    /// The corner-compiled kernel table.
+    /// The first corner's compiled kernel table.
     pub fn kernel(&self) -> &CompiledCorner {
-        &self.kernel
+        &self.kernels[0]
     }
 
-    /// Shared handle on the kernel table (for callers that keep it
-    /// resident across enumerator rebuilds, e.g. the timing daemon).
+    /// Shared handle on the first corner's kernel table (for callers that
+    /// keep it resident across enumerator rebuilds, e.g. the timing
+    /// daemon).
     pub fn kernel_arc(&self) -> Arc<CompiledCorner> {
-        Arc::clone(&self.kernel)
+        Arc::clone(&self.kernels[0])
     }
 
-    /// Runs the enumeration and returns the discovered true paths (sorted
-    /// by the canonical order of [`TruePath::canonical_cmp`]: descending
-    /// worst arrival with deterministic tie-breaking, and truncated to
-    /// `n_worst`) together with run statistics. Unless a budget truncates
-    /// the run, the returned path set is identical at any
-    /// [`EnumerationConfig::threads`] setting.
+    /// Runs the enumeration and returns the first corner's true paths
+    /// (sorted by the canonical order of [`TruePath::canonical_cmp`]:
+    /// descending worst arrival with deterministic tie-breaking, and
+    /// truncated to `n_worst`) together with its statistics. Unless a
+    /// budget truncates the run, the returned path set is identical at
+    /// any [`EnumerationConfig::threads`] setting.
     pub fn run(&self) -> (Vec<TruePath>, EnumerationStats) {
-        let (mut paths, stats) = self.run_unsorted();
-        canonical_top_n(&mut paths, self.cfg.n_worst);
-        (paths, stats)
+        self.run_corners().corners.swap_remove(0)
+    }
+
+    /// Runs one search for every corner and returns each corner's answer,
+    /// sorted and truncated as [`PathEnumerator::run`] does, with the
+    /// search's own statistics.
+    pub fn run_corners(&self) -> CornerRuns {
+        let mut runs = self.run_corners_unsorted();
+        for (paths, _) in &mut runs.corners {
+            canonical_top_n(paths, self.cfg.n_worst);
+        }
+        runs
     }
 
     /// [`PathEnumerator::run`] before its final sort and truncation: every
@@ -348,35 +431,45 @@ impl<'a> PathEnumerator<'a> {
     /// is a superset of the N worst — paths admitted before the threshold
     /// rose past them stay in it.
     pub(crate) fn run_unsorted(&self) -> (Vec<TruePath>, EnumerationStats) {
-        let (paths, stats) = crate::parallel::run(self);
-        self.ingest_stats(&stats);
-        (paths, stats)
+        self.run_corners_unsorted().corners.swap_remove(0)
     }
 
-    /// Per-arc delay bound table of the dominance cut (`None` in full
-    /// enumeration), computed once per run through the kernel table and
-    /// shared read-only by every worker.
-    pub(crate) fn arc_bounds(&self) -> Option<Arc<ArcBounds>> {
+    fn run_corners_unsorted(&self) -> CornerRuns {
+        let runs = crate::parallel::run(self);
+        self.ingest_stats(&runs.search);
+        runs
+    }
+
+    /// Per-arc delay bound tables of the dominance cut, one per corner
+    /// (`None` in full enumeration), computed once per run through the
+    /// kernel tables and shared read-only by every worker.
+    pub(crate) fn arc_bounds(&self) -> Option<Vec<ArcBounds>> {
         // The bound evaluates the model itself over every slew the arc's
         // input net can carry (its forward slew hull), so it needs only
         // the small wiggle margin, not the conservative `prune_margin` of
         // the single-point static pass.
         self.cfg.n_worst.map(|_| {
-            Arc::new(crate::arrival::arc_bounds_compiled(
-                self.nl,
-                self.tlib,
-                &self.kernel,
-                self.cfg.input_slew,
-                crate::arrival::ARC_SWEEP_MARGIN,
-            ))
+            self.kernels
+                .iter()
+                .map(|kernel| {
+                    crate::arrival::arc_bounds_compiled(
+                        self.nl,
+                        self.tlib,
+                        kernel,
+                        self.cfg.input_slew,
+                        crate::arrival::ARC_SWEEP_MARGIN,
+                    )
+                })
+                .collect()
         })
     }
 
-    /// Folds a finished run's statistics into the observer's metrics
-    /// registry, and registers the full enumeration metric name set —
-    /// including the per-worker counters — so that every manifest has the
-    /// same structure, even for a run with no root tasks. Pure
-    /// side-state: a disabled observer makes this a no-op.
+    /// Folds a finished search's own statistics (the effort it made, not
+    /// the per-corner tallies) into the observer's metrics registry, and
+    /// registers the full enumeration metric name set — including the
+    /// per-worker counters — so that every manifest has the same
+    /// structure, even for a run with no root tasks. Pure side-state: a
+    /// disabled observer makes this a no-op.
     fn ingest_stats(&self, stats: &EnumerationStats) {
         let obs = &self.cfg.obs;
         if !obs.is_enabled() {
@@ -444,6 +537,45 @@ pub(crate) fn cell_of(nl: &Netlist, g: GateId) -> sta_netlist::CellId {
     }
 }
 
+/// A set of corner indices below [`MAX_CORNERS`], as a bit mask: the
+/// corners whose own search would be at the current DFS frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CornerSet(u64);
+
+impl CornerSet {
+    /// Corners `0..k`.
+    pub(crate) fn first(k: usize) -> Self {
+        CornerSet(u64::MAX >> (MAX_CORNERS - k))
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The corners, in index order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let k = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                k
+            })
+        })
+    }
+
+    /// The corners for which `keep` holds, asked in index order.
+    pub(crate) fn retain(self, mut keep: impl FnMut(usize) -> bool) -> Self {
+        let mut kept = self;
+        for k in self.iter() {
+            if !keep(k) {
+                kept.0 &= !(1 << k);
+            }
+        }
+        kept
+    }
+}
+
 /// Arrival/slew of one launch polarity.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct EdgeState {
@@ -452,13 +584,13 @@ struct EdgeState {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct PolTimings {
+struct PolTimings {
     r: EdgeState,
     f: EdgeState,
 }
 
 impl PolTimings {
-    pub(crate) fn launch(input_slew: f64) -> Self {
+    fn launch(input_slew: f64) -> Self {
         let e = EdgeState {
             arrival: 0.0,
             slew: input_slew,
@@ -466,7 +598,7 @@ impl PolTimings {
         PolTimings { r: e, f: e }
     }
 
-    pub(crate) fn worst_alive(&self, mask: Mask) -> f64 {
+    fn worst_alive(&self, mask: Mask) -> f64 {
         let mut w = f64::NEG_INFINITY;
         if mask.r {
             w = w.max(self.r.arrival);
@@ -478,12 +610,101 @@ impl PolTimings {
     }
 }
 
+/// One corner's timing at one node of the current partial path: arrival
+/// and slew per launch polarity, and the delay per polarity of the arc
+/// that led there (zero at the launch and for a dead polarity).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Step {
+    timing: PolTimings,
+    delay_r: f64,
+    delay_f: f64,
+}
+
+impl Step {
+    pub(crate) fn launch(input_slew: f64) -> Self {
+        Step {
+            timing: PolTimings::launch(input_slew),
+            delay_r: 0.0,
+            delay_f: 0.0,
+        }
+    }
+}
+
+/// What one corner of a search owns: its kernel and bounds, the
+/// admission set and budget tally it answers to, its timing along the
+/// current partial path, and what its own search would have found and
+/// counted.
+pub(crate) struct CornerSearch<'a> {
+    pub(crate) kernel: &'a CompiledCorner,
+    /// Per-arc delay bounds of the dominance cut (`None` in full
+    /// enumeration).
+    pub(crate) arc_bounds: Option<&'a ArcBounds>,
+    /// Per-source remaining bounds, installed at every source switch:
+    /// [`crate::arrival::tightened_remaining`] in N-worst mode (the only
+    /// bound the search prunes with), zero-bound in full enumeration.
+    /// A `−∞` entry marks a net with no true continuation to an output;
+    /// those entries are the same at every corner.
+    pub(crate) rem: &'a [f64],
+    /// The N-worst admission set this corner admits into and prunes
+    /// against: the run's, or under threshold isolation the current
+    /// source's (see the `parallel` module).
+    pub(crate) admissions: &'a Admissions,
+    /// The run-wide decision and path tally of this corner, which every
+    /// worker spends from.
+    pub(crate) budget: &'a RunBudget,
+    /// Timing along the current partial path: the launch, then one step
+    /// per arc. Pushed and popped only while the corner is active.
+    pub(crate) steps: Vec<Step>,
+    /// Paths admitted by the current root task; the worker takes them
+    /// after each task.
+    pub(crate) found: Vec<TruePath>,
+    /// What this corner's own search would have counted.
+    pub(crate) stats: EnumerationStats,
+}
+
+impl CornerSearch<'_> {
+    /// Timing at the current node.
+    fn timing(&self) -> &PolTimings {
+        &self
+            .steps
+            .last()
+            .expect("a task pushes the launch step")
+            .timing
+    }
+
+    /// The path ending at the current node, timed at this corner.
+    fn path(
+        &self,
+        nodes: &[NetId],
+        arcs: &[PathArc],
+        alive: Mask,
+        inverted: bool,
+        input_vector: Vec<PiValue>,
+    ) -> TruePath {
+        let tip = self.timing();
+        let path_steps = &self.steps[1..];
+        let mk = |launch: Edge, st: &EdgeState, delay: fn(&Step) -> f64| LaunchTiming {
+            launch_edge: launch,
+            arrival: st.arrival,
+            slew: st.slew,
+            final_edge: if inverted { launch.invert() } else { launch },
+            gate_delays: path_steps.iter().map(delay).collect(),
+        };
+        TruePath {
+            source: nodes[0],
+            nodes: nodes.to_vec(),
+            arcs: arcs.to_vec(),
+            rise: alive.r.then(|| mk(Edge::Rise, &tip.r, |s| s.delay_r)),
+            fall: alive.f.then(|| mk(Edge::Fall, &tip.f, |s| s.delay_f)),
+            input_vector,
+        }
+    }
+}
+
 pub(crate) struct Search<'a> {
     pub(crate) nl: &'a Netlist,
     pub(crate) lib: &'a Library,
     pub(crate) cfg: &'a EnumerationConfig,
-    /// Corner-compiled delay kernels.
-    pub(crate) kernel: &'a CompiledCorner,
     pub(crate) eng: ImplicationEngine<'a>,
     /// Equivalent fanout per gate (precomputed).
     pub(crate) fanouts: Vec<f64>,
@@ -491,18 +712,8 @@ pub(crate) struct Search<'a> {
     /// Nets whose values were assigned (not implied) and therefore need
     /// justification from the PIs.
     pub(crate) obligations: Vec<NetId>,
-    /// Per-gate delays along the current partial path, per polarity.
-    pub(crate) delays_r: Vec<f64>,
-    pub(crate) delays_f: Vec<f64>,
-    /// Paths admitted by the current root task; the worker takes them
-    /// after each task.
-    pub(crate) found: Vec<TruePath>,
-    /// The run-wide decision and path tally every worker spends from.
-    pub(crate) budget: &'a RunBudget,
-    /// The N-worst admission set this search admits into and prunes
-    /// against: the run's, or under threshold isolation the current
-    /// source's (see the `parallel` module).
-    pub(crate) admissions: &'a Admissions,
+    /// The corners this search times, in kernel order.
+    pub(crate) corners: Vec<CornerSearch<'a>>,
     /// Memo table over justification candidate enumeration.
     pub(crate) justify_cache: JustifyCache,
     /// Shared stack of pending side assignments: each [`Search::try_arc`]
@@ -513,14 +724,7 @@ pub(crate) struct Search<'a> {
     pub(crate) justify_todo: Vec<NetId>,
     /// Reusable buffers of the justification search itself.
     pub(crate) justify_scratch: JustifyScratch,
-    /// Per-arc delay bounds of the dominance cut (`None` in full
-    /// enumeration).
-    pub(crate) arc_bounds: Option<Arc<ArcBounds>>,
-    /// Per-source remaining bounds, refreshed at every source switch:
-    /// [`crate::arrival::tightened_remaining`] in N-worst mode (the only
-    /// bound the search prunes with), zero-bound in full enumeration.
-    /// A `−∞` entry marks a net with no true continuation to an output.
-    pub(crate) rem: Vec<f64>,
+    /// The search's own effort (see [`CornerRuns::search`]).
     pub(crate) stats: EnumerationStats,
     /// Progress tap (installed via `sta_obs::Observer::install_progress`);
     /// relaxed side-state counters only, never read back by the search.
@@ -535,23 +739,115 @@ pub(crate) struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Checks the run-wide budget, latching `stats.truncated` once it has
-    /// tripped.
-    pub(crate) fn budget_exhausted(&mut self) -> bool {
-        if self.budget.exhausted() {
-            self.stats.truncated = true;
+    /// Checks corner `k`'s budget, latching its `truncated` once the
+    /// corner's tally has tripped. A latched corner's own search would
+    /// stop at its next check.
+    fn exhausted(&mut self, k: usize) -> bool {
+        let c = &mut self.corners[k];
+        if c.budget.exhausted() {
+            c.stats.truncated = true;
         }
-        self.stats.truncated
+        c.stats.truncated
     }
 
-    /// Whether the subtree at `net` cannot reach the N-worst admission
-    /// threshold: the worst alive arrival plus the per-source tightened
-    /// remaining bound stays below it. Never true in full enumeration,
-    /// whose threshold stays `−∞`.
-    pub(crate) fn prunes(&self, net: NetId, mask: Mask, timing: &PolTimings) -> bool {
-        let threshold = self.admissions.threshold();
-        threshold > f64::NEG_INFINITY
-            && timing.worst_alive(mask) + self.rem[net.index()] < threshold
+    /// The corners of `active` whose budget has not tripped: the budget
+    /// check of each corner's own search, made where that search makes
+    /// it.
+    pub(crate) fn unexhausted(&mut self, active: CornerSet) -> CornerSet {
+        active.retain(|k| !self.exhausted(k))
+    }
+
+    /// Counts one event in the search's own statistics and in those of
+    /// every corner in `active`, whose own searches would each have
+    /// counted it.
+    fn count(&mut self, active: CornerSet, event: impl Fn(&mut EnumerationStats)) {
+        event(&mut self.stats);
+        for k in active.iter() {
+            event(&mut self.corners[k].stats);
+        }
+    }
+
+    /// Charges `decisions` to the search and to every corner in `active`,
+    /// counted and spent from each corner's budget.
+    fn spend(&mut self, active: CornerSet, decisions: u64) {
+        self.stats.decisions += decisions;
+        for k in active.iter() {
+            let c = &mut self.corners[k];
+            c.stats.decisions += decisions;
+            c.budget.spend(decisions);
+        }
+    }
+
+    /// Whether the subtrees at `net` can reach the N-worst admission
+    /// threshold: the corners of `active` for which the worst alive
+    /// arrival plus the per-source tightened remaining bound reaches it.
+    /// Each corner that cuts counts a prune; the search counts one when
+    /// every corner cuts. Never cuts in full enumeration, whose
+    /// thresholds stay `−∞`.
+    pub(crate) fn unpruned(&mut self, net: NetId, mask: Mask, active: CornerSet) -> CornerSet {
+        let kept = active.retain(|k| {
+            let c = &mut self.corners[k];
+            let threshold = c.admissions.threshold();
+            let prunes = threshold > f64::NEG_INFINITY
+                && c.timing().worst_alive(mask) + c.rem[net.index()] < threshold;
+            if prunes {
+                c.stats.pruned += 1;
+            }
+            !prunes
+        });
+        if kept.is_empty() {
+            self.stats.pruned += 1;
+        }
+        kept
+    }
+
+    /// Dominance cut (N-worst only): the corners of `active` for which
+    /// the most optimistic completion through the arc — current worst
+    /// alive arrival, plus this arc's delay bound, plus the tightened
+    /// remaining bound from its output — can still reach the admission
+    /// threshold. A corner that cuts drops the whole subtree before any
+    /// side value is assigned; each counts the cut, and the search counts
+    /// one when every corner cuts. Bound-safe: every path in the subtree
+    /// would be rejected by that corner's admission anyway (strict `<`,
+    /// and its threshold only tightens), so its emitted set is unchanged.
+    fn uncut(
+        &mut self,
+        gate: GateId,
+        pin: u8,
+        vector: usize,
+        mask: Mask,
+        active: CornerSet,
+    ) -> CornerSet {
+        if self.cfg.n_worst.is_none() {
+            return active;
+        }
+        let out = self.nl.gate(gate).output().index();
+        let kept = active.retain(|k| {
+            let c = &mut self.corners[k];
+            let threshold = c.admissions.threshold();
+            let cut = match c.arc_bounds {
+                Some(ab) if threshold > f64::NEG_INFINITY => {
+                    c.timing().worst_alive(mask) + ab.get(gate, pin, vector) + c.rem[out]
+                        < threshold
+                }
+                _ => false,
+            };
+            if cut {
+                c.stats.learn_bound_cuts += 1;
+            }
+            !cut
+        });
+        if kept.is_empty() {
+            self.stats.learn_bound_cuts += 1;
+        }
+        kept
+    }
+
+    /// Whether any true continuation from `net` reaches an output: the
+    /// first corner's remaining bound is `−∞` exactly where every
+    /// corner's is.
+    fn reaches(&self, net: NetId) -> bool {
+        self.corners[0].rem[net.index()] != f64::NEG_INFINITY
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -560,51 +856,54 @@ impl Search<'_> {
         net: NetId,
         parity: bool,
         mask: Mask,
-        timing: PolTimings,
+        active: CornerSet,
         nodes: &mut Vec<NetId>,
         arcs: &mut Vec<PathArc>,
     ) {
-        if self.budget_exhausted() {
+        let active = self.unexhausted(active);
+        if active.is_empty() {
             return;
         }
         nodes.push(net);
-        if nodes.len() > self.stats.scratch_path_hwm {
-            self.stats.scratch_path_hwm = nodes.len();
-        }
+        let depth = nodes.len();
+        self.count(active, |s| {
+            s.scratch_path_hwm = s.scratch_path_hwm.max(depth)
+        });
         let mut mask = mask;
         if self.is_output[net.index()] && !arcs.is_empty() {
-            mask = self.emit(mask, &timing, nodes, arcs);
+            mask = self.emit(mask, active, nodes, arcs);
         }
         if mask.any() {
-            if self.prunes(net, mask, &timing) {
-                self.stats.pruned += 1;
-            } else {
-                // The netlist borrow (`'a`, immutable for the whole run)
-                // is independent of `&mut self`, so the fanout list is
-                // iterated in place — the old per-visit `to_vec` snapshot
-                // was the hottest allocation of the DFS.
-                let nl = self.nl;
-                for pr in nl.net(net).fanout() {
-                    if self.rem[nl.gate(pr.gate).output().index()] == f64::NEG_INFINITY {
-                        continue;
+            let mut active = self.unpruned(net, mask, active);
+            // The netlist borrow (`'a`, immutable for the whole run) is
+            // independent of `&mut self`, so the fanout list is iterated
+            // in place — the old per-visit `to_vec` snapshot was the
+            // hottest allocation of the DFS.
+            let nl = self.nl;
+            'fanout: for pr in nl.net(net).fanout() {
+                if active.is_empty() {
+                    break;
+                }
+                if !self.reaches(nl.gate(pr.gate).output()) {
+                    continue;
+                }
+                let cell_id = cell_of(nl, pr.gate);
+                let n_vectors = self.lib.cell(cell_id).vectors_of(pr.pin as u8).len();
+                for vector in 0..n_vectors {
+                    active = self.unexhausted(active);
+                    if active.is_empty() {
+                        break 'fanout;
                     }
-                    let cell_id = cell_of(nl, pr.gate);
-                    let n_vectors = self.lib.cell(cell_id).vectors_of(pr.pin as u8).len();
-                    for vector in 0..n_vectors {
-                        if self.budget_exhausted() {
-                            break;
-                        }
-                        self.try_arc(
-                            pr.gate,
-                            pr.pin as u8,
-                            vector,
-                            parity,
-                            mask,
-                            timing,
-                            nodes,
-                            arcs,
-                        );
-                    }
+                    self.try_arc(
+                        pr.gate,
+                        pr.pin as u8,
+                        vector,
+                        parity,
+                        mask,
+                        active,
+                        nodes,
+                        arcs,
+                    );
                 }
             }
         }
@@ -619,32 +918,15 @@ impl Search<'_> {
         vector: usize,
         parity: bool,
         mask: Mask,
-        timing: PolTimings,
+        active: CornerSet,
         nodes: &mut Vec<NetId>,
         arcs: &mut Vec<PathArc>,
     ) {
-        // Dominance cut (N-worst only): if even the most optimistic
-        // completion through this arc — current worst alive arrival, plus
-        // this arc's delay bound, plus the tightened remaining bound from
-        // its output — cannot reach the admission threshold, the whole
-        // subtree is cut before any side value is assigned. Bound-safe: every path in the subtree would be
-        // rejected by `record` anyway (strict `<`, and the threshold
-        // only tightens), so the emitted set is unchanged.
-        if let Some(ab) = &self.arc_bounds {
-            let threshold = self.admissions.threshold();
-            if threshold > f64::NEG_INFINITY {
-                let out_net = self.nl.gate(gate).output();
-                let best = timing.worst_alive(mask)
-                    + ab.get(gate, pin, vector)
-                    + self.rem[out_net.index()];
-                if best < threshold {
-                    self.stats.learn_bound_cuts += 1;
-                    return;
-                }
-            }
+        let active = self.uncut(gate, pin, vector, mask, active);
+        if active.is_empty() {
+            return;
         }
-        self.stats.decisions += 1;
-        self.budget.spend(1);
+        self.spend(active, 1);
         let cell_id = cell_of(self.nl, gate);
         let cell = self.lib.cell(cell_id);
         let sv = &cell.vectors_of(pin)[vector];
@@ -668,9 +950,9 @@ impl Search<'_> {
             }
         }
         let side_end = self.side_scratch.len();
-        if side_end > self.stats.scratch_side_hwm {
-            self.stats.scratch_side_hwm = side_end;
-        }
+        self.count(active, |s| {
+            s.scratch_side_hwm = s.scratch_side_hwm.max(side_end)
+        });
         let mut alive = mask;
         for i in side_start..side_end {
             let (side_net, value) = self.side_scratch[i];
@@ -700,14 +982,13 @@ impl Search<'_> {
                     let n = self.side_scratch[i].0;
                     self.justify_todo.push(n);
                 }
-                let out = self.justify_staged(alive);
+                let out = self.justify_staged(alive, active);
                 self.eng.rollback(witness_mark);
                 out
             };
             if let Some(m3) = justified {
                 if m3.any() {
-                    let new_timing =
-                        self.advance_timing(gate, cell_id, pin, vector, parity, m3, timing);
+                    self.advance_timing(gate, cell_id, pin, vector, parity, m3, active);
                     let out = self.nl.gate(gate).output();
                     arcs.push(PathArc {
                         gate,
@@ -716,25 +997,26 @@ impl Search<'_> {
                         polarity,
                     });
                     let inverted = polarity == Polarity::Inverting;
-                    self.dfs_inner(out, parity ^ inverted, m3, new_timing, nodes, arcs);
+                    self.dfs_inner(out, parity ^ inverted, m3, active, nodes, arcs);
                     arcs.pop();
-                    self.delays_r.pop();
-                    self.delays_f.pop();
+                    for k in active.iter() {
+                        self.corners[k].steps.pop();
+                    }
                 }
             } else {
-                self.stats.conflicts += 1;
+                self.count(active, |s| s.conflicts += 1);
             }
         } else {
-            self.stats.conflicts += 1;
+            self.count(active, |s| s.conflicts += 1);
         }
         self.obligations.truncate(obligations_before);
         self.side_scratch.truncate(side_start);
         self.eng.rollback(mark);
     }
 
-    /// Adds the arc's polynomial delay/slew per alive polarity, evaluated
-    /// through the corner-compiled kernels, and pushes the per-gate delay
-    /// entries.
+    /// Pushes, for every corner of `active`, the step through the arc:
+    /// its polynomial delay/slew per alive polarity, evaluated through the
+    /// corner's compiled kernels.
     #[allow(clippy::too_many_arguments)]
     fn advance_timing(
         &mut self,
@@ -744,47 +1026,80 @@ impl Search<'_> {
         vector: usize,
         parity: bool,
         mask: Mask,
-        timing: PolTimings,
-    ) -> PolTimings {
+        active: CornerSet,
+    ) {
         let fo = self.fanouts[gate.index()];
-        let kernel = self.kernel;
-        let arc = kernel.arc_id(cell_id, pin, vector);
-        let step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
-            if !alive {
-                return 0.0;
-            }
-            let in_edge = if parity { launch.invert() } else { launch };
-            let (d, s) = kernel.eval(arc, in_edge, fo, state.slew);
-            // Clamp against degenerate extrapolation: delays and slews
-            // are physical quantities.
-            let d = d.max(0.1);
-            let s = s.max(0.5);
-            state.arrival += d;
-            state.slew = s;
-            d
-        };
-        let mut out = timing;
-        let dr = step(&mut out.r, Edge::Rise, mask.r);
-        let df = step(&mut out.f, Edge::Fall, mask.f);
-        self.stats.compiled_evals += u64::from(mask.r) + u64::from(mask.f);
-        self.delays_r.push(dr);
-        self.delays_f.push(df);
-        out
+        let evals = u64::from(mask.r) + u64::from(mask.f);
+        for k in active.iter() {
+            let c = &mut self.corners[k];
+            let kernel = c.kernel;
+            let arc = kernel.arc_id(cell_id, pin, vector);
+            let step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
+                if !alive {
+                    return 0.0;
+                }
+                let in_edge = if parity { launch.invert() } else { launch };
+                let (d, s) = kernel.eval(arc, in_edge, fo, state.slew);
+                // Clamp against degenerate extrapolation: delays and
+                // slews are physical quantities.
+                let d = d.max(0.1);
+                let s = s.max(0.5);
+                state.arrival += d;
+                state.slew = s;
+                d
+            };
+            let mut timing = *c.timing();
+            let delay_r = step(&mut timing.r, Edge::Rise, mask.r);
+            let delay_f = step(&mut timing.f, Edge::Fall, mask.f);
+            c.steps.push(Step {
+                timing,
+                delay_r,
+                delay_f,
+            });
+            c.stats.compiled_evals += evals;
+            self.stats.compiled_evals += evals;
+        }
     }
 
     /// Emits a path ending at `net` if the accumulated requirements are
-    /// justifiable; returns the (possibly reduced) alive mask.
-    fn emit(&mut self, mask: Mask, timing: &PolTimings, nodes: &[NetId], arcs: &[PathArc]) -> Mask {
+    /// justifiable: every corner of `active` counts it, and each admits
+    /// it, timed at that corner, if its worst arrival reaches the
+    /// corner's threshold. Returns the (possibly reduced) alive mask.
+    fn emit(&mut self, mask: Mask, active: CornerSet, nodes: &[NetId], arcs: &[PathArc]) -> Mask {
         let witness_mark = self.eng.mark();
-        let justified = self.justify(mask);
-        let m3 = match justified {
+        let m3 = match self.justify(mask, active) {
             Some(m) if m.any() => m,
             _ => {
                 self.eng.rollback(witness_mark);
-                self.stats.conflicts += 1;
+                self.count(active, |s| s.conflicts += 1);
                 return Mask::NONE;
             }
         };
+        let polarities = usize::from(m3.r) + usize::from(m3.f);
+        self.count(active, |s| {
+            s.paths += 1;
+            s.input_vectors += polarities;
+        });
+        // In N-worst mode a corner admits the path unless its worst
+        // arrival falls below the corner's threshold. Ties pass (strict
+        // `<` rejects): the final cutoff arrival may be shared by several
+        // paths, and the deterministic truncation in `run` needs all of
+        // them admitted to pick the same N regardless of discovery order
+        // (and of thread count). A threshold stays −∞ until N paths have
+        // been admitted.
+        let admitting = if self.cfg.n_worst.is_some() {
+            active.retain(|k| {
+                let c = &self.corners[k];
+                let rejected = c.timing().worst_alive(m3) < c.admissions.threshold();
+                !rejected
+            })
+        } else {
+            active
+        };
+        if admitting.is_empty() {
+            self.eng.rollback(witness_mark);
+            return m3;
+        }
         // Witness is active: extract the PI vector.
         let source = nodes[0];
         let input_vector: Vec<PiValue> = self
@@ -811,93 +1126,62 @@ impl Search<'_> {
             .collect();
         self.eng.rollback(witness_mark);
 
-        let parity_edge = |launch: Edge, gate_count: usize| -> Edge {
-            let inversions = arcs[..gate_count]
-                .iter()
-                .filter(|a| a.polarity == Polarity::Inverting)
-                .count();
-            if inversions % 2 == 1 {
-                launch.invert()
-            } else {
-                launch
-            }
-        };
-        let mk = |launch: Edge, st: &EdgeState, delays: &[f64]| LaunchTiming {
-            launch_edge: launch,
-            arrival: st.arrival,
-            slew: st.slew,
-            final_edge: parity_edge(launch, arcs.len()),
-            gate_delays: delays.to_vec(),
-        };
-        let path = TruePath {
-            source,
-            nodes: nodes.to_vec(),
-            arcs: arcs.to_vec(),
-            rise: m3.r.then(|| mk(Edge::Rise, &timing.r, &self.delays_r)),
-            fall: m3.f.then(|| mk(Edge::Fall, &timing.f, &self.delays_f)),
-            input_vector,
-        };
-        self.record(path);
+        let inverted = arcs
+            .iter()
+            .filter(|a| a.polarity == Polarity::Inverting)
+            .count()
+            % 2
+            == 1;
+        for k in admitting.iter() {
+            let path = self.corners[k].path(nodes, arcs, m3, inverted, input_vector.clone());
+            self.admit(k, path);
+        }
         m3
     }
 
-    fn record(&mut self, path: TruePath) {
-        self.stats.paths += 1;
-        self.stats.input_vectors += path.num_polarities();
-        if self.cfg.n_worst.is_some() {
-            let w = path.worst_arrival();
-            // Ties with the threshold are admitted (strict `<`): the final
-            // cutoff arrival may be shared by several paths, and the
-            // deterministic truncation in `run` needs all of them
-            // admitted to pick the same N regardless of discovery order
-            // (and of thread count). The threshold stays −∞ until N
-            // paths have been admitted.
-            if w < self.admissions.threshold() {
-                return;
-            }
-            self.admit(path);
-            if let Some(threshold) = self.admissions.insert(w) {
-                self.bound_updates.inc();
-                if let Some(p) = &self.progress {
-                    p.set_bound(threshold);
-                }
-            }
-        } else {
-            self.admit(path);
-        }
-    }
-
-    /// Admits a path: counts it against the run budget, keeps it for the
-    /// task's result, and feeds the observability tap (progress counters
-    /// and the path-length histogram, side-state that nothing in the
-    /// search reads back).
-    fn admit(&mut self, path: TruePath) {
+    /// Admits a path into corner `k`: counts it against the corner's
+    /// budget, keeps it for the task's result, enters its arrival into
+    /// the corner's N-worst admission set, and feeds the observability
+    /// tap (progress counters and the path-length histogram, side-state
+    /// that nothing in the search reads back).
+    fn admit(&mut self, k: usize, path: TruePath) {
         self.path_len_hist.observe(path.arcs.len() as f64);
         if let Some(p) = &self.progress {
             use std::sync::atomic::Ordering::Relaxed;
             p.paths.fetch_add(1, Relaxed);
             p.frontier_depth.store(path.nodes.len() as u64, Relaxed);
         }
-        self.budget.admit();
-        self.found.push(path);
+        let c = &mut self.corners[k];
+        c.budget.admit();
+        let w = path.worst_arrival();
+        c.found.push(path);
+        if self.cfg.n_worst.is_some() {
+            if let Some(threshold) = c.admissions.insert(w) {
+                self.bound_updates.inc();
+                if let Some(p) = &self.progress {
+                    p.set_bound(threshold);
+                }
+            }
+        }
     }
 
     /// Complete backward justification of every pending obligation.
     /// On success the witness assignments are left on the trail (the
     /// caller rolls back to its own mark) and the surviving mask is
     /// returned; `None` means no witness exists for any alive polarity
-    /// (or the decision budget ran out — `stats.truncated` is set then).
-    fn justify(&mut self, mask: Mask) -> Option<Mask> {
+    /// (or the call was dropped at the per-call cap).
+    fn justify(&mut self, mask: Mask, active: CornerSet) -> Option<Mask> {
         self.justify_todo.clear();
         self.justify_todo.extend_from_slice(&self.obligations);
-        self.justify_staged(mask)
+        self.justify_staged(mask, active)
     }
 
     /// Justifies the obligations currently staged in `justify_todo`
-    /// (which is left in an unspecified state). `None` covers both a
+    /// (which is left in an unspecified state), charging the call to the
+    /// search and to every corner of `active`. `None` covers both a
     /// refutation and an aborted call; the latter is counted in
-    /// `stats.justify_aborts`.
-    fn justify_staged(&mut self, mask: Mask) -> Option<Mask> {
+    /// `justify_aborts`.
+    fn justify_staged(&mut self, mask: Mask, active: CornerSet) -> Option<Mask> {
         let mut budget = if self.cfg.justify_decision_limit == 0 {
             JustifyBudget::unbounded()
         } else {
@@ -915,23 +1199,29 @@ impl Search<'_> {
             Some(&self.justify_hist),
         );
         self.justify_todo = todo;
-        self.stats.decisions += budget.decisions;
-        self.budget.spend(budget.decisions);
-        self.stats.justify_decisions += budget.decisions;
-        if matches!(out, JustifyOutcome::Unsatisfiable) {
-            self.stats.justify_unsat_decisions += budget.decisions;
-        }
+        let decisions = budget.decisions;
+        let unsat = matches!(out, JustifyOutcome::Unsatisfiable);
+        self.spend(active, decisions);
+        self.count(active, |s| {
+            s.justify_decisions += decisions;
+            if unsat {
+                s.justify_unsat_decisions += decisions;
+            }
+        });
         if let Some(p) = &self.progress {
             p.decisions
-                .fetch_add(budget.decisions, std::sync::atomic::Ordering::Relaxed);
+                .fetch_add(decisions, std::sync::atomic::Ordering::Relaxed);
         }
-        // Latch truncation now: a long call may have spent the run's last
-        // decisions.
-        self.budget_exhausted();
+        // Latch truncation now: a long call may have spent a corner's
+        // last decisions. The corner stays active until its next budget
+        // check, as its own search would.
+        for k in active.iter() {
+            self.exhausted(k);
+        }
         match out {
             JustifyOutcome::Satisfied(m) => Some(m),
             JustifyOutcome::BudgetExhausted => {
-                self.stats.justify_aborts += 1;
+                self.count(active, |s| s.justify_aborts += 1);
                 None
             }
             JustifyOutcome::Unsatisfiable => None,
@@ -962,6 +1252,21 @@ mod tests {
             ))
         });
         (lib, tlib)
+    }
+
+    #[test]
+    fn corner_sets_iterate_and_filter_in_index_order() {
+        assert_eq!(CornerSet::first(3).iter().collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(CornerSet::first(MAX_CORNERS).iter().count(), MAX_CORNERS);
+        assert_eq!(CornerSet::first(MAX_CORNERS).iter().last(), Some(63));
+        let mut asked = Vec::new();
+        let odd = CornerSet::first(5).retain(|k| {
+            asked.push(k);
+            k % 2 == 1
+        });
+        assert_eq!(asked, [0, 1, 2, 3, 4]);
+        assert_eq!(odd.iter().collect::<Vec<_>>(), [1, 3]);
+        assert!(odd.retain(|_| false).is_empty());
     }
 
     /// An inverter chain has exactly one path per polarity pair.

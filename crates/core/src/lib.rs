@@ -78,9 +78,9 @@ pub use delaycalc::{path_delay, path_delay_compiled, DelayCalcError, PathDelayBr
 pub use eco::{
     corrupt_source_cache, dirty_sources, fanin_cone, fanout_cone, CacheCorruption, SourceCache,
 };
-pub use enumerate::{EnumerationConfig, EnumerationStats, PathEnumerator};
+pub use enumerate::{CornerRuns, EnumerationConfig, EnumerationStats, PathEnumerator, MAX_CORNERS};
 pub use justify::{justify, JustifyBudget, JustifyOutcome};
-pub use mcmm::{BatchOutcome, MergedEndpoint, MergedSlackReport, ScenarioOutcome};
+pub use mcmm::{BatchOutcome, BatchSearch, MergedEndpoint, MergedSlackReport, ScenarioOutcome};
 pub use path::{group_by_structure, LaunchTiming, PathArc, PathGroup, PiValue, TruePath};
 pub use report::{path_report, summary_report, worst_path_report, CertificateSet};
 pub use scenario::{CornerDef, Mode, Scenario, ScenarioError};

@@ -9,22 +9,26 @@
 //! | cell library + netlist  | circuit                 | once        |
 //! | characterized timing    | technology              | per tech    |
 //! | compiled delay kernel   | (technology, corner)    | per corner  |
-//! | true-path search        | (technology, corner)    | per corner  |
+//! | true-path search        | technology              | per tech    |
 //! | parsed SDC constraints  | mode                    | per mode    |
 //!
 //! The search reads no [`crate::Mode`] field: a mode only sets the
-//! requirement the slack step applies. So the scenarios are grouped by
-//! operating point, and each group is one job of a fixed list that
-//! `batch_threads` scoped workers claim in order through one atomic
-//! cursor (the idiom of `crate::parallel`): one *deterministic* search
-//! over shared read-only state, then each mode's requirement and
-//! structural slack from one bound pass. Each scenario's path set — and
-//! therefore its [`CertificateSet`] bytes — is identical to an
-//! independent single-scenario run at any batch width. The merge layer
-//! below is pure aggregation over finished per-scenario reports; it
-//! cannot change any per-scenario result, which is what keeps the
-//! single-run audit oracles (lint `--verify-paths`, `--audit-flow`)
-//! applicable per scenario.
+//! requirement the slack step applies. Nor does its logic read a delay:
+//! one search times every operating point of a technology at once (see
+//! [`PathEnumerator::with_corners`]). So the scenarios are grouped by
+//! technology — one group per [`MAX_CORNERS`] operating points of one —
+//! and each group is one job of a fixed list that `batch_threads` scoped
+//! workers claim in order through one atomic cursor (the idiom of
+//! `crate::parallel`, where a pool of one runs on the caller's thread):
+//! one *deterministic* search over shared read-only
+//! state, then each operating point's structural bound pass and each
+//! mode's requirement and slack. Each scenario's path set and search
+//! statistics — and therefore its [`CertificateSet`] bytes — are
+//! identical to an independent single-scenario run at any batch width.
+//! The merge layer below is pure aggregation over finished per-scenario
+//! reports; it cannot change any per-scenario result, which is what
+//! keeps the single-run audit oracles (lint `--verify-paths`,
+//! `--audit-flow`) applicable per scenario.
 //!
 //! The merged view is canonical: scenarios are ranked by slack with ties
 //! broken toward the lexicographically smallest scenario name, so
@@ -42,8 +46,8 @@ use sta_netlist::Netlist;
 use sta_obs::LocalSpans;
 
 use crate::analysis::{AnalysisError, AnalysisRequest, Loaded, RequiredSource, SlackOutcome};
-use crate::arrival::static_bounds;
-use crate::enumerate::{EnumerationStats, PathEnumerator};
+use crate::arrival::{static_bounds, StaticTiming};
+use crate::enumerate::{CornerRuns, EnumerationStats, PathEnumerator, MAX_CORNERS};
 use crate::path::TruePath;
 use crate::report::CertificateSet;
 use crate::scenario::{Scenario, ScenarioError};
@@ -154,6 +158,10 @@ pub struct BatchOutcome {
     pub input_slew: f64,
     /// Per-scenario results, in submission order.
     pub scenarios: Vec<ScenarioOutcome>,
+    /// The batch's true-path searches, one per technology (per
+    /// [`MAX_CORNERS`] operating points of one), in order of each
+    /// technology's first scenario.
+    pub searches: Vec<BatchSearch>,
     /// Worst slack per endpoint across all scenarios.
     pub merged: MergedSlackReport,
     /// Wall-clock time of the whole batch, seconds.
@@ -176,31 +184,93 @@ impl BatchOutcome {
     }
 }
 
-/// What a scenario's true-path search depends on: the technology's
-/// characterization and the operating point (the key the compiled kernel
-/// is built for). Scenarios with equal keys share one search.
-///
-/// The key holds no [`crate::Mode`] field because the search reads none.
-/// A future input-delay-aware search must add the mode's launch offsets
-/// (`set_input_delay`) to this key.
-type SearchKey = (String, u64, u64);
+/// One true-path search of a batch: the scenarios of some operating
+/// points of one technology, and the effort the search made for them.
+#[derive(Clone, Debug)]
+pub struct BatchSearch {
+    /// Name of the technology the search timed.
+    pub tech: String,
+    /// The scenarios it served, by submission index, ascending.
+    pub scenarios: Vec<usize>,
+    /// The search's own statistics: every decision it made counted once,
+    /// whichever operating points it served (see
+    /// [`crate::CornerRuns::search`]). Each served scenario's
+    /// [`ScenarioOutcome::stats`] holds what an independent search at its
+    /// operating point would have counted.
+    pub stats: EnumerationStats,
+}
 
-fn search_key(s: &Scenario) -> SearchKey {
+/// One operating point of a search: its corner, its compiled kernel, and
+/// the scenarios at that point, by submission index in submission order.
+struct Point {
+    corner: Corner,
+    kernel: Arc<CompiledCorner>,
+    members: Vec<usize>,
+}
+
+/// One pool job: one search over up to [`MAX_CORNERS`] operating points
+/// of one technology, and the shared read-only state it and the slack
+/// step read.
+struct SearchGroup<'a> {
+    tech: String,
+    tlib: &'a TimingLibrary,
+    points: Vec<Point>,
+}
+
+impl SearchGroup<'_> {
+    /// The group's scenarios in submission order, each with the index of
+    /// its operating point.
+    fn members(&self) -> Vec<(usize, usize)> {
+        let mut members: Vec<(usize, usize)> = self
+            .points
+            .iter()
+            .enumerate()
+            .flat_map(|(p, point)| point.members.iter().map(move |&index| (index, p)))
+            .collect();
+        members.sort_unstable();
+        members
+    }
+}
+
+/// What a scenario's kernel is compiled for: its technology's timing
+/// library at its temperature and supply. The key holds no
+/// [`crate::Mode`] field because the search reads none. A future
+/// input-delay-aware search must add the mode's launch offsets
+/// (`set_input_delay`) to it.
+fn point_key(s: &Scenario) -> (&str, u64, u64) {
     (
-        s.corner.tech.name.clone(),
+        &s.corner.tech.name,
         s.corner.corner.temperature.to_bits(),
         s.corner.corner.vdd.to_bits(),
     )
 }
 
-/// One pool job: the scenarios sharing a search key, by submission
-/// index (result position and span ordinal) in submission order, and
-/// the shared read-only state their search and slack read.
-struct SearchGroup<'a> {
-    corner: Corner,
-    tlib: &'a TimingLibrary,
-    kernel: Arc<CompiledCorner>,
-    members: Vec<usize>,
+/// Scenario indices grouped into searches: by technology and, within
+/// one, by operating point, both in first-appearance order. Each entry is
+/// a technology and the member lists of its points; a technology with
+/// more than [`MAX_CORNERS`] points gets one entry per [`MAX_CORNERS`] of
+/// them.
+fn group_scenarios(scenarios: &[Scenario]) -> Vec<(String, Vec<Vec<usize>>)> {
+    let mut groups: Vec<(String, Vec<Vec<usize>>)> = Vec::new();
+    for (index, s) in scenarios.iter().enumerate() {
+        let tech = &s.corner.tech.name;
+        let known = groups
+            .iter_mut()
+            .flat_map(|(_, points)| points.iter_mut())
+            .find(|members| point_key(&scenarios[members[0]]) == point_key(s));
+        if let Some(members) = known {
+            members.push(index);
+            continue;
+        }
+        match groups
+            .iter_mut()
+            .find(|(t, points)| t == tech && points.len() < MAX_CORNERS)
+        {
+            Some((_, points)) => points.push(vec![index]),
+            None => groups.push((tech.clone(), vec![vec![index]])),
+        }
+    }
+    groups
 }
 
 pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisError> {
@@ -208,16 +278,8 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
     if scenarios.is_empty() {
         return Err(AnalysisError::Scenario(ScenarioError::EmptySet));
     }
-    // Scenario indices grouped by search key, in first-appearance order;
-    // a group's position here is its position in the pool.
-    let mut grouped: Vec<(SearchKey, Vec<usize>)> = Vec::new();
-    for (index, s) in scenarios.iter().enumerate() {
-        let key = search_key(s);
-        match grouped.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, indices)) => indices.push(index),
-            None => grouped.push((key, vec![index])),
-        }
-    }
+    // A group's position here is its position in the pool.
+    let grouped = group_scenarios(scenarios);
     let obs = req.obs.clone();
     let t0 = Instant::now();
     let root = obs.span_with(
@@ -241,63 +303,83 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
             .add(loaded.constraints.len() as u64);
     }
 
-    // One job, and with it one compiled kernel, per search key.
+    // One compiled kernel per operating point.
+    let mut points = 0;
     let mut groups: Vec<SearchGroup> = Vec::with_capacity(grouped.len());
-    for (_, indices) in grouped {
-        let first = &scenarios[indices[0]];
-        let tlib = &loaded.timings[&first.corner.tech.name];
-        let kernel = {
-            let _span = root.child_with("kernel", vec![("corner", first.corner.name.clone())]);
-            let compiled = tlib.compile_corner(first.corner.corner);
-            compiled.record_metrics(&obs);
-            obs.counter("mcmm.kernel_compiles").add(1);
-            Arc::new(compiled)
-        };
+    for (tech, members) in grouped {
+        let tlib = &loaded.timings[&tech];
+        let points_of_group = members
+            .into_iter()
+            .map(|members| {
+                let first = &scenarios[members[0]].corner;
+                let _span = root.child_with("kernel", vec![("corner", first.name.clone())]);
+                let compiled = tlib.compile_corner(first.corner);
+                compiled.record_metrics(&obs);
+                obs.counter("mcmm.kernel_compiles").add(1);
+                points += 1;
+                Point {
+                    corner: first.corner,
+                    kernel: Arc::new(compiled),
+                    members,
+                }
+            })
+            .collect();
         groups.push(SearchGroup {
-            corner: first.corner.corner,
+            tech,
             tlib,
-            kernel,
-            members: indices,
+            points: points_of_group,
         });
     }
 
     // Fan the groups over the batch pool: workers claim them in order
-    // through one cursor and hand back `(submission index, outcome)`
-    // pairs. Each group is a self-contained deterministic analysis, so
-    // which worker ran it does not matter.
+    // through one cursor and hand back the search with its
+    // `(submission index, outcome)` pairs. Each group is a self-contained
+    // deterministic analysis, so which worker ran it does not matter.
     let workers = req.batch_threads.clamp(1, groups.len());
     let root_id = root.id();
     // The coordinator's children (one `load`, one `characterize` per
-    // technology, one `kernel` per group) hold the low ordinals and the
-    // scenario subtrees start after them. They all open on this thread,
-    // so the span skeleton is identical at any batch width.
-    let scenario_ord_base = 1 + loaded.timings.len() as u64 + groups.len() as u64;
+    // technology, one `kernel` per operating point) hold the low
+    // ordinals and the scenario subtrees start after them. They all open
+    // on this thread, so the span skeleton is identical at any batch
+    // width.
+    let scenario_ord_base = 1 + loaded.timings.len() as u64 + points;
     let cursor = AtomicUsize::new(0);
-    let mut outcomes: Vec<(usize, ScenarioOutcome)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = obs.local();
-                    let mut done = Vec::new();
-                    while let Some(group) = groups.get(cursor.fetch_add(1, Relaxed)) {
-                        done.extend(run_group(
-                            req,
-                            &loaded,
-                            group,
-                            &mut local,
-                            root_id,
-                            scenario_ord_base,
-                        ));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
+    let worker = || {
+        let mut local = obs.local();
+        let mut done = Vec::new();
+        while let Some(group) = groups.get(cursor.fetch_add(1, Relaxed)) {
+            done.push(run_group(
+                req,
+                &loaded,
+                group,
+                &mut local,
+                root_id,
+                scenario_ord_base,
+            ));
+        }
+        done
+    };
+    let jobs = if workers == 1 {
+        // A pool of one runs on the caller's thread, like the search's.
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    let mut searches = Vec::with_capacity(jobs.len());
+    let mut outcomes = Vec::with_capacity(scenarios.len());
+    for (search, done) in jobs {
+        searches.push(search);
+        outcomes.extend(done);
+    }
+    // Each group was listed when its first scenario came up, so its first
+    // scenario's index restores group order.
+    searches.sort_by_key(|s: &BatchSearch| s.scenarios[0]);
     // The groups partition the submission indices, so sorting restores
     // submission order.
     outcomes.sort_by_key(|&(index, _)| index);
@@ -313,18 +395,19 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
         netlist: loaded.netlist,
         input_slew: req.input_slew,
         scenarios: outcomes,
+        searches,
         merged,
         elapsed_s: t0.elapsed().as_secs_f64(),
     })
 }
 
-/// One pool job: a single search and a single bound pass for the group's
-/// operating point, then each member's requirement and slack. Every
-/// member keeps its own `scenario` span subtree at its submission
-/// ordinal; the search is the `enumerate` child of the group's first
-/// member. Each outcome must equal what an independent single-scenario
-/// [`AnalysisRequest::run`] computes — the identity is pinned by
-/// `tests/mcmm_identity.rs`.
+/// One pool job: a single search over the group's operating points, a
+/// single bound pass per point, then each member's requirement and
+/// slack. Every member keeps its own `scenario` span subtree at its
+/// submission ordinal; the search is the `enumerate` child of the
+/// group's first member. Each outcome must equal what an independent
+/// single-scenario [`AnalysisRequest::run`] computes — the identity is
+/// pinned by `tests/mcmm_identity.rs`.
 fn run_group(
     req: &AnalysisRequest,
     loaded: &Loaded,
@@ -332,23 +415,24 @@ fn run_group(
     local: &mut LocalSpans,
     root_id: u64,
     ord_base: u64,
-) -> Vec<(usize, ScenarioOutcome)> {
+) -> (BatchSearch, Vec<(usize, ScenarioOutcome)>) {
     let netlist = &loaded.netlist;
-    let enumerator = PathEnumerator::with_prebuilt(
+    let tlib = group.tlib;
+    let enumerator = PathEnumerator::with_corners(
         netlist,
         &loaded.lib,
-        group.tlib,
-        req.enumeration_config(group.corner),
-        group.kernel.clone(),
-        None,
+        tlib,
+        req.enumeration_config(group.points[0].corner),
+        group.points.iter().map(|p| Arc::clone(&p.kernel)).collect(),
     );
-    let mut search = None;
-    let mut bounds = None;
-    group
-        .members
+    let members = group.members();
+    let mut runs: Option<CornerRuns> = None;
+    let mut bounds: Vec<Option<StaticTiming>> = vec![None; group.points.len()];
+    let outcomes = members
         .iter()
-        .map(|&index| {
+        .map(|&(index, p)| {
             let scenario = &req.scenarios[index];
+            let point = &group.points[p];
             let attrs = vec![("scenario", scenario.name())];
             let outcome = local.time_tree(
                 root_id,
@@ -356,14 +440,13 @@ fn run_group(
                 "scenario",
                 attrs,
                 |local, id| {
-                    let (paths, stats) = search
-                        .get_or_insert_with(|| {
-                            local.time(id, 0, "enumerate", Vec::new(), || enumerator.run())
-                        })
-                        .clone();
+                    let runs = runs.get_or_insert_with(|| {
+                        local.time(id, 0, "enumerate", Vec::new(), || enumerator.run_corners())
+                    });
+                    let (paths, stats) = runs.corners[p].clone();
                     let slack = local.time(id, 1, "slack", Vec::new(), || {
-                        let timing = bounds.get_or_insert_with(|| {
-                            static_bounds(netlist, group.tlib, group.corner, req.input_slew, 1.0)
+                        let timing = bounds[p].get_or_insert_with(|| {
+                            static_bounds(netlist, tlib, point.corner, req.input_slew, 1.0)
                         });
                         SlackOutcome::resolve(
                             netlist,
@@ -389,5 +472,11 @@ fn run_group(
             );
             (index, outcome)
         })
-        .collect()
+        .collect();
+    let search = BatchSearch {
+        tech: group.tech.clone(),
+        scenarios: members.iter().map(|&(index, _)| index).collect(),
+        stats: runs.expect("a group has at least one member").search,
+    };
+    (search, outcomes)
 }

@@ -23,38 +23,70 @@
 //!
 //! # Shared pruning bound (N-worst mode)
 //!
-//! One admission set serves the whole run: a size-N min-heap of the
-//! largest admitted worst arrivals behind a `Mutex` ([`Admissions`]).
-//! Every admission pushes its arrival and, once the heap holds N,
-//! publishes the heap's top — the N-th largest arrival admitted so far —
-//! to an `AtomicU64` holding a total-order encoding of the `f64` bound.
-//! Pruning, the dominance cut and admission read that atomic alone, with
-//! relaxed ordering: the bound is a pure performance hint. Soundness: the
-//! heap holds arrivals of real paths, so its N-th largest never exceeds
-//! the N-th largest arrival `T` over all true paths; with tie-inclusive
-//! admission (`w < threshold` rejects, ties pass) every path with arrival
-//! ≥ `T` is admitted under any schedule. `run` then sorts by the
-//! canonical total order of [`TruePath::canonical_cmp`] and truncates to
-//! N — identical output at any thread count, though the admitted
-//! *superset* (and the search-effort counters) may differ with the
-//! schedule. Because every worker prunes against the N worst paths of
-//! the whole run rather than of its own admissions, a multi-worker
-//! search spends about the decisions of a one-worker search. Under
+//! One admission set per corner serves the whole run: a size-N min-heap
+//! of the largest admitted worst arrivals behind a `Mutex`
+//! ([`Admissions`]). Every admission pushes its arrival and, once the
+//! heap holds N, publishes the heap's top — the N-th largest arrival
+//! admitted so far — to an `AtomicU64` holding a total-order encoding of
+//! the `f64` bound. Pruning, the dominance cut and admission read that
+//! atomic alone, with relaxed ordering: the bound is a pure performance
+//! hint. Soundness: the heap holds arrivals of real paths, so its N-th
+//! largest never exceeds the N-th largest arrival `T` over all true
+//! paths; with tie-inclusive admission (`w < threshold` rejects, ties
+//! pass) every path with arrival ≥ `T` is admitted under any schedule.
+//! `run` then sorts by the canonical total order of
+//! [`TruePath::canonical_cmp`] and truncates to N — identical output at
+//! any thread count, though the admitted *superset* (and the
+//! search-effort counters) may differ with the schedule. Because every
+//! worker prunes against the N worst paths of the whole run rather than
+//! of its own admissions, a multi-worker search spends about the
+//! decisions of a one-worker search. Under
 //! [`EnumerationConfig::per_source_n_worst`] each source has its own
-//! admission set.
+//! admission sets.
 //!
 //! # Budgets
 //!
 //! `max_decisions` and `max_paths` bound the whole run at every thread
-//! count: every worker adds its decisions and admitted paths to one
-//! [`RunBudget`] tally, checks it wherever the search checks its budget,
-//! and runs no further root task once it has tripped. A worker can
-//! overshoot by the work in flight when the budget trips — one arc
-//! decision plus one justification call, which stops one decision past
-//! `justify_decision_limit` — and admit one path past `max_paths`. At one
-//! thread the trip point, and with it every byte of a truncated result,
-//! is reproducible; above one it depends on the schedule, and so does
-//! which paths a truncated run emits.
+//! count, per corner: every worker adds the decisions and admitted paths
+//! of each corner to that corner's [`RunBudget`] tally, checks it
+//! wherever the search checks its budget, and runs no further root task
+//! once every corner's has tripped. A worker can overshoot by the work in
+//! flight when a budget trips — one arc decision plus one justification
+//! call, which stops one decision past `justify_decision_limit` — and
+//! admit one path past `max_paths`. At one thread the trip point, and
+//! with it every byte of a truncated result, is reproducible; above one
+//! it depends on the schedule, and so does which paths a truncated run
+//! emits.
+//!
+//! # Corners
+//!
+//! A search over K corners ([`PathEnumerator::with_corners`]) walks one
+//! DFS and carries, per frame, the set of corners whose own search would
+//! be at that frame. The logic state of a frame — engine trail,
+//! obligations, the justification outcome and its witness — depends only
+//! on the DFS prefix, so it is the same for every corner. A corner leaves
+//! the set where its own search would stop: where its remaining bound or
+//! dominance cut misses its threshold (it counts the prune or cut), and at
+//! each budget check once its tally has tripped. Every arc decision and
+//! justification call made while a corner is in the set is charged to
+//! that corner, and an emitted path is counted by every corner in the set
+//! and admitted, timed at that corner, by each whose threshold it
+//! reaches. The search's own statistics count each step once.
+//!
+//! So at one thread each corner sees exactly the sequence of arcs, calls,
+//! admissions and threshold updates its independent search would: by
+//! induction over the DFS, its threshold and tally evolve only through
+//! its own steps, and every choice to enter a subtree reads only its
+//! threshold, its tally and the shared logic state. Its paths, its
+//! statistics (but `justify_cache_hits`, which the memo table shared by
+//! the corners serves) and its truncation are byte-identical to an
+//! independent run, budget-truncated runs included. Above one thread an
+//! untruncated corner's answer is identical by the tie-inclusive
+//! admission argument above, applied per corner. The memo table is a
+//! pure function of its key, so sharing it changes no decision count.
+//! A search costs about its most expensive corner's: the corners' top-N
+//! sets overlap, and a subtree is walked once for all corners that enter
+//! it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,7 +100,8 @@ use sta_netlist::{GateId, NetId, Netlist};
 
 use crate::arrival::{remaining_with, tightened_remaining, ArcBounds};
 use crate::enumerate::{
-    cell_of, EnumerationConfig, EnumerationStats, PathEnumerator, PolTimings, Search,
+    cell_of, CornerRuns, CornerSearch, CornerSet, EnumerationConfig, EnumerationStats,
+    PathEnumerator, Search, Step,
 };
 use crate::justify::{JustifyCache, JustifyScratch};
 use crate::path::{PathArc, TruePath};
@@ -197,10 +230,18 @@ struct SrcPlan {
     src: NetId,
     deltas: Vec<Toggle>,
     /// Remaining-delay bound to any PO over toggle-compatible arcs, per
-    /// net: [`tightened_remaining`] in N-worst mode, the same pass with a
-    /// zero arc bound in full enumeration. `−∞` marks a net with no such
-    /// continuation, one the search never enters.
-    rem: Vec<f64>,
+    /// net: [`tightened_remaining`] per corner in N-worst mode, one pass
+    /// with a zero arc bound in full enumeration, where every corner reads
+    /// it. `−∞` marks a net with no such continuation, one the search
+    /// never enters; those entries are the same in every table.
+    rem: Vec<Vec<f64>>,
+}
+
+impl SrcPlan {
+    /// Corner `k`'s remaining-bound table.
+    fn rem(&self, k: usize) -> &[f64] {
+        &self.rem[k.min(self.rem.len() - 1)]
+    }
 }
 
 /// Read-only context shared by all workers.
@@ -208,9 +249,9 @@ struct WorkerCtx<'a> {
     nl: &'a Netlist,
     lib: &'a Library,
     cfg: &'a EnumerationConfig,
-    /// Corner-compiled kernel table, folded once by the enumerator and
-    /// shared read-only by every worker.
-    kernel: &'a CompiledCorner,
+    /// One corner-compiled kernel table per corner, shared read-only by
+    /// every worker.
+    kernels: &'a [Arc<CompiledCorner>],
     plans: &'a [SrcPlan],
     fanouts: &'a [f64],
     is_output: &'a [bool],
@@ -218,21 +259,34 @@ struct WorkerCtx<'a> {
     tasks: &'a [RootTask],
     /// Index of the next unclaimed task in `tasks`.
     cursor: &'a AtomicUsize,
-    /// The run's N-worst admission set; one per source, indexed like
-    /// `plans`, when [`EnumerationConfig::per_source_n_worst`] isolates
-    /// the admission threshold per source.
+    /// The run's N-worst admission sets, one per corner; one per corner
+    /// of each source, indexed `source × corners + corner` like `plans`,
+    /// when [`EnumerationConfig::per_source_n_worst`] isolates the
+    /// admission threshold per source.
     admissions: &'a [Admissions],
-    budget: &'a RunBudget,
-    /// Per-arc delay upper bounds of the dominance cut (N-worst mode),
-    /// computed once by the coordinator and shared read-only.
-    arc_bounds: Option<Arc<ArcBounds>>,
+    /// One run-wide budget tally per corner.
+    budgets: &'a [RunBudget],
+    /// Per-arc delay upper bounds of the dominance cut (N-worst mode), one
+    /// table per corner, computed once by the coordinator and shared
+    /// read-only.
+    arc_bounds: Option<&'a [ArcBounds]>,
+}
+
+/// What one worker hands back: the search's own statistics, each
+/// corner's, and the paths each task it ran admitted into each corner,
+/// keyed by task index.
+struct WorkerOutcome {
+    search: EnumerationStats,
+    corners: Vec<EnumerationStats>,
+    done: Vec<(usize, Vec<Vec<TruePath>>)>,
 }
 
 /// Runs the enumeration of `enumr` over `cfg.threads` workers and returns
-/// every admitted path, unsorted, in task order.
-pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStats) {
+/// every path each corner admitted, unsorted, in task order.
+pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
     let nl = enumr.nl;
     let lib = enumr.lib;
+    let corners = enumr.kernels.len();
     let is_output = enumr.output_flags();
     let fanouts = enumr.fanouts();
     let arc_bounds = enumr.arc_bounds();
@@ -259,16 +313,20 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStat
         // stable-value requirements on nets that provably toggle
         // (crucial on reconvergent XOR logic).
         let deltas = toggle_analysis(nl, lib, src);
-        // One backward pass gives both the pruning bound and
+        // One backward pass per corner gives both the pruning bound and
         // reachability: a `−∞` entry has no true continuation, so the
         // DFS never forks into it — this is what keeps reconvergent XOR
         // fabrics (c499/c1355) from exploding into 2^depth refuted
         // sub-paths.
         let rem = match &arc_bounds {
-            Some(ab) => tightened_remaining(nl, lib, ab, &deltas, &is_output),
-            None => remaining_with(nl, lib, &deltas, &is_output, |_, _, _| 0.0),
+            Some(bounds) => bounds
+                .iter()
+                .map(|ab| tightened_remaining(nl, lib, ab, &deltas, &is_output))
+                .collect(),
+            None => vec![remaining_with(nl, lib, &deltas, &is_output, |_, _, _| 0.0)],
         };
-        if rem[src.index()] == f64::NEG_INFINITY {
+        let reach = &rem[0];
+        if reach[src.index()] == f64::NEG_INFINITY {
             continue;
         }
         eng.set_toggles(Some(deltas.clone()));
@@ -282,7 +340,7 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStat
         }
         let src_idx = plans.len();
         for pr in nl.net(src).fanout() {
-            if rem[nl.gate(pr.gate).output().index()] == f64::NEG_INFINITY {
+            if reach[nl.gate(pr.gate).output().index()] == f64::NEG_INFINITY {
                 continue;
             }
             let cell_id = cell_of(nl, pr.gate);
@@ -299,7 +357,10 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStat
         plans.push(SrcPlan { src, deltas, rem });
     }
     if tasks.is_empty() {
-        return (Vec::new(), EnumerationStats::default());
+        return CornerRuns {
+            corners: vec![(Vec::new(), EnumerationStats::default()); corners],
+            search: EnumerationStats::default(),
+        };
     }
 
     let threads = enumr.cfg.threads.clamp(1, tasks.len());
@@ -308,30 +369,30 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStat
     // index exactly once.
     let cursor = AtomicUsize::new(0);
     // Threshold isolation (see the config docs) keeps one admission set
-    // per planned source: workers on the same source share pruning
-    // progress while sources stay independent. Full enumeration never
-    // touches its set, so its threshold stays −∞.
+    // per corner of each planned source: workers on the same source share
+    // pruning progress while sources stay independent. Full enumeration
+    // never touches its sets, so their thresholds stay −∞.
     let sets = if enumr.cfg.per_source_n_worst {
         plans.len()
     } else {
         1
     };
     let n = enumr.cfg.n_worst.unwrap_or(usize::MAX);
-    let admissions: Vec<Admissions> = (0..sets).map(|_| Admissions::new(n)).collect();
-    let budget = RunBudget::new(&enumr.cfg);
+    let admissions: Vec<Admissions> = (0..sets * corners).map(|_| Admissions::new(n)).collect();
+    let budgets: Vec<RunBudget> = (0..corners).map(|_| RunBudget::new(&enumr.cfg)).collect();
     let ctx = WorkerCtx {
         nl,
         lib,
         cfg: &enumr.cfg,
-        kernel: &enumr.kernel,
+        kernels: &enumr.kernels,
         plans: &plans,
         fanouts: &fanouts,
         is_output: &is_output,
         tasks: &tasks,
         cursor: &cursor,
         admissions: &admissions,
-        budget: &budget,
-        arc_bounds,
+        budgets: &budgets,
+        arc_bounds: arc_bounds.as_deref(),
     };
 
     let results = if threads == 1 {
@@ -349,49 +410,71 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> (Vec<TruePath>, EnumerationStat
                 .collect()
         })
     };
-    let mut stats = EnumerationStats::default();
+    let mut search = EnumerationStats::default();
+    let mut stats = vec![EnumerationStats::default(); corners];
     let mut buffers = Vec::new();
-    for (worker_stats, done) in results {
-        stats.merge(&worker_stats);
-        buffers.extend(done);
+    for worker in results {
+        search.merge(&worker.search);
+        for (total, part) in stats.iter_mut().zip(&worker.corners) {
+            total.merge(part);
+        }
+        buffers.extend(worker.done);
     }
+    search.truncated = stats.iter().any(|s| s.truncated);
     // Every task index is claimed once, so sorting restores opening
     // order; tasks the budget cut simply have no buffer.
     buffers.sort_unstable_by_key(|&(index, _)| index);
-    let paths = buffers.into_iter().flat_map(|(_, paths)| paths).collect();
-    (paths, stats)
+    let mut paths: Vec<Vec<TruePath>> = vec![Vec::new(); corners];
+    for (_, per_corner) in buffers {
+        for (all, found) in paths.iter_mut().zip(per_corner) {
+            all.extend(found);
+        }
+    }
+    CornerRuns {
+        corners: paths.into_iter().zip(stats).collect(),
+        search,
+    }
 }
 
-/// One worker: claims root tasks in index order until none is left or the
-/// run budget has tripped, and returns its statistics with the paths each
-/// task it ran admitted, keyed by task index.
-fn worker_loop(ctx: &WorkerCtx<'_>) -> (EnumerationStats, Vec<(usize, Vec<TruePath>)>) {
+/// One worker: claims root tasks in index order until none is left or
+/// every corner's budget has tripped, and returns its statistics with the
+/// paths each task it ran admitted.
+fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
+    let corners = ctx
+        .kernels
+        .iter()
+        .enumerate()
+        .map(|(k, kernel)| CornerSearch {
+            kernel,
+            arc_bounds: ctx.arc_bounds.map(|bounds| &bounds[k]),
+            rem: &[],
+            admissions: &ctx.admissions[k],
+            budget: &ctx.budgets[k],
+            steps: Vec::new(),
+            found: Vec::new(),
+            stats: EnumerationStats::default(),
+        })
+        .collect();
     let mut search = Search {
         nl: ctx.nl,
         lib: ctx.lib,
         cfg: ctx.cfg,
-        kernel: ctx.kernel,
         eng: ImplicationEngine::new(ctx.nl, ctx.lib),
         fanouts: ctx.fanouts.to_vec(),
         is_output: ctx.is_output.to_vec(),
         obligations: Vec::new(),
-        delays_r: Vec::new(),
-        delays_f: Vec::new(),
-        found: Vec::new(),
-        budget: ctx.budget,
-        admissions: &ctx.admissions[0],
+        corners,
         justify_cache: JustifyCache::new(),
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
         justify_scratch: JustifyScratch::default(),
-        arc_bounds: ctx.arc_bounds.clone(),
-        rem: Vec::new(),
         stats: EnumerationStats::default(),
         progress: ctx.cfg.obs.progress(),
         justify_hist: ctx.cfg.obs.histogram("justify.decisions_per_call"),
         path_len_hist: ctx.cfg.obs.histogram("enumerate.path_gates"),
         bound_updates: ctx.cfg.obs.counter("enumerate.bound_updates"),
     };
+    let every_corner = CornerSet::first(ctx.kernels.len());
     // The scheduling counter's handle is fetched once here and bumped
     // lock-free inside the task loop.
     let tasks_done = ctx.cfg.obs.counter("parallel.tasks");
@@ -406,7 +489,9 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> (EnumerationStats, Vec<(usize, Vec<TruePa
         let Some(task) = ctx.tasks.get(index) else {
             break;
         };
-        if search.budget_exhausted() {
+        // A corner whose budget has tripped runs no further task.
+        let active = search.unexhausted(every_corner);
+        if active.is_empty() {
             break;
         }
         tasks_done.inc();
@@ -415,29 +500,34 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> (EnumerationStats, Vec<(usize, Vec<TruePa
             // Install the per-source state: toggle deltas, the launched
             // transition (whose trail entries persist across this
             // source's tasks — each try_arc rolls back to its own mark),
-            // and the remaining-bound table.
+            // and each corner's remaining-bound table and, under
+            // threshold isolation, this source's own admission sets.
             search.eng.reset();
             search.eng.set_toggles(Some(plan.deltas.clone()));
             let conflicts = search
                 .eng
                 .assign(plan.src, Dual::transition(false), Mask::BOTH);
             mask = Mask::BOTH.minus(conflicts);
-            search.rem.clone_from(&plan.rem);
             search.obligations.clear();
-            search.delays_r.clear();
-            search.delays_f.clear();
-            if ctx.cfg.per_source_n_worst {
-                // Threshold isolation: admit into and prune against this
-                // source's own set.
-                search.admissions = &ctx.admissions[task.src];
+            let set = if ctx.cfg.per_source_n_worst {
+                task.src
+            } else {
+                0
+            };
+            let k_count = search.corners.len();
+            for (k, c) in search.corners.iter_mut().enumerate() {
+                c.rem = plan.rem(k);
+                c.admissions = &ctx.admissions[set * k_count + k];
             }
             current_src = Some(task.src);
         }
-        let timing = PolTimings::launch(ctx.cfg.input_slew);
+        for c in &mut search.corners {
+            c.steps.clear();
+            c.steps.push(Step::launch(ctx.cfg.input_slew));
+        }
         // The root-node prune check of `dfs_inner`.
-        if search.prunes(plan.src, mask, &timing) {
-            search.stats.pruned += 1;
-        } else if mask.any() {
+        let active = search.unpruned(plan.src, mask, active);
+        if !active.is_empty() && mask.any() {
             nodes.clear();
             nodes.push(plan.src);
             arcs.clear();
@@ -447,15 +537,32 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> (EnumerationStats, Vec<(usize, Vec<TruePa
                 task.vector,
                 false,
                 mask,
-                timing,
+                active,
                 &mut nodes,
                 &mut arcs,
             );
         }
-        done.push((index, std::mem::take(&mut search.found)));
+        let found = search
+            .corners
+            .iter_mut()
+            .map(|c| std::mem::take(&mut c.found))
+            .collect();
+        done.push((index, found));
     }
-    search.stats.justify_cache_hits = search.justify_cache.hits;
-    (search.stats, done)
+    let hits = search.justify_cache.hits;
+    search.stats.justify_cache_hits = hits;
+    WorkerOutcome {
+        search: search.stats,
+        corners: search
+            .corners
+            .into_iter()
+            .map(|c| EnumerationStats {
+                justify_cache_hits: hits,
+                ..c.stats
+            })
+            .collect(),
+        done,
+    }
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub enum Request {
         /// Keep the N worst paths per scenario (default: full
         /// enumeration).
         n_worst: Option<usize>,
-        /// Concurrent scenario jobs (default 1; times the session's
+        /// Concurrent search jobs, one per technology (default 1; times the session's
         /// `threads`, at most [`MAX_THREADS`]).
         batch_threads: usize,
     },

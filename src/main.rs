@@ -678,9 +678,12 @@ fn render_batch(
         .count();
     match opts.format {
         OutputFormat::Human => {
+            let searches = batch.searches.len();
+            let decisions: u64 = batch.searches.iter().map(|s| s.stats.decisions).sum();
             println!(
-                "{circuit}: {} scenario(s) in {:.2} s (batch)",
+                "{circuit}: {} scenario(s), {searches} {} ({decisions} decisions) in {:.2} s (batch)",
                 batch.scenarios.len(),
+                if searches == 1 { "search" } else { "searches" },
                 batch.elapsed_s
             );
             for s in &batch.scenarios {

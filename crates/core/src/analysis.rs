@@ -12,20 +12,21 @@
 //!
 //! The facade is also where observability attaches: pass an enabled
 //! `sta_obs::Observer` and the run records phase spans (`load`,
-//! `characterize`, `enumerate`, `slack`), engine metrics, and — via the
-//! CLI — a run manifest. Observation never changes any computed result.
+//! `characterize`, `compile`, `enumerate`, `slack`), engine metrics, and
+//! — via the CLI — a run manifest. Observation never changes any computed
+//! result.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sta_cells::{Corner, Library};
-use sta_charlib::{CharConfig, CharError, TimingLibrary};
+use sta_charlib::{CharConfig, CharError, CompiledCorner, TimingLibrary};
 use sta_circuits::catalog;
 use sta_netlist::{Netlist, NetlistError};
 use sta_obs::{Observer, SpanGuard};
 
-use crate::arrival::{static_bounds, StaticTiming};
+use crate::arrival::{static_bounds_compiled, StaticTiming};
 use crate::enumerate::{EnumerationConfig, EnumerationStats, PathEnumerator};
 use crate::mcmm::BatchOutcome;
 use crate::path::TruePath;
@@ -272,6 +273,7 @@ impl AnalysisRequest {
             constraints: loaded.constraints.into_values().next(),
             required: primary.mode.required,
             cfg: self.enumeration_config(corner),
+            kernel: OnceLock::new(),
             obs: self.obs.clone(),
             root,
         })
@@ -409,7 +411,8 @@ pub(crate) struct Loaded {
 /// library, the operating corner, parsed constraints, and the enumeration
 /// configuration. Flows that drive their own analysis (the two-step
 /// baseline, lint) borrow these; [`AnalysisContext::enumerate`] and
-/// [`AnalysisContext::slack`] run the standard analyses.
+/// [`AnalysisContext::slack`] run the standard analyses. All of them
+/// share one corner-compiled kernel ([`AnalysisContext::kernel`]).
 pub struct AnalysisContext {
     /// Requested circuit name.
     pub circuit: String,
@@ -425,6 +428,8 @@ pub struct AnalysisContext {
     pub constraints: Option<Constraints>,
     required: Option<f64>,
     cfg: EnumerationConfig,
+    /// The operating point's kernel, compiled on first use.
+    kernel: OnceLock<Arc<CompiledCorner>>,
     obs: Observer,
     /// Root span of the whole analysis; ends when the context drops.
     root: SpanGuard,
@@ -460,7 +465,7 @@ impl SlackOutcome {
     /// then 90 % of the structural worst arrival. Single runs, batch
     /// scenarios and the timing daemon all resolve here, so their reports
     /// agree byte for byte. `timing` is the bound pass at margin 1 (see
-    /// [`static_bounds`]).
+    /// [`static_bounds_compiled`]).
     pub fn resolve(
         nl: &Netlist,
         timing: StaticTiming,
@@ -509,24 +514,32 @@ impl AnalysisContext {
         self.cfg.input_slew
     }
 
-    /// Runs the true-path enumeration (kernel compilation and the search
-    /// itself are recorded as child spans of the analysis).
-    pub fn enumerate(&self) -> EnumerationRun {
-        let enumr = {
+    /// The operating point's corner-compiled kernel. It is compiled on
+    /// first use, as the analysis's `compile` span, and every later call
+    /// returns the same table: [`AnalysisContext::enumerate`],
+    /// [`AnalysisContext::slack`] and the caller's own tables and
+    /// enumerators ([`PathEnumerator::with_prebuilt`]) all read it.
+    pub fn kernel(&self) -> &Arc<CompiledCorner> {
+        self.kernel.get_or_init(|| {
             let _compile = self.root.child("compile");
-            let kernel = std::sync::Arc::new(self.timing.compile_corner(self.cfg.corner));
-            PathEnumerator::with_prebuilt(
-                &self.netlist,
-                &self.lib,
-                &self.timing,
-                self.cfg.clone(),
-                kernel,
-                None,
-            )
-        };
-        let k = enumr.kernel();
-        k.record_metrics(&self.obs);
-        let kernel = (k.num_arcs(), k.num_coefficients());
+            let kernel = self.timing.compile_corner(self.cfg.corner);
+            kernel.record_metrics(&self.obs);
+            Arc::new(kernel)
+        })
+    }
+
+    /// Runs the true-path enumeration (the search is recorded as the
+    /// `enumerate` child span of the analysis).
+    pub fn enumerate(&self) -> EnumerationRun {
+        let kernel = self.kernel();
+        let enumr = PathEnumerator::with_prebuilt(
+            &self.netlist,
+            &self.lib,
+            &self.timing,
+            self.cfg.clone(),
+            Arc::clone(kernel),
+            None,
+        );
         let (paths, stats) = {
             let _enumerate = self.root.child("enumerate");
             enumr.run()
@@ -534,7 +547,7 @@ impl AnalysisContext {
         EnumerationRun {
             paths,
             stats,
-            kernel,
+            kernel: (kernel.num_arcs(), kernel.num_coefficients()),
         }
     }
 
@@ -542,11 +555,12 @@ impl AnalysisContext {
     /// order: explicit request value, tightest SDC output requirement,
     /// then the 90 %-of-structural-worst default.
     pub fn slack(&self) -> SlackOutcome {
+        let kernel = self.kernel();
         let _slack = self.root.child("slack");
-        let timing = static_bounds(
+        let timing = static_bounds_compiled(
             &self.netlist,
             &self.timing,
-            self.corner,
+            kernel,
             self.cfg.input_slew,
             1.0,
         );
@@ -664,6 +678,31 @@ mod tests {
         let snap = obs.metrics_snapshot();
         assert_eq!(snap.counters["enumerate.paths"], plain.stats.paths as u64);
         assert!(snap.gauges.contains_key("kernel.arcs"));
+    }
+
+    /// A context compiles its kernel once, however many analyses read
+    /// it: two enumerations and a slack pass record one `compile` span
+    /// and one compilation, and the second enumeration repeats the first.
+    #[test]
+    fn one_kernel_serves_every_analysis_of_a_context() {
+        let obs = Observer::enabled();
+        let ctx = fast_request("c17")
+            .n_worst(Some(5))
+            .observer(obs.clone())
+            .prepare()
+            .unwrap();
+        let first = ctx.enumerate();
+        let second = ctx.enumerate();
+        ctx.slack();
+        assert!(!first.paths.is_empty());
+        assert_eq!(first.paths, second.paths);
+        drop(ctx);
+        let tree = obs.span_tree();
+        assert_eq!(
+            tree[0].structure(),
+            "analysis(load,characterize,compile,enumerate,enumerate,slack)"
+        );
+        assert_eq!(obs.metrics_snapshot().counters["kernel.compilations"], 1);
     }
 
     fn nominal_with_mode(mode: Mode) -> Scenario {

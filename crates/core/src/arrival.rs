@@ -1,16 +1,19 @@
-//! Static timing bounds.
+//! Static timing bounds, evaluated through a corner-compiled kernel.
 //!
-//! [`arc_bounds`] and [`tightened_remaining`] are the bounds the
+//! [`arc_bounds_compiled`] and [`tightened_remaining`] are the bounds the
 //! dominance cut of the N-worst true-path search prunes with: per-arc
 //! delay bounds over each net's forward slew hull, and per-source
 //! remaining-delay bounds built from them. The remaining-bound pass is
 //! also the search's per-source reachability test, in full enumeration
-//! too (there with a zero arc bound). [`static_bounds`] is the
+//! too (there with a zero arc bound). [`static_bounds_compiled`] is the
 //! classic levelized, slew-blind structural analysis behind structural
-//! slack and the lint's dominance audit; [`arc_intervals`] is the
-//! two-sided full-sweep table the lint's interval interpreter reads.
+//! slack and the lint's dominance audit; [`arc_intervals_compiled`] is
+//! the two-sided full-sweep table the lint's interval interpreter reads.
+//! Every table reads the same kernel the search reads; the interpreted
+//! models are only the oracles' reference (`crate::delaycalc::path_delay`
+//! and the lint's LIB004).
 
-use sta_cells::{Corner, Edge, Library};
+use sta_cells::{Edge, Library};
 use sta_charlib::{CompiledCorner, TimingLibrary};
 use sta_logic::Toggle;
 use sta_netlist::{CellId, GateId, GateKind, NetId, Netlist};
@@ -27,8 +30,7 @@ pub struct StaticTiming {
 
 /// The largest modelled delay of any arc through (`cell`, `pin`): max over
 /// sensitization vectors and edges of the largest characterization sample.
-/// A conservative per-arc bound for structural analyses.
-pub fn arc_delay_bound(tlib: &TimingLibrary, cell: sta_netlist::CellId, pin: u8) -> f64 {
+fn arc_delay_bound(tlib: &TimingLibrary, cell: CellId, pin: u8) -> f64 {
     let ct = tlib.cell(cell);
     (0..ct.num_vectors(pin))
         .map(|v| {
@@ -39,55 +41,24 @@ pub fn arc_delay_bound(tlib: &TimingLibrary, cell: sta_netlist::CellId, pin: u8)
 }
 
 /// Computes structural arrival and remaining-delay bounds with worst-case
-/// per-arc delays evaluated at `default_slew` (plus the tabulated sample
-/// maxima as a safety net) and the real per-net fanout loads.
+/// per-arc delays evaluated through the corner-compiled `kernel` at
+/// `default_slew` (plus the tabulated sample maxima as a safety net) and
+/// the real per-net fanout loads.
 ///
-/// `margin` scales every arc bound (≥ 1.0 recommended — the bound is used
-/// to prune the N-worst search and should stay conservative with respect
-/// to slew effects the static pass cannot see).
+/// `margin` scales every arc bound: structural slack takes 1.0, the
+/// whole-flow audit (lint AI002) the configuration's `prune_margin`,
+/// which covers the slew effects this single-point evaluation cannot
+/// see.
 ///
 /// # Panics
 ///
 /// Panics if the netlist contains unmapped primitive gates or a cycle.
-pub fn static_bounds(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    corner: Corner,
-    default_slew: f64,
-    margin: f64,
-) -> StaticTiming {
-    bounds_with(nl, tlib, margin, |cell, pin, v, edge, fo| {
-        tlib.cell(cell)
-            .variant(pin, v)
-            .for_edge(edge)
-            .eval(fo, default_slew, corner)
-            .0
-    })
-}
-
-/// [`static_bounds`] evaluated through a corner-compiled kernel table.
-/// Bit-identical to the interpreted bounds at the kernel's corner, so the
-/// N-worst pruning decisions of a compiled run match an interpreted run
-/// exactly.
 pub fn static_bounds_compiled(
     nl: &Netlist,
     tlib: &TimingLibrary,
     kernel: &CompiledCorner,
     default_slew: f64,
     margin: f64,
-) -> StaticTiming {
-    bounds_with(nl, tlib, margin, |cell, pin, v, edge, fo| {
-        kernel
-            .eval(kernel.arc_id(cell, pin, v), edge, fo, default_slew)
-            .0
-    })
-}
-
-fn bounds_with(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    margin: f64,
-    mut arc_delay: impl FnMut(CellId, u8, usize, Edge, f64) -> f64,
 ) -> StaticTiming {
     let order = nl.topo_gates();
     assert_eq!(order.len(), nl.num_gates(), "netlist has a cycle");
@@ -98,15 +69,16 @@ fn bounds_with(
             let gate = nl.gate(g);
             let cell = match gate.kind() {
                 GateKind::Cell(c) => c,
-                GateKind::Prim(op) => panic!("static_bounds on unmapped primitive {op}"),
+                GateKind::Prim(op) => panic!("static bounds on unmapped primitive {op}"),
             };
             let fo = tlib.equivalent_fanout(nl, gate.output(), cell);
             let ct = tlib.cell(cell);
             let mut worst: f64 = 0.0;
             for pin in 0..gate.fanin() as u8 {
                 for v in 0..ct.num_vectors(pin) {
+                    let arc = kernel.arc_id(cell, pin, v);
                     for edge in Edge::BOTH {
-                        worst = worst.max(arc_delay(cell, pin, v, edge, fo));
+                        worst = worst.max(kernel.eval(arc, edge, fo, default_slew).0);
                     }
                 }
                 worst = worst.max(arc_delay_bound(tlib, cell, pin));
@@ -141,7 +113,7 @@ fn bounds_with(
 }
 
 /// Conservative per-(gate, pin, vector) arc-delay upper bounds, ps, and
-/// the per-net slew hulls they are taken over — see [`arc_bounds`].
+/// the per-net slew hulls they are taken over — see [`arc_bounds_compiled`].
 /// Computed once per run and shared read-only by every worker; feeds the
 /// dominance cut of the N-worst search (see `enumerate`).
 #[derive(Clone, Debug)]
@@ -169,22 +141,21 @@ impl ArcBounds {
 }
 
 /// Margin applied to the slew-swept per-arc bounds and slew hulls
-/// ([`arc_bounds`]). The sweep evaluates the *model itself* at the hull
-/// ends and every `SLEW_SWEEP` point between them, so the only slack the
-/// margin must cover is polynomial wiggle between adjacent sample points
-/// — a few percent dwarfs it for the low-order fitted models. Contrast
-/// `EnumerationConfig::prune_margin`, which also has to absorb the slew
-/// effects the single-point [`static_bounds`] evaluation cannot see.
+/// ([`arc_bounds_compiled`]). The sweep evaluates the *model itself* at
+/// the hull ends and every `SLEW_SWEEP` point between them, so the only
+/// slack the margin must cover is polynomial wiggle between adjacent
+/// sample points — a few percent dwarfs it for the low-order fitted
+/// models. Contrast `EnumerationConfig::prune_margin`, which also has to
+/// absorb the slew effects the single-point [`static_bounds_compiled`]
+/// evaluation cannot see.
 pub const ARC_SWEEP_MARGIN: f64 = 1.02;
 
 /// Fixed slew sample points of the per-arc sweeps: dense over the
 /// characterized range (the models clamp their inputs to the fitted box,
 /// so beyond the grid edge they hold their boundary value) plus sparse
 /// log-spaced points and one effectively-infinite probe covering wider
-/// grids. [`arc_intervals`] sweeps all of it; [`arc_bounds`] takes the
-/// points inside each net's slew hull. Fixed points keep the compiled
-/// and interpreted tables bit-identical — both evaluators agree bitwise
-/// at any single point.
+/// grids. [`arc_intervals_compiled`] sweeps all of it;
+/// [`arc_bounds_compiled`] takes the points inside each net's slew hull.
 const SLEW_SWEEP: [f64; 48] = [
     0.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 175.0, 200.0, 225.0, 250.0, 275.0, 300.0, 325.0,
     350.0, 375.0, 400.0, 425.0, 450.0, 475.0, 500.0, 525.0, 550.0, 575.0, 600.0, 625.0, 650.0,
@@ -201,51 +172,30 @@ fn widen(lo: f64, hi: f64, margin: f64) -> (f64, f64) {
     (lo - pad, hi + pad)
 }
 
-/// Per-arc delay bounds over the slews each arc can actually see. A
-/// forward pass in topological order seeds every primary input's slew
-/// hull at `[input_slew, input_slew]`; each arc is evaluated, for both
-/// edges and at its real fanout load, at its input net's hull ends and at
-/// every `SLEW_SWEEP` point strictly between them (delay is not monotone
-/// in slew, so the ends alone would not do). The largest delay, scaled by
+/// Per-arc delay bounds over the slews each arc can actually see,
+/// evaluated through the corner-compiled `kernel`. A forward pass in
+/// topological order seeds every primary input's slew hull at
+/// `[input_slew, input_slew]`; each arc is evaluated, for both edges and
+/// at its real fanout load, at its input net's hull ends and at every
+/// `SLEW_SWEEP` point strictly between them (delay is not monotone in
+/// slew, so the ends alone would not do). The largest delay, scaled by
 /// `margin`, is the arc's bound; the smallest and largest output slew
-/// over every arc of the gate, widened like [`arc_intervals`] widens, is
-/// the hull of its output net. Delays and slews are clamped as the search
-/// clamps them (0.1 ps and 0.5 ps), so the table bounds exactly the
-/// arithmetic the search performs. An input net no primary input reaches
-/// keeps the whole `SLEW_SWEEP` range; the search never enters it.
+/// over every arc of the gate, widened like [`arc_intervals_compiled`]
+/// widens, is the hull of its output net. Delays and slews are clamped as
+/// the search clamps them (0.1 ps and 0.5 ps), so the table bounds
+/// exactly the arithmetic the search performs. An input net no primary
+/// input reaches keeps the whole `SLEW_SWEEP` range; the search never
+/// enters it.
 ///
-/// Much tighter than the [`static_bounds`] recipe — that one folds in the
-/// grid-global tabulated sample maximum, which a low-fanout gate never
-/// approaches — and than a sweep of the whole slew domain, whose far end
-/// is set by transition times no net of the circuit carries.
+/// Much tighter than the [`static_bounds_compiled`] recipe — that one
+/// folds in the grid-global tabulated sample maximum, which a low-fanout
+/// gate never approaches — and than a sweep of the whole slew domain,
+/// whose far end is set by transition times no net of the circuit
+/// carries.
 ///
 /// # Panics
 ///
 /// Panics if the netlist contains unmapped primitive gates or a cycle.
-pub fn arc_bounds(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    corner: Corner,
-    input_slew: f64,
-    margin: f64,
-) -> ArcBounds {
-    arc_bounds_with(
-        nl,
-        tlib,
-        input_slew,
-        margin,
-        |cell, pin, v, edge, fo, slew| {
-            tlib.cell(cell)
-                .variant(pin, v)
-                .for_edge(edge)
-                .eval(fo, slew, corner)
-        },
-    )
-}
-
-/// [`arc_bounds`] evaluated through a corner-compiled kernel table —
-/// bit-identical to the interpreted bounds and slew hulls at the kernel's
-/// corner, so the dominance cut never depends on the kernel setting.
 pub fn arc_bounds_compiled(
     nl: &Netlist,
     tlib: &TimingLibrary,
@@ -262,6 +212,9 @@ pub fn arc_bounds_compiled(
     )
 }
 
+/// [`arc_bounds_compiled`] with the arc evaluator `arc_eval(cell, pin,
+/// vector, edge, fanout, slew) -> (delay, slew)` as a closure, so a test
+/// can inject a synthetic model.
 fn arc_bounds_with(
     nl: &Netlist,
     tlib: &TimingLibrary,
@@ -282,7 +235,7 @@ fn arc_bounds_with(
         let gate = nl.gate(g);
         let cell = match gate.kind() {
             GateKind::Cell(c) => c,
-            GateKind::Prim(op) => panic!("arc_bounds on unmapped primitive {op}"),
+            GateKind::Prim(op) => panic!("arc bounds on unmapped primitive {op}"),
         };
         let fo = tlib.equivalent_fanout(nl, gate.output(), cell);
         let ct = tlib.cell(cell);
@@ -344,9 +297,8 @@ pub struct ArcInterval {
 }
 
 /// Per-(gate, pin, vector) two-sided arc intervals — the table the
-/// `sta-lint` interval abstract interpreter consumes. Built over the
-/// whole fixed `SLEW_SWEEP` grid, so the interpreted and compiled tables
-/// are bit-identical at the kernel's corner.
+/// `sta-lint` interval abstract interpreter consumes, built over the
+/// whole fixed `SLEW_SWEEP` grid.
 #[derive(Clone, Debug)]
 pub struct ArcIntervals {
     /// `per_gate[gate][pin][vector]`, already margin-widened.
@@ -372,42 +324,19 @@ impl ArcIntervals {
     }
 }
 
-/// Two-sided per-arc delay/slew intervals: for every (pin, vector) the
-/// model is evaluated over both edges and the full swept slew domain at
-/// the arc's real fanout, and the min/max of delay and output slew are
-/// kept. The raw extrema are then widened *symmetrically* by
-/// `(margin - 1) * scale` where `scale = max(|min|, |max|)` — unlike the
-/// multiplicative widening of [`arc_bounds`], which is unsound for a
-/// lower bound whose minimum sits near zero while the function swings
-/// much larger between grid points.
+/// Two-sided per-arc delay/slew intervals through the corner-compiled
+/// `kernel`: for every (pin, vector) the model is evaluated over both
+/// edges and the full swept slew domain at the arc's real fanout, and the
+/// min/max of delay and output slew are kept. The raw extrema are then
+/// widened *symmetrically* by `(margin - 1) * scale` where `scale =
+/// max(|min|, |max|)` — unlike the multiplicative widening of
+/// [`arc_bounds_compiled`], which is unsound for a lower bound whose
+/// minimum sits near zero while the function swings much larger between
+/// grid points.
 ///
 /// # Panics
 ///
 /// Panics if the netlist contains unmapped primitive gates.
-pub fn arc_intervals(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    corner: Corner,
-    default_slew: f64,
-    margin: f64,
-) -> ArcIntervals {
-    arc_intervals_with(
-        nl,
-        tlib,
-        default_slew,
-        margin,
-        |cell, pin, v, edge, fo, slew| {
-            tlib.cell(cell)
-                .variant(pin, v)
-                .for_edge(edge)
-                .eval(fo, slew, corner)
-        },
-    )
-}
-
-/// [`arc_intervals`] evaluated through a corner-compiled kernel table —
-/// bit-identical to the interpreted intervals at the kernel's corner, so
-/// audit verdicts never depend on the kernel setting.
 pub fn arc_intervals_compiled(
     nl: &Netlist,
     tlib: &TimingLibrary,
@@ -415,29 +344,13 @@ pub fn arc_intervals_compiled(
     default_slew: f64,
     margin: f64,
 ) -> ArcIntervals {
-    arc_intervals_with(
-        nl,
-        tlib,
-        default_slew,
-        margin,
-        |cell, pin, v, edge, fo, slew| kernel.eval(kernel.arc_id(cell, pin, v), edge, fo, slew),
-    )
-}
-
-fn arc_intervals_with(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    default_slew: f64,
-    margin: f64,
-    mut arc_eval: impl FnMut(CellId, u8, usize, Edge, f64, f64) -> (f64, f64),
-) -> ArcIntervals {
     let per_gate = nl
         .gate_ids()
         .map(|g| {
             let gate = nl.gate(g);
             let cell = match gate.kind() {
                 GateKind::Cell(c) => c,
-                GateKind::Prim(op) => panic!("arc_intervals on unmapped primitive {op}"),
+                GateKind::Prim(op) => panic!("arc intervals on unmapped primitive {op}"),
             };
             let fo = tlib.equivalent_fanout(nl, gate.output(), cell);
             let ct = tlib.cell(cell);
@@ -445,20 +358,18 @@ fn arc_intervals_with(
                 .map(|pin| {
                     (0..ct.num_vectors(pin))
                         .map(|v| {
+                            let arc = kernel.arc_id(cell, pin, v);
                             let mut d_lo = f64::INFINITY;
                             let mut d_hi = f64::NEG_INFINITY;
                             let mut s_lo = f64::INFINITY;
                             let mut s_hi = f64::NEG_INFINITY;
-                            let mut take = |(d, s): (f64, f64)| {
-                                d_lo = d_lo.min(d);
-                                d_hi = d_hi.max(d);
-                                s_lo = s_lo.min(s);
-                                s_hi = s_hi.max(s);
-                            };
                             for edge in Edge::BOTH {
-                                take(arc_eval(cell, pin, v, edge, fo, default_slew));
-                                for &slew in &SLEW_SWEEP {
-                                    take(arc_eval(cell, pin, v, edge, fo, slew));
+                                for slew in std::iter::once(default_slew).chain(SLEW_SWEEP) {
+                                    let (d, s) = kernel.eval(arc, edge, fo, slew);
+                                    d_lo = d_lo.min(d);
+                                    d_hi = d_hi.max(d);
+                                    s_lo = s_lo.min(s);
+                                    s_hi = s_hi.max(s);
                                 }
                             }
                             let (delay_lo, delay_hi) = widen(d_lo, d_hi, margin);
@@ -479,7 +390,7 @@ fn arc_intervals_with(
 }
 
 /// Per-source tightened remaining-delay bound: like the `remaining` half
-/// of [`static_bounds`], but restricted to arcs whose side requirements
+/// of [`static_bounds_compiled`], but restricted to arcs whose side requirements
 /// do not contradict the launch source's toggle analysis and taken per
 /// (pin, vector) from `bounds` instead of the per-gate maximum.
 ///
@@ -578,7 +489,7 @@ pub fn record_bounds_metrics(obs: &sta_obs::Observer, nl: &Netlist, timing: &Sta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sta_cells::{Library, Technology};
+    use sta_cells::{Corner, Library, Technology};
     use sta_charlib::{characterize, CharConfig};
     use sta_netlist::GateKind;
 
@@ -596,13 +507,20 @@ mod tests {
         (nl, lib)
     }
 
-    #[test]
-    fn bounds_are_monotone_and_consistent() {
+    /// The small chain with a fast-characterized library and its kernel
+    /// at the 90 nm nominal corner.
+    fn small_timed() -> (Netlist, Library, TimingLibrary, CompiledCorner) {
         let (nl, lib) = small_mapped();
         let tech = Technology::n90();
         let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
-        let corner = Corner::nominal(&tech);
-        let st = static_bounds(&nl, &tlib, corner, 60.0, 1.1);
+        let kernel = tlib.compile_corner(Corner::nominal(&tech));
+        (nl, lib, tlib, kernel)
+    }
+
+    #[test]
+    fn bounds_are_monotone_and_consistent() {
+        let (nl, _, tlib, kernel) = small_timed();
+        let st = static_bounds_compiled(&nl, &tlib, &kernel, 60.0, 1.1);
         let z = nl.outputs()[0];
         let a = nl.inputs()[0];
         // Arrival grows along the chain; remaining shrinks.
@@ -621,12 +539,9 @@ mod tests {
     /// maximum into per-vector bounds, both of which only shrink it.
     #[test]
     fn tightened_remaining_is_never_looser() {
-        let (nl, lib) = small_mapped();
-        let tech = Technology::n90();
-        let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
-        let corner = Corner::nominal(&tech);
-        let st = static_bounds(&nl, &tlib, corner, 60.0, 1.25);
-        let ab = arc_bounds(&nl, &tlib, corner, 60.0, 1.25);
+        let (nl, lib, tlib, kernel) = small_timed();
+        let st = static_bounds_compiled(&nl, &tlib, &kernel, 60.0, 1.25);
+        let ab = arc_bounds_compiled(&nl, &tlib, &kernel, 60.0, 1.25);
         let mut is_output = vec![false; nl.num_nets()];
         for &o in nl.outputs() {
             is_output[o.index()] = true;
@@ -641,37 +556,6 @@ mod tests {
                         "net {i}: tightened {t} > structural {}",
                         st.remaining[i]
                     );
-                }
-            }
-        }
-    }
-
-    /// Per-arc bounds and slew hulls through the kernel table match the
-    /// interpreted ones bitwise, so the dominance cut never depends on the
-    /// kernel setting.
-    #[test]
-    fn compiled_arc_bounds_are_bit_identical() {
-        let (nl, lib) = small_mapped();
-        let tech = Technology::n90();
-        let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
-        let corner = Corner::nominal(&tech);
-        let kernel = tlib.compile_corner(corner);
-        let a = arc_bounds(&nl, &tlib, corner, 60.0, 1.25);
-        let b = arc_bounds_compiled(&nl, &tlib, &kernel, 60.0, 1.25);
-        let bits = |r: Option<(f64, f64)>| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
-        for net in nl.net_ids() {
-            assert_eq!(bits(a.slew_range(net)), bits(b.slew_range(net)));
-            assert!(a.slew_range(net).is_some(), "every net is reached");
-        }
-        for g in nl.gate_ids() {
-            let gate = nl.gate(g);
-            let cell = match gate.kind() {
-                GateKind::Cell(c) => c,
-                GateKind::Prim(_) => unreachable!(),
-            };
-            for pin in 0..gate.fanin() as u8 {
-                for v in 0..tlib.cell(cell).num_vectors(pin) {
-                    assert_eq!(a.get(g, pin, v).to_bits(), b.get(g, pin, v).to_bits());
                 }
             }
         }
@@ -721,60 +605,29 @@ mod tests {
         }
     }
 
-    /// Compiled and interpreted two-sided interval tables agree bitwise,
-    /// and every interval is well-formed with the delay upper bound over
-    /// the same-margin `arc_bounds` ceiling.
+    /// Every two-sided interval is well-formed with the delay upper bound
+    /// over the same-margin arc-bound ceiling, and every net of the chain
+    /// gets a slew hull.
     #[test]
-    fn compiled_arc_intervals_are_bit_identical_and_well_formed() {
-        let (nl, lib) = small_mapped();
-        let tech = Technology::n90();
-        let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
-        let corner = Corner::nominal(&tech);
-        let kernel = tlib.compile_corner(corner);
-        let a = arc_intervals(&nl, &tlib, corner, 60.0, ARC_SWEEP_MARGIN);
-        let b = arc_intervals_compiled(&nl, &tlib, &kernel, 60.0, ARC_SWEEP_MARGIN);
-        let bounds = arc_bounds(&nl, &tlib, corner, 60.0, ARC_SWEEP_MARGIN);
+    fn arc_intervals_are_well_formed_and_cover_the_arc_bounds() {
+        let (nl, _, tlib, kernel) = small_timed();
+        let intervals = arc_intervals_compiled(&nl, &tlib, &kernel, 60.0, ARC_SWEEP_MARGIN);
+        let bounds = arc_bounds_compiled(&nl, &tlib, &kernel, 60.0, ARC_SWEEP_MARGIN);
+        for net in nl.net_ids() {
+            assert!(bounds.slew_range(net).is_some(), "every net is reached");
+        }
         for g in nl.gate_ids() {
-            let gate = nl.gate(g);
-            let cell = match gate.kind() {
-                GateKind::Cell(c) => c,
-                GateKind::Prim(_) => unreachable!(),
-            };
-            for pin in 0..gate.fanin() as u8 {
-                for v in 0..tlib.cell(cell).num_vectors(pin) {
-                    let ia = a.get(g, pin, v);
-                    let ib = b.get(g, pin, v);
-                    assert_eq!(ia.delay_lo.to_bits(), ib.delay_lo.to_bits());
-                    assert_eq!(ia.delay_hi.to_bits(), ib.delay_hi.to_bits());
-                    assert_eq!(ia.slew_lo.to_bits(), ib.slew_lo.to_bits());
-                    assert_eq!(ia.slew_hi.to_bits(), ib.slew_hi.to_bits());
-                    assert!(ia.delay_lo <= ia.delay_hi);
-                    assert!(ia.slew_lo <= ia.slew_hi);
+            for pin in 0..nl.gate(g).fanin() as u8 {
+                for v in 0..intervals.num_vectors(g, pin) {
+                    let iv = intervals.get(g, pin, v);
+                    assert!(iv.delay_lo <= iv.delay_hi);
+                    assert!(iv.slew_lo <= iv.slew_hi);
                     // The interval hi pads the maximum over the whole
                     // sweep; the bound scales the maximum over the input
                     // net's slew hull, a sub-range of it.
-                    assert!(bounds.get(g, pin, v) <= ia.delay_hi + 1e-9);
+                    assert!(bounds.get(g, pin, v) <= iv.delay_hi + 1e-9);
                 }
             }
-        }
-    }
-
-    /// Kernel-table bounds match the interpreted ones bitwise, so pruning
-    /// behaves identically in compiled and interpreted runs.
-    #[test]
-    fn compiled_bounds_are_bit_identical() {
-        let (nl, lib) = small_mapped();
-        let tech = Technology::n90();
-        let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
-        let corner = Corner::nominal(&tech);
-        let kernel = tlib.compile_corner(corner);
-        let st = static_bounds(&nl, &tlib, corner, 60.0, 1.1);
-        let sc = static_bounds_compiled(&nl, &tlib, &kernel, 60.0, 1.1);
-        for (a, b) in st.arrival.iter().zip(&sc.arrival) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in st.remaining.iter().zip(&sc.remaining) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

@@ -1,16 +1,18 @@
-//! Stand-alone path delay calculation with the polynomial model.
+//! Stand-alone path delay calculation with the interpreted polynomial
+//! model.
 //!
-//! The enumerator accumulates delay incrementally during traversal; this
-//! module recomputes a [`TruePath`]'s delay from scratch — used by the
-//! repro harness (Tables 7–9 compare per-gate model delays against golden
-//! electrical simulation) and as an independent cross-check of the
-//! enumerator's bookkeeping.
+//! The enumerator accumulates delay incrementally during traversal,
+//! through the corner-compiled kernel; this module recomputes a
+//! [`TruePath`]'s delay from scratch through the fitted polynomials
+//! themselves. That independence is its purpose: it is the reference the
+//! lint's PATH004 replay and `tests/kernel_compile.rs` check the search's
+//! timing against, bit for bit.
 
 use std::fmt;
 
 use sta_cells::{Corner, Edge};
-use sta_charlib::{CompiledCorner, TimingLibrary};
-use sta_netlist::{CellId, GateId, GateKind, Netlist, PrimOp};
+use sta_charlib::TimingLibrary;
+use sta_netlist::{GateId, GateKind, Netlist, PrimOp};
 
 use crate::path::TruePath;
 
@@ -68,55 +70,6 @@ pub fn path_delay(
     input_slew: f64,
     corner: Corner,
 ) -> Result<PathDelayBreakdown, DelayCalcError> {
-    path_delay_with(
-        nl,
-        tlib,
-        path,
-        launch,
-        input_slew,
-        |cell, arc, edge, fo, slew| {
-            tlib.delay_slew(cell, arc.pin, arc.vector, edge, fo, slew, corner)
-        },
-    )
-}
-
-/// [`path_delay`] through a corner-compiled kernel table. Bit-identical to
-/// the interpreted calculation at the kernel's corner (the kernels share
-/// the interpreted models' arithmetic), with the per-arc polynomial walk
-/// replaced by a dense table lookup.
-///
-/// # Errors
-///
-/// Returns [`DelayCalcError::UnmappedGate`] if the path references gates
-/// that are not technology-mapped.
-pub fn path_delay_compiled(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    kernel: &CompiledCorner,
-    path: &TruePath,
-    launch: Edge,
-    input_slew: f64,
-) -> Result<PathDelayBreakdown, DelayCalcError> {
-    path_delay_with(
-        nl,
-        tlib,
-        path,
-        launch,
-        input_slew,
-        |cell, arc, edge, fo, slew| {
-            kernel.eval(kernel.arc_id(cell, arc.pin, arc.vector), edge, fo, slew)
-        },
-    )
-}
-
-fn path_delay_with(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    path: &TruePath,
-    launch: Edge,
-    input_slew: f64,
-    mut eval: impl FnMut(CellId, &crate::path::PathArc, Edge, f64, f64) -> (f64, f64),
-) -> Result<PathDelayBreakdown, DelayCalcError> {
     let mut stages = Vec::with_capacity(path.arcs.len());
     let mut edge = launch;
     let mut slew = input_slew;
@@ -128,7 +81,7 @@ fn path_delay_with(
             GateKind::Prim(op) => return Err(DelayCalcError::UnmappedGate { gate: arc.gate, op }),
         };
         let fo = tlib.equivalent_fanout(nl, gate.output(), cell);
-        let (d, s) = eval(cell, arc, edge, fo, slew);
+        let (d, s) = tlib.delay_slew(cell, arc.pin, arc.vector, edge, fo, slew, corner);
         let d = d.max(0.1);
         let s = s.max(0.5);
         stages.push((d, s));
@@ -191,44 +144,6 @@ mod tests {
                     for ((d, _), gd) in bd.stages.iter().zip(&t.gate_delays) {
                         assert!((d - gd).abs() < 1e-6);
                     }
-                }
-            }
-        }
-    }
-
-    /// The kernel-table calculator agrees bitwise with the interpreted
-    /// one at the compiled corner.
-    #[test]
-    fn compiled_calculation_is_bit_identical() {
-        let lib = Library::standard();
-        let tech = Technology::n90();
-        let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
-        let nand2 = lib.cell_by_name("NAND2").unwrap().id();
-        let ao22 = lib.cell_by_name("AO22").unwrap().id();
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let c = nl.add_input("c");
-        let d = nl.add_input("d");
-        let x = nl.add_gate(GateKind::Cell(nand2), &[a, b], None).unwrap();
-        let y = nl
-            .add_gate(GateKind::Cell(ao22), &[x, b, c, d], None)
-            .unwrap();
-        nl.mark_output(y);
-        let corner = Corner::nominal(&tech);
-        let kernel = tlib.compile_corner(corner);
-        let (paths, _) =
-            PathEnumerator::new(&nl, &lib, &tlib, EnumerationConfig::new(corner)).run();
-        assert!(!paths.is_empty());
-        for p in &paths {
-            for launch in Edge::BOTH {
-                let int = path_delay(&nl, &tlib, p, launch, 60.0, corner).unwrap();
-                let cmp = path_delay_compiled(&nl, &tlib, &kernel, p, launch, 60.0).unwrap();
-                assert_eq!(int.total.to_bits(), cmp.total.to_bits());
-                assert_eq!(int.stages.len(), cmp.stages.len());
-                for ((di, si), (dc, sc)) in int.stages.iter().zip(&cmp.stages) {
-                    assert_eq!(di.to_bits(), dc.to_bits());
-                    assert_eq!(si.to_bits(), sc.to_bits());
                 }
             }
         }

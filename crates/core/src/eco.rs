@@ -74,29 +74,6 @@ pub fn fanin_cone(nl: &Netlist, seeds: &[NetId]) -> Vec<bool> {
     mask
 }
 
-/// Transitive fanout: every net structurally reachable from some seed net
-/// (seeds included). Returned as a mask indexed by [`NetId::index`].
-pub fn fanout_cone(nl: &Netlist, seeds: &[NetId]) -> Vec<bool> {
-    let mut mask = vec![false; nl.num_nets()];
-    let mut work: Vec<NetId> = Vec::new();
-    for &s in seeds {
-        if !mask[s.index()] {
-            mask[s.index()] = true;
-            work.push(s);
-        }
-    }
-    while let Some(net) = work.pop() {
-        for pin in nl.net(net).fanout() {
-            let out = nl.gate(pin.gate).output();
-            if !mask[out.index()] {
-                mask[out.index()] = true;
-                work.push(out);
-            }
-        }
-    }
-    mask
-}
-
 /// The sources whose cached paths an edit may invalidate, as a mask
 /// indexed like [`Netlist::inputs`] (the [`EnumerationConfig::source_filter`]
 /// convention).
@@ -228,11 +205,6 @@ impl SourceCache {
         self.per_source.len()
     }
 
-    /// Total cached paths across all sources.
-    pub fn num_cached_paths(&self) -> usize {
-        self.per_source.iter().map(Vec::len).sum()
-    }
-
     /// The per-path truncation threshold the cache was built with.
     pub fn n_worst(&self) -> Option<usize> {
         self.n_worst
@@ -340,14 +312,6 @@ mod tests {
         assert!(fi[out.index()]);
         // Every PO of c17 depends on at least one PI.
         assert!(nl.inputs().iter().any(|&pi| fi[pi.index()]));
-        let pi = nl.inputs()[0];
-        let fo = fanout_cone(&nl, &[pi]);
-        assert!(fo[pi.index()]);
-        assert!(nl.outputs().iter().any(|&po| fo[po.index()]));
-        // Duality: pi ∈ fanin(out) ⇔ out ∈ fanout(pi).
-        for &o in nl.outputs() {
-            assert_eq!(fanin_cone(&nl, &[o])[pi.index()], fo[o.index()]);
-        }
     }
 
     #[test]

@@ -66,10 +66,10 @@ pub struct EnumerationConfig {
     /// `None` enumerates everything, with no pruning at all.
     pub n_worst: Option<usize>,
     /// Safety margin of the single-point structural bound
-    /// ([`crate::arrival::static_bounds`]). The search does not prune
-    /// with that bound; the whole-flow audit (lint AI002 and the daemon's
-    /// `audit`) computes it at this margin and checks that it dominates
-    /// the interval hull.
+    /// ([`crate::arrival::static_bounds_compiled`]). The search does not
+    /// prune with that bound; the whole-flow audit (lint AI002 and the
+    /// daemon's `audit`) computes it at this margin and checks that it
+    /// dominates the interval hull.
     pub prune_margin: f64,
     /// Abort the run after this many search decisions (0 = unlimited),
     /// counted over the whole run at any thread count, and per corner in
@@ -393,11 +393,6 @@ impl<'a> PathEnumerator<'a> {
         }
     }
 
-    /// The first corner's compiled kernel table.
-    pub fn kernel(&self) -> &CompiledCorner {
-        &self.kernels[0]
-    }
-
     /// Shared handle on the first corner's kernel table (for callers that
     /// keep it resident across enumerator rebuilds, e.g. the timing
     /// daemon).
@@ -443,7 +438,7 @@ impl<'a> PathEnumerator<'a> {
     /// Per-arc delay bound tables of the dominance cut, one per corner
     /// (`None` in full enumeration), computed once per run through the
     /// kernel tables and shared read-only by every worker.
-    pub(crate) fn arc_bounds(&self) -> Option<Vec<ArcBounds>> {
+    pub(crate) fn arc_bound_tables(&self) -> Option<Vec<ArcBounds>> {
         // The bound evaluates the model itself over every slew the arc's
         // input net can carry (its forward slew hull), so it needs only
         // the small wiggle margin, not the conservative `prune_margin` of
@@ -655,9 +650,9 @@ pub(crate) struct CornerSearch<'a> {
     /// Timing along the current partial path: the launch, then one step
     /// per arc. Pushed and popped only while the corner is active.
     pub(crate) steps: Vec<Step>,
-    /// Paths admitted by the current root task; the worker takes them
-    /// after each task.
-    pub(crate) found: Vec<TruePath>,
+    /// Every path this corner admitted, tagged with the index of the
+    /// root task that found it, in the order the worker found them.
+    pub(crate) found: Vec<(usize, TruePath)>,
     /// What this corner's own search would have counted.
     pub(crate) stats: EnumerationStats,
 }
@@ -714,6 +709,8 @@ pub(crate) struct Search<'a> {
     pub(crate) obligations: Vec<NetId>,
     /// The corners this search times, in kernel order.
     pub(crate) corners: Vec<CornerSearch<'a>>,
+    /// Index of the root task being searched; admitted paths carry it.
+    pub(crate) task: usize,
     /// Memo table over justification candidate enumeration.
     pub(crate) justify_cache: JustifyCache,
     /// Shared stack of pending side assignments: each [`Search::try_arc`]
@@ -1140,7 +1137,7 @@ impl Search<'_> {
     }
 
     /// Admits a path into corner `k`: counts it against the corner's
-    /// budget, keeps it for the task's result, enters its arrival into
+    /// budget, keeps it tagged with its task index, enters its arrival into
     /// the corner's N-worst admission set, and feeds the observability
     /// tap (progress counters and the path-length histogram, side-state
     /// that nothing in the search reads back).
@@ -1154,7 +1151,7 @@ impl Search<'_> {
         let c = &mut self.corners[k];
         c.budget.admit();
         let w = path.worst_arrival();
-        c.found.push(path);
+        c.found.push((self.task, path));
         if self.cfg.n_worst.is_some() {
             if let Some(threshold) = c.admissions.insert(w) {
                 self.bound_updates.inc();

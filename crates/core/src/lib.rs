@@ -70,14 +70,11 @@ pub use analysis::{
     RequiredSource, SlackOutcome,
 };
 pub use arrival::{
-    arc_bounds, arc_bounds_compiled, arc_delay_bound, arc_intervals, arc_intervals_compiled,
-    record_bounds_metrics, static_bounds, static_bounds_compiled, tightened_remaining, ArcBounds,
-    ArcInterval, ArcIntervals, StaticTiming, ARC_SWEEP_MARGIN,
+    arc_bounds_compiled, arc_intervals_compiled, record_bounds_metrics, static_bounds_compiled,
+    tightened_remaining, ArcBounds, ArcInterval, ArcIntervals, StaticTiming, ARC_SWEEP_MARGIN,
 };
-pub use delaycalc::{path_delay, path_delay_compiled, DelayCalcError, PathDelayBreakdown};
-pub use eco::{
-    corrupt_source_cache, dirty_sources, fanin_cone, fanout_cone, CacheCorruption, SourceCache,
-};
+pub use delaycalc::{path_delay, DelayCalcError, PathDelayBreakdown};
+pub use eco::{corrupt_source_cache, dirty_sources, fanin_cone, CacheCorruption, SourceCache};
 pub use enumerate::{CornerRuns, EnumerationConfig, EnumerationStats, PathEnumerator, MAX_CORNERS};
 pub use justify::{justify, JustifyBudget, JustifyOutcome};
 pub use mcmm::{BatchOutcome, BatchSearch, MergedEndpoint, MergedSlackReport, ScenarioOutcome};
@@ -86,4 +83,4 @@ pub use report::{path_report, summary_report, worst_path_report, CertificateSet}
 pub use scenario::{CornerDef, Mode, Scenario, ScenarioError};
 pub use sdc::{parse_sdc, Constraints, SdcError};
 pub use sdf::{write_sdf, SdfVectorPolicy};
-pub use slack::{slack_report, SlackReport};
+pub use slack::SlackReport;

@@ -21,9 +21,9 @@
 //! workers claim in order through one atomic cursor (the idiom of
 //! `crate::parallel`, where a pool of one runs on the caller's thread):
 //! one *deterministic* search over shared read-only
-//! state, then each operating point's structural bound pass and each
-//! mode's requirement and slack. Each scenario's path set and search
-//! statistics — and therefore its [`CertificateSet`] bytes — are
+//! state, then each operating point's structural bound pass through its
+//! kernel and each mode's requirement and slack. Each scenario's path set
+//! and search statistics — and therefore its [`CertificateSet`] bytes — are
 //! identical to an independent single-scenario run at any batch width.
 //! The merge layer below is pure aggregation over finished per-scenario
 //! reports; it cannot change any per-scenario result, which is what
@@ -46,7 +46,7 @@ use sta_netlist::Netlist;
 use sta_obs::LocalSpans;
 
 use crate::analysis::{AnalysisError, AnalysisRequest, Loaded, RequiredSource, SlackOutcome};
-use crate::arrival::{static_bounds, StaticTiming};
+use crate::arrival::{static_bounds_compiled, StaticTiming};
 use crate::enumerate::{CornerRuns, EnumerationStats, PathEnumerator, MAX_CORNERS};
 use crate::path::TruePath;
 use crate::report::CertificateSet;
@@ -446,7 +446,13 @@ fn run_group(
                     let (paths, stats) = runs.corners[p].clone();
                     let slack = local.time(id, 1, "slack", Vec::new(), || {
                         let timing = bounds[p].get_or_insert_with(|| {
-                            static_bounds(netlist, tlib, point.corner, req.input_slew, 1.0)
+                            static_bounds_compiled(
+                                netlist,
+                                tlib,
+                                &point.kernel,
+                                req.input_slew,
+                                1.0,
+                            )
                         });
                         SlackOutcome::resolve(
                             netlist,

@@ -15,9 +15,11 @@
 //!
 //! Tasks are listed in depth-first opening order (sources in
 //! primary-input order, then fanout arcs, then vectors); a task's index in
-//! that list is its merge key. Each worker returns, with its statistics,
-//! the paths of every task it ran keyed by task index; the coordinator
-//! sorts those buffers by index and concatenates them. In full
+//! that list is its merge key. A worker tags every path it admits with its
+//! task's index and returns, with its statistics, one list per corner.
+//! It claims tasks in increasing index order, so each list is in task
+//! order and, within a task, in DFS order; the coordinator concatenates
+//! each corner's lists and stable-sorts them by index. In full
 //! enumeration the unsorted result is therefore byte-identical at any
 //! thread count, and so is the `run` result.
 //!
@@ -272,13 +274,12 @@ struct WorkerCtx<'a> {
     arc_bounds: Option<&'a [ArcBounds]>,
 }
 
-/// What one worker hands back: the search's own statistics, each
-/// corner's, and the paths each task it ran admitted into each corner,
-/// keyed by task index.
+/// What one worker hands back: the search's own statistics, and per
+/// corner its statistics and the paths it admitted, tagged with their
+/// task indices.
 struct WorkerOutcome {
     search: EnumerationStats,
-    corners: Vec<EnumerationStats>,
-    done: Vec<(usize, Vec<Vec<TruePath>>)>,
+    corners: Vec<(EnumerationStats, Vec<(usize, TruePath)>)>,
 }
 
 /// Runs the enumeration of `enumr` over `cfg.threads` workers and returns
@@ -289,7 +290,7 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
     let corners = enumr.kernels.len();
     let is_output = enumr.output_flags();
     let fanouts = enumr.fanouts();
-    let arc_bounds = enumr.arc_bounds();
+    let arc_bounds = enumr.arc_bound_tables();
 
     // Plan phase: the per-source setup, and the root arcs in opening
     // order.
@@ -411,34 +412,34 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
         })
     };
     let mut search = EnumerationStats::default();
-    let mut stats = vec![EnumerationStats::default(); corners];
-    let mut buffers = Vec::new();
+    let mut merged: Vec<(EnumerationStats, Vec<(usize, TruePath)>)> =
+        vec![(EnumerationStats::default(), Vec::new()); corners];
     for worker in results {
         search.merge(&worker.search);
-        for (total, part) in stats.iter_mut().zip(&worker.corners) {
-            total.merge(part);
-        }
-        buffers.extend(worker.done);
-    }
-    search.truncated = stats.iter().any(|s| s.truncated);
-    // Every task index is claimed once, so sorting restores opening
-    // order; tasks the budget cut simply have no buffer.
-    buffers.sort_unstable_by_key(|&(index, _)| index);
-    let mut paths: Vec<Vec<TruePath>> = vec![Vec::new(); corners];
-    for (_, per_corner) in buffers {
-        for (all, found) in paths.iter_mut().zip(per_corner) {
+        for ((total, all), (part, found)) in merged.iter_mut().zip(worker.corners) {
+            total.merge(&part);
             all.extend(found);
         }
     }
+    search.truncated = merged.iter().any(|(s, _)| s.truncated);
     CornerRuns {
-        corners: paths.into_iter().zip(stats).collect(),
+        corners: merged
+            .into_iter()
+            .map(|(stats, mut found)| {
+                // Every task index is claimed once and each worker's list
+                // is in task order, so a stable sort by index restores
+                // opening order and keeps DFS order within a task.
+                found.sort_by_key(|&(index, _)| index);
+                (found.into_iter().map(|(_, path)| path).collect(), stats)
+            })
+            .collect(),
         search,
     }
 }
 
 /// One worker: claims root tasks in index order until none is left or
 /// every corner's budget has tripped, and returns its statistics with the
-/// paths each task it ran admitted.
+/// paths it admitted.
 fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
     let corners = ctx
         .kernels
@@ -464,6 +465,7 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
         is_output: ctx.is_output.to_vec(),
         obligations: Vec::new(),
         corners,
+        task: 0,
         justify_cache: JustifyCache::new(),
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
@@ -483,7 +485,6 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
     // Path stacks live outside the task loop: one allocation per worker.
     let mut nodes: Vec<NetId> = Vec::new();
     let mut arcs: Vec<PathArc> = Vec::new();
-    let mut done = Vec::new();
     loop {
         let index = ctx.cursor.fetch_add(1, Relaxed);
         let Some(task) = ctx.tasks.get(index) else {
@@ -495,6 +496,7 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
             break;
         }
         tasks_done.inc();
+        search.task = index;
         let plan = &ctx.plans[task.src];
         if current_src != Some(task.src) {
             // Install the per-source state: toggle deltas, the launched
@@ -542,12 +544,6 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
                 &mut arcs,
             );
         }
-        let found = search
-            .corners
-            .iter_mut()
-            .map(|c| std::mem::take(&mut c.found))
-            .collect();
-        done.push((index, found));
     }
     let hits = search.justify_cache.hits;
     search.stats.justify_cache_hits = hits;
@@ -556,12 +552,14 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
         corners: search
             .corners
             .into_iter()
-            .map(|c| EnumerationStats {
-                justify_cache_hits: hits,
-                ..c.stats
+            .map(|c| {
+                let stats = EnumerationStats {
+                    justify_cache_hits: hits,
+                    ..c.stats
+                };
+                (stats, c.found)
             })
             .collect(),
-        done,
     }
 }
 

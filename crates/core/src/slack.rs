@@ -4,13 +4,19 @@
 //! required arrival time at the outputs), compute per-net required times
 //! against the *structural* worst arrivals and report slacks. This is the
 //! conservative pre-filter a designer runs before asking the (exact, more
-//! expensive) true-path engine for the N worst sensitizable paths.
+//! expensive) true-path engine for the N worst sensitizable paths. The
+//! arrivals are [`crate::arrival::static_bounds_compiled`] at margin 1,
+//! through the kernel of the analysis; [`crate::SlackOutcome::resolve`]
+//! picks the requirement and builds the report.
+//!
+//! The analysis is conservative: per-arc delays are worst-case over
+//! sensitization vectors and edges, so negative slack here is a
+//! *candidate* violation that the true-path engine may still discharge
+//! as false.
 
-use sta_cells::Corner;
-use sta_charlib::TimingLibrary;
 use sta_netlist::{NetId, Netlist};
 
-use crate::arrival::{static_bounds, StaticTiming};
+use crate::arrival::StaticTiming;
 
 /// Per-net slack report.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,38 +86,16 @@ impl SlackReport {
     }
 }
 
-/// Computes a structural slack report with the requirement `required` ps
-/// at every primary output.
-///
-/// The analysis is conservative: per-arc delays are worst-case over
-/// sensitization vectors and edges, so negative slack here is a *candidate*
-/// violation that the true-path engine may still discharge as false.
-///
-/// # Panics
-///
-/// Panics if the netlist is unmapped or cyclic.
-pub fn slack_report(
-    nl: &Netlist,
-    tlib: &TimingLibrary,
-    corner: Corner,
-    input_slew: f64,
-    required: f64,
-) -> SlackReport {
-    SlackReport::from_bounds(
-        nl,
-        static_bounds(nl, tlib, corner, input_slew, 1.0),
-        required,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sta_cells::{Library, Technology};
+    use crate::arrival::static_bounds_compiled;
+    use sta_cells::{Corner, Library, Technology};
     use sta_charlib::{characterize, CharConfig};
     use sta_netlist::GateKind;
 
-    fn setup() -> (Netlist, Library, TimingLibrary, Technology) {
+    /// An INV–NAND2–INV chain and its structural bounds at margin 1.
+    fn setup() -> (Netlist, StaticTiming) {
         let lib = Library::standard();
         let tech = Technology::n90();
         let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
@@ -124,16 +108,17 @@ mod tests {
         let y = nl.add_gate(GateKind::Cell(nand2), &[x, b], None).unwrap();
         let z = nl.add_gate(GateKind::Cell(inv), &[y], None).unwrap();
         nl.mark_output(z);
-        (nl, lib, tlib, tech)
+        let kernel = tlib.compile_corner(Corner::nominal(&tech));
+        let timing = static_bounds_compiled(&nl, &tlib, &kernel, 60.0, 1.0);
+        (nl, timing)
     }
 
     #[test]
     fn generous_requirement_passes_tight_fails() {
-        let (nl, _lib, tlib, tech) = setup();
-        let corner = Corner::nominal(&tech);
-        let loose = slack_report(&nl, &tlib, corner, 60.0, 100_000.0);
+        let (nl, timing) = setup();
+        let loose = SlackReport::from_bounds(&nl, timing.clone(), 100_000.0);
         assert!(loose.passes());
-        let tight = slack_report(&nl, &tlib, corner, 60.0, 1.0);
+        let tight = SlackReport::from_bounds(&nl, timing, 1.0);
         assert!(!tight.passes());
         let (worst_net, worst_slack) = tight.worst();
         assert!(worst_slack < 0.0);
@@ -145,9 +130,8 @@ mod tests {
     /// same full-path delay at every net of the chain.
     #[test]
     fn slack_is_constant_along_a_chain() {
-        let (nl, _lib, tlib, tech) = setup();
-        let corner = Corner::nominal(&tech);
-        let report = slack_report(&nl, &tlib, corner, 60.0, 500.0);
+        let (nl, timing) = setup();
+        let report = SlackReport::from_bounds(&nl, timing, 500.0);
         let a = nl.net_by_name("a").unwrap();
         let chain_total = report.timing.arrival[a.index()] + report.timing.remaining[a.index()];
         let first_slack = report.of(a);

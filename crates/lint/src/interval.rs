@@ -21,8 +21,8 @@
 //! pin stays bottom. Soundness: every concrete event at `o` is caused by
 //! one concrete event at some input traversing one arc, and the swept arc
 //! intervals bound that arc's delay and output slew over the whole
-//! clamped slew domain (see `sta_core::arrival::arc_intervals` for why a
-//! dense sweep — not endpoint evaluation — is required for the
+//! clamped slew domain (see `sta_core::arrival::arc_intervals_compiled`
+//! for why a dense sweep — not endpoint evaluation — is required for the
 //! non-monotone fitted models). Induction over the topological order does
 //! the rest.
 //!
@@ -176,15 +176,15 @@ mod tests {
     use sta_cells::{Corner, Library, Technology};
     use sta_charlib::{characterize, CharConfig};
     use sta_circuits::catalog;
-    use sta_core::{arc_intervals, ARC_SWEEP_MARGIN};
+    use sta_core::{arc_intervals_compiled, ARC_SWEEP_MARGIN};
 
     fn c17() -> (Netlist, ArcIntervals) {
         let lib = Library::standard();
         let tech = Technology::n90();
         let tlib = characterize(&lib, &tech, &CharConfig::fast()).unwrap();
-        let corner = Corner::nominal(&tech);
+        let kernel = tlib.compile_corner(Corner::nominal(&tech));
         let nl = catalog::mapped("c17", &lib).unwrap().unwrap();
-        let arcs = arc_intervals(&nl, &tlib, corner, 60.0, ARC_SWEEP_MARGIN);
+        let arcs = arc_intervals_compiled(&nl, &tlib, &kernel, 60.0, ARC_SWEEP_MARGIN);
         (nl, arcs)
     }
 

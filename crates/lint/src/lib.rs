@@ -23,16 +23,18 @@
 //!   each reported path's sensitization witness through
 //!   `sta_logic::ImplicationEngine` and confirms the transition propagates
 //!   edge-by-edge, then cross-checks the reported arrival against the
-//!   stand-alone delay calculator;
+//!   stand-alone delay calculator, which evaluates the interpreted
+//!   polynomials instead of the compiled kernel the search reads;
 //! * `SCHEDxxx` — compiled-schedule checks ([`check_schedule`]): the flat
 //!   program driving the 64-lane bit-parallel simulator
 //!   (`sta_logic::bitsim`) must be a valid topological evaluation order of
 //!   the netlist, or every batch verdict downstream of it is meaningless;
 //! * `AIxxx` — interval abstract-interpretation audit ([`audit_certificates`],
 //!   [`audit_structural_dominance`]): a forward pass over the timing graph
-//!   propagates sound `[lo, hi]` arrival/slew envelopes ([`interval`]) and
-//!   every certificate, stage delay and the structural static bound is
-//!   checked against them;
+//!   propagates sound `[lo, hi]` arrival/slew envelopes ([`interval`]),
+//!   swept through the same compiled kernel the search reads, and every
+//!   certificate, stage delay and the structural static bound is checked
+//!   against them;
 //! * `ECOxxx` — incremental re-analysis audit ([`audit_dirty_sources`],
 //!   [`audit_source_cache`]): the dirty-source over-approximation and the
 //!   per-source splice invariants behind the serve daemon's ECO path.

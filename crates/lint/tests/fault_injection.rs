@@ -89,11 +89,12 @@ fn dropped_vector_is_a_coverage_gap() {
 
 use std::sync::OnceLock;
 
-use sta_charlib::TimingLibrary;
+use sta_charlib::{CompiledCorner, TimingLibrary};
 use sta_circuits::resize_gate;
 use sta_core::{
-    arc_intervals, corrupt_source_cache, dirty_sources, static_bounds, CacheCorruption,
-    CertificateSet, EnumerationConfig, PathEnumerator, SourceCache, ARC_SWEEP_MARGIN,
+    arc_intervals_compiled, corrupt_source_cache, dirty_sources, static_bounds_compiled,
+    ArcIntervals, CacheCorruption, CertificateSet, EnumerationConfig, PathEnumerator, SourceCache,
+    ARC_SWEEP_MARGIN,
 };
 use sta_lint::audit_rules::inject;
 use sta_netlist::Netlist;
@@ -115,6 +116,16 @@ const INPUT_SLEW: f64 = 60.0;
 
 fn nominal() -> Corner {
     Corner::nominal(&Technology::n90())
+}
+
+/// The fast library's kernel at the nominal corner.
+fn kernel() -> &'static CompiledCorner {
+    static KERNEL: OnceLock<CompiledCorner> = OnceLock::new();
+    KERNEL.get_or_init(|| fast_tlib().compile_corner(nominal()))
+}
+
+fn intervals(nl: &Netlist) -> ArcIntervals {
+    arc_intervals_compiled(nl, fast_tlib(), kernel(), INPUT_SLEW, ARC_SWEEP_MARGIN)
 }
 
 fn enumerate(nl: &Netlist, lib: &Library, n_worst: usize) -> CertificateSet {
@@ -145,7 +156,7 @@ fn audit_injectors_pin_ai_rule_codes() {
     let lib = Library::standard();
     let nl = catalog::mapped("c432", &lib).unwrap().unwrap();
     let corner = nominal();
-    let arcs = arc_intervals(&nl, fast_tlib(), corner, INPUT_SLEW, ARC_SWEEP_MARGIN);
+    let arcs = intervals(&nl);
     let certs = enumerate(&nl, &lib, 25);
     assert!(!certs.paths.is_empty());
 
@@ -171,7 +182,7 @@ fn audit_injectors_pin_ai_rule_codes() {
     // AI002: the pruning bound dominates the hull until it is shrunk.
     let hull = sta_lint::hull(&nl, &arcs, INPUT_SLEW);
     let prune_margin = EnumerationConfig::new(corner).prune_margin;
-    let mut st = static_bounds(&nl, fast_tlib(), corner, INPUT_SLEW, prune_margin);
+    let mut st = static_bounds_compiled(&nl, fast_tlib(), kernel(), INPUT_SLEW, prune_margin);
     let ds = sta_lint::audit_structural_dominance("c432", &nl, &hull, &st);
     assert!(ds.is_empty(), "{ds:?}");
     assert!(inject::shrink_structural_arrival(&mut st));
@@ -193,13 +204,12 @@ proptest! {
         let name = ["c17", "sample"][which];
         let lib = Library::standard();
         let nl = catalog::mapped(name, &lib).unwrap().unwrap();
-        let corner = nominal();
-        let arcs = arc_intervals(&nl, fast_tlib(), corner, INPUT_SLEW, ARC_SWEEP_MARGIN);
+        let arcs = intervals(&nl);
 
         let mut edited = nl.clone();
         let edit = sample_resize(&mut edited, &lib).expect("catalog circuits have a resizable gate");
         prop_assert!(!edit.function_changed);
-        let arcs_after = arc_intervals(&edited, fast_tlib(), corner, INPUT_SLEW, ARC_SWEEP_MARGIN);
+        let arcs_after = intervals(&edited);
         let dirty = dirty_sources(&edited, &edit);
         prop_assert!(dirty.iter().any(|&d| d), "a resize dirties its fanin sources");
 
@@ -237,7 +247,7 @@ proptest! {
         // ECO002 — every cache corruption mode breaks an invariant the
         // auditor checks; the pristine cache passes with the splice
         // cross-check attached.
-        let cfg = EnumerationConfig::new(corner)
+        let cfg = EnumerationConfig::new(nominal())
             .with_n_worst(n_worst)
             .with_per_source_n_worst(true);
         let enumr = PathEnumerator::new(&nl, &lib, fast_tlib(), cfg);

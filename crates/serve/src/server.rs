@@ -10,9 +10,9 @@ use sta_cells::{Corner, Library, Technology};
 use sta_charlib::{characterize_cached, CharConfig, CompiledCorner, TimingLibrary};
 use sta_circuits::{catalog, resize_gate, rewire_net, swap_gate, GateEdit};
 use sta_core::{
-    arc_intervals_compiled, dirty_sources, static_bounds, static_bounds_compiled, AnalysisRequest,
-    CertificateSet, CornerDef, EnumerationConfig, EnumerationStats, Mode, PathEnumerator, Scenario,
-    SlackOutcome, SourceCache, TruePath, ARC_SWEEP_MARGIN,
+    arc_intervals_compiled, dirty_sources, static_bounds_compiled, AnalysisRequest, CertificateSet,
+    CornerDef, EnumerationConfig, EnumerationStats, Mode, PathEnumerator, Scenario, SlackOutcome,
+    SourceCache, TruePath, ARC_SWEEP_MARGIN,
 };
 use sta_netlist::Netlist;
 use sta_obs::{digest_string, Observer, SessionCircuit, SessionManifest};
@@ -162,12 +162,17 @@ fn verdict(stats: &EnumerationStats) -> [(&'static str, Value); 3] {
     ]
 }
 
-/// Structural slack of a netlist revision. A daemon request states no
-/// requirement, so the analysis facade's default applies. Every edit
-/// recomputes it: a requirement inherited from a previous revision would
-/// drift away from its own definition.
-fn default_slack(nl: &Netlist, tlib: &TimingLibrary, cfg: &EnumerationConfig) -> SlackOutcome {
-    let bounds = static_bounds(nl, tlib, cfg.corner, cfg.input_slew, 1.0);
+/// Structural slack of a netlist revision, through the session's kernel.
+/// A daemon request states no requirement, so the analysis facade's
+/// default applies. Every edit recomputes it: a requirement inherited
+/// from a previous revision would drift away from its own definition.
+fn default_slack(
+    nl: &Netlist,
+    tlib: &TimingLibrary,
+    kernel: &CompiledCorner,
+    input_slew: f64,
+) -> SlackOutcome {
+    let bounds = static_bounds_compiled(nl, tlib, kernel, input_slew, 1.0);
     SlackOutcome::resolve(nl, bounds, None, None)
 }
 
@@ -347,7 +352,7 @@ impl Server {
         drop(enumr);
         let certs = CertificateSet::new(&netlist, self.cfg.input_slew, cache.splice());
         let digest = digest_string(certs.to_json().as_bytes());
-        let slack = default_slack(&netlist, &tlib, &search);
+        let slack = default_slack(&netlist, &tlib, &kernel, search.input_slew);
         let session = CircuitSession {
             tech,
             netlist,
@@ -436,7 +441,12 @@ impl Server {
         }
         session.certs = CertificateSet::new(&session.netlist, input_slew, session.cache.splice());
         session.digest = digest_string(session.certs.to_json().as_bytes());
-        session.slack = default_slack(&session.netlist, &session.tlib, &session.search);
+        session.slack = default_slack(
+            &session.netlist,
+            &session.tlib,
+            &session.kernel,
+            session.search.input_slew,
+        );
 
         let mut fields = vec![
             ("circuit", jstr(circuit)),
@@ -648,7 +658,15 @@ impl Server {
         let lib = self.lib.clone();
         let session = self.session(circuit)?;
         let cfg = session.search.clone().with_per_source_n_worst(false);
-        let (paths, stats) = PathEnumerator::new(&session.netlist, &lib, &session.tlib, cfg).run();
+        let (paths, stats) = PathEnumerator::with_prebuilt(
+            &session.netlist,
+            &lib,
+            &session.tlib,
+            cfg,
+            Arc::clone(&session.kernel),
+            None,
+        )
+        .run();
         let cold = CertificateSet::new(&session.netlist, input_slew, paths);
         let cold_digest = digest_string(cold.to_json().as_bytes());
         let identical = cold_digest == session.digest;

@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::Value;
@@ -1120,27 +1121,28 @@ fn audit_flow_circuit(
     obs: &Observer,
 ) -> Vec<sta_lint::Diagnostic> {
     let slew = ctx.input_slew();
-    // The corner kernel depends only on (timing library, corner): one
-    // compile covers both the pristine and the edited netlist.
-    let kernel = ctx.timing.compile_corner(ctx.corner);
+    // The corner kernel depends only on (timing library, corner): the
+    // analysis's one compile covers both the pristine and the edited
+    // netlist.
+    let kernel = ctx.kernel();
     let intervals_for =
-        |nl: &Netlist| arc_intervals_compiled(nl, &ctx.timing, &kernel, slew, ARC_SWEEP_MARGIN);
+        |nl: &Netlist| arc_intervals_compiled(nl, &ctx.timing, kernel, slew, ARC_SWEEP_MARGIN);
+    let enumerator = |nl, cfg| {
+        PathEnumerator::with_prebuilt(nl, &ctx.lib, &ctx.timing, cfg, Arc::clone(kernel), None)
+    };
 
     let run = ctx.enumerate();
     let plain_truncated = run.stats.truncated;
     let certs = CertificateSet::new(&ctx.netlist, slew, run.paths);
     let arcs = intervals_for(&ctx.netlist);
     let prune_margin = ctx.config().prune_margin;
-    let st = static_bounds_compiled(&ctx.netlist, &ctx.timing, &kernel, slew, prune_margin);
+    let st = static_bounds_compiled(&ctx.netlist, &ctx.timing, kernel, slew, prune_margin);
     // The cache runs the facade's configuration, decision budget
     // included, since per-source enumeration prunes far more weakly than
     // a global N-worst run.
     let per_source_cfg = ctx.config().clone().with_per_source_n_worst(true);
-    let (mut cache, build_stats) = {
-        let enumr =
-            PathEnumerator::new(&ctx.netlist, &ctx.lib, &ctx.timing, per_source_cfg.clone());
-        SourceCache::build(&enumr)
-    };
+    let (mut cache, build_stats) =
+        SourceCache::build(&enumerator(&ctx.netlist, per_source_cfg.clone()));
     let outcome = sta_lint::audit_flow(
         sta_lint::FlowAuditInput {
             circuit: name,
@@ -1192,11 +1194,8 @@ fn audit_flow_circuit(
                 slew,
             ));
             // An incremental update must preserve the cache invariants.
-            {
-                let cfg = per_source_cfg.with_source_filter(std::sync::Arc::new(dirty));
-                let enumr = PathEnumerator::new(&edited, &ctx.lib, &ctx.timing, cfg);
-                cache.update(&enumr);
-            }
+            let cfg = per_source_cfg.with_source_filter(Arc::new(dirty));
+            cache.update(&enumerator(&edited, cfg));
             edit_findings.extend(sta_lint::audit_source_cache(name, &edited, &cache, None));
             obs.counter("audit.eco_samples").add(1);
         }

@@ -24,8 +24,8 @@ use sta_charlib::{characterize, CharConfig, TimingLibrary};
 use sta_circuits::randlogic::{random_logic, RandParams};
 use sta_circuits::{catalog, map_netlist};
 use sta_core::{
-    arc_bounds_compiled, path_delay_compiled, CertificateSet, EnumerationConfig, PathEnumerator,
-    TruePath, ARC_SWEEP_MARGIN,
+    arc_bounds_compiled, path_delay, CertificateSet, EnumerationConfig, PathEnumerator, TruePath,
+    ARC_SWEEP_MARGIN,
 };
 use sta_netlist::Netlist;
 
@@ -64,7 +64,7 @@ fn check_bound_table(
             if timing.is_none() {
                 continue;
             }
-            let delays = path_delay_compiled(nl, tlib, &kernel, path, launch, cfg.input_slew)
+            let delays = path_delay(nl, tlib, path, launch, cfg.input_slew, cfg.corner)
                 .map_err(|e| format!("{what}: {e}"))?;
             let mut slew_in = cfg.input_slew;
             for (arc, &(delay, slew_out)) in path.arcs.iter().zip(&delays.stages) {

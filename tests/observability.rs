@@ -197,3 +197,39 @@ fn audit_metric_names_are_thread_count_invariant() {
     got.sort();
     assert_eq!(got, expected, "the audit counter set is the fixed set");
 }
+
+/// `lint --verify-paths --audit-flow` reads one kernel per circuit: the
+/// certificate replay's enumeration and the audit's enumeration, interval
+/// tables, static bound and per-source cache all share the analysis's
+/// compile, so its manifest holds one `compile` span and one compilation.
+#[test]
+fn lint_audit_flow_compiles_one_kernel_per_circuit() {
+    let manifest_path = std::env::temp_dir().join("sta-obs-lint-one-kernel.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sta-repro"))
+        .args(["lint", "c17", "--verify-paths", "--audit-flow"])
+        .args(["--fast-char", "--manifest-out"])
+        .arg(&manifest_path)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
+    let manifest = RunManifest::from_json(&text).expect("manifest parses");
+    // A cold characterization cache adds `cell` spans under
+    // `characterize`, so count the analysis's phases instead of pinning
+    // its whole structure.
+    let phases: Vec<(usize, usize)> = manifest
+        .spans
+        .iter()
+        .filter(|s| s.name == "analysis")
+        .map(|s| {
+            let count = |name| s.children.iter().filter(|c| c.name == name).count();
+            (count("compile"), count("enumerate"))
+        })
+        .collect();
+    assert_eq!(phases, vec![(1, 2)], "(compile, enumerate) per circuit");
+    assert_eq!(manifest.metrics.counters["kernel.compilations"], 1);
+}

@@ -7,7 +7,8 @@ use sta_cells::{Corner, Library, Technology};
 use sta_charlib::{characterize, CharConfig, TimingLibrary};
 use sta_circuits::catalog;
 use sta_core::{
-    slack_report, worst_path_report, write_sdf, EnumerationConfig, PathEnumerator, SdfVectorPolicy,
+    static_bounds_compiled, worst_path_report, write_sdf, EnumerationConfig, PathEnumerator,
+    SdfVectorPolicy, SlackOutcome,
 };
 use sta_netlist::dot::{to_dot, DotOptions};
 
@@ -28,8 +29,9 @@ fn slack_analysis_brackets_true_paths() {
     let nl = catalog::mapped("sample", lib).unwrap().unwrap();
     let corner = Corner::nominal(&tech);
     // Structural worst arrival is an upper bound on every true path.
-    let report = slack_report(&nl, tlib, corner, 60.0, 0.0);
-    let structural_worst = report.timing.worst_arrival(&nl);
+    let kernel = tlib.compile_corner(corner);
+    let timing = static_bounds_compiled(&nl, tlib, &kernel, 60.0, 1.0);
+    let structural_worst = timing.worst_arrival(&nl);
     let cfg = EnumerationConfig::new(corner);
     let (paths, _) = PathEnumerator::new(&nl, lib, tlib, cfg).run();
     let true_worst = paths
@@ -41,8 +43,8 @@ fn slack_analysis_brackets_true_paths() {
         "structural {structural_worst} must bound true {true_worst}"
     );
     // Requirement at exactly the structural worst: no violations.
-    let at_bound = slack_report(&nl, tlib, corner, 60.0, structural_worst + 1e-6);
-    assert!(at_bound.passes());
+    let at_bound = SlackOutcome::resolve(&nl, timing, Some(structural_worst + 1e-6), None);
+    assert!(at_bound.report.passes());
 }
 
 #[test]

@@ -18,27 +18,66 @@
 //!    every source is conservatively dirtied and the saving reduces to the
 //!    resident compiled state (kernel table, characterization).
 //!
-//! 2. **Per-source cache.** [`SourceCache`] stores, per primary input, the
-//!    canonical `n_worst` paths launched from that input, computed with
-//!    [`EnumerationConfig::per_source_n_worst`] threshold isolation so each
-//!    list is independent of which other sources ran. An incremental update
-//!    re-runs only the dirty sources (via
-//!    [`EnumerationConfig::source_filter`]) and [`SourceCache::splice`]
-//!    rebuilds the global answer: concatenate, sort by
-//!    [`TruePath::canonical_cmp`], truncate to `n_worst` — the same top-N
-//!    rule `PathEnumerator::run` and every per-source list apply.
+//! 2. **Per-source cache under the global threshold.** [`SourceCache`]
+//!    files the paths of an N-worst search by source. The search prunes
+//!    against one run-wide admission set (see the `parallel` module), so
+//!    it never looks for a source's paths below the threshold it ends at.
+//!    Each slot records that threshold as its *floor* and holds every
+//!    path of its source whose worst arrival is at or above the floor,
+//!    truncated to the source's canonical `n_worst`. A build is one
+//!    global run. An update re-searches the dirty sources (via
+//!    [`EnumerationConfig::source_filter`]) with the run's admission set
+//!    seeded by the worst arrivals of the clean slots' paths. Then, once,
+//!    it re-searches, seeded the same way, every clean slot that holds
+//!    fewer than N paths and whose floor lies above the spliced N-th
+//!    arrival. [`SourceCache::splice`] rebuilds the global answer:
+//!    concatenate, sort by [`TruePath::canonical_cmp`], truncate to
+//!    `n_worst` — the same top-N rule `PathEnumerator::run` and every
+//!    slot apply.
 //!
-//! **Splice identity proof.** If a path `p` from source `s` is among the
-//! global N worst, then fewer than N paths precede it in the canonical
-//! order, so in particular fewer than N paths *from `s`* do: `p` is in
-//! `s`'s per-source top N. Hence the union of per-source top-N lists
-//! contains the global top N, and sorting the union canonically and
-//! truncating to N reproduces the cold run's result byte for byte. The
-//! guarantee requires untruncated searches
-//! ([`EnumerationStats::truncated`] false on both sides) — decision and
-//! path budgets bite at run-dependent points.
+//! **Splice identity proof.** Write `T` for the N-th largest worst
+//! arrival over all true paths and `S` for the splice's N-th arrival
+//! (`−∞` while the slots hold fewer than N paths). Cached paths are true
+//! paths, so `S ≤ T`.
+//!
+//! * *Exactness.* Suppose every slot holding fewer than N paths has its
+//!   floor at or below `S`. Let `p`, launched from `s`, be among the
+//!   global N worst: fewer than N paths precede it in canonical order, so
+//!   fewer than N of `s`'s do, and its arrival is at least `T ≥ S`. A
+//!   slot holding N paths has them all at or above its floor, so they
+//!   are its source's N worst, and `p` is among them if `s` is that
+//!   source. A shorter slot holds everything of its source at or above
+//!   its floor `≤ S`, `p` included. So the slots hold the global N worst,
+//!   and sorting their union canonically and truncating to N reproduces
+//!   the cold run byte for byte.
+//! * *Seeding is sound.* A clean slot's paths are true paths of the
+//!   edited netlist, timed as before (the dirty-cone argument above), so
+//!   the seeded admission set never rises above `T`, and with
+//!   tie-inclusive admission a run admits every path of the sources it
+//!   searches at or above the threshold `θ` it ends at. Keeping those,
+//!   up to N per source, gives every searched slot its invariant with
+//!   floor `θ`.
+//! * *The run's threshold becomes the splice's N-th arrival.* The set
+//!   ends holding N arrivals at or above `θ`, each a path now in the
+//!   slots (or displaced from a slot by N paths at or above it), and
+//!   every cached path is either a seed or an admitted path: so `S = θ`
+//!   afterwards, and every slot the run searched meets the exactness
+//!   condition with equality. A build is such a run over every source.
+//! * *One second pass suffices.* After the dirty run, `S` equals its
+//!   threshold `S₁`. The second run ends at `S₂ ≥ S₁`: had it ended
+//!   below `S₁`, it would have admitted every path of the slots it
+//!   re-searched, all above `S₁` (their floors were), and with the seed
+//!   it would have held N arrivals at or above `S₁`. So every slot that
+//!   met the condition at `S₁` meets it at `S₂`, and the re-searched
+//!   slots meet it with equality.
+//!
+//! In full enumeration every floor stays `−∞` and each slot holds its
+//! source's whole path list. The guarantee requires untruncated
+//! searches ([`EnumerationStats::truncated`] false on both sides):
+//! decision and path budgets bite at run-dependent points.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sta_circuits::GateEdit;
 use sta_netlist::{NetId, Netlist};
@@ -90,18 +129,19 @@ pub fn dirty_sources(nl: &Netlist, edit: &GateEdit) -> Vec<bool> {
     nl.inputs().iter().map(|&pi| cone[pi.index()]).collect()
 }
 
-/// Per-source top-N path cache backing incremental ECO re-analysis.
+/// Per-source path cache backing incremental ECO re-analysis.
 ///
 /// Indexed by primary-input *position* (like [`Netlist::inputs`]); each
-/// slot holds that source's canonically ordered worst paths, truncated to
-/// the run's `n_worst` (or complete in full-enumeration mode). Built and
-/// updated only from enumerations configured with
-/// [`EnumerationConfig::per_source_n_worst`], which is what makes the
-/// per-source lists independent of each other and the splice sound.
+/// slot holds that source's canonically ordered paths at or above the
+/// slot's floor, truncated to the run's `n_worst` (see the module
+/// documentation for why that makes the splice exact).
 #[derive(Clone, Debug)]
 pub struct SourceCache {
     n_worst: Option<usize>,
     per_source: Vec<Vec<TruePath>>,
+    /// Per slot, the admission threshold the last run that searched its
+    /// source ended at (`−∞` in full enumeration).
+    floors: Vec<f64>,
 }
 
 fn pi_positions(nl: &Netlist) -> HashMap<NetId, usize> {
@@ -113,54 +153,59 @@ fn pi_positions(nl: &Netlist) -> HashMap<NetId, usize> {
 }
 
 impl SourceCache {
-    /// Runs a full per-source enumeration and caches every source's list.
+    /// Runs one global enumeration and files its paths by source.
     ///
     /// # Panics
     ///
-    /// Panics unless the enumerator's configuration has
-    /// [`EnumerationConfig::per_source_n_worst`] set and no
+    /// Panics if the enumerator's configuration has an
     /// [`EnumerationConfig::source_filter`] (a build must cover all
     /// sources).
     pub fn build(enumr: &PathEnumerator) -> (SourceCache, EnumerationStats) {
         assert!(
-            enumr.cfg.per_source_n_worst,
-            "SourceCache requires per-source threshold isolation"
-        );
-        assert!(
             enumr.cfg.source_filter.is_none(),
             "SourceCache::build must enumerate every source"
         );
+        let sources = enumr.nl.inputs().len();
         let mut cache = SourceCache {
             n_worst: enumr.cfg.n_worst,
-            per_source: vec![Vec::new(); enumr.nl.inputs().len()],
+            per_source: vec![Vec::new(); sources],
+            floors: vec![f64::NEG_INFINITY; sources],
         };
-        let stats = cache.refill(enumr);
+        let stats = cache.search(enumr);
         (cache, stats)
     }
 
-    /// Re-enumerates the sources selected by the enumerator's
-    /// [`EnumerationConfig::source_filter`] (the dirty mask from
-    /// [`dirty_sources`]) over the *edited* netlist and replaces their
-    /// cached lists; clean sources keep their previous lists.
+    /// Brings the cache up to date with the *edited* netlist of `enumr`,
+    /// whose [`EnumerationConfig::source_filter`] is the dirty mask from
+    /// [`dirty_sources`]: re-searches the dirty sources, then the clean
+    /// slots the module documentation's second pass names. Returns the
+    /// statistics of both searches.
     ///
     /// # Panics
     ///
-    /// Panics unless the configuration has both
-    /// [`EnumerationConfig::per_source_n_worst`] and a source filter, or
-    /// when the enumerator's input count or `n_worst` disagrees with the
-    /// cache (an ECO edit never adds or removes primary inputs).
+    /// As [`SourceCache::update_searched`].
     pub fn update(&mut self, enumr: &PathEnumerator) -> EnumerationStats {
-        assert!(
-            enumr.cfg.per_source_n_worst,
-            "SourceCache requires per-source threshold isolation"
-        );
-        let filter = enumr
+        self.update_searched(enumr).0
+    }
+
+    /// [`SourceCache::update`], also returning which sources it searched:
+    /// the dirty ones and the clean ones it re-searched because their
+    /// floor lay above the new N-th arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the configuration has a source filter, or when the
+    /// enumerator's input count or `n_worst` disagrees with the cache (an
+    /// ECO edit never adds or removes primary inputs).
+    pub fn update_searched(&mut self, enumr: &PathEnumerator) -> (EnumerationStats, Vec<bool>) {
+        let dirty = enumr
             .cfg
             .source_filter
-            .clone()
-            .expect("SourceCache::update requires a source filter");
+            .as_deref()
+            .expect("SourceCache::update requires a source filter")
+            .clone();
         assert_eq!(
-            filter.len(),
+            dirty.len(),
             self.per_source.len(),
             "edited netlist changed the primary-input count"
         );
@@ -168,26 +213,78 @@ impl SourceCache {
             enumr.cfg.n_worst, self.n_worst,
             "incremental update must keep the cache's n_worst"
         );
-        for (slot, &dirty) in self.per_source.iter_mut().zip(filter.iter()) {
-            if dirty {
-                slot.clear();
-            }
+        let mut stats = self.search(enumr);
+        let nth = self.nth_arrival();
+        let stale: Vec<bool> = (0..dirty.len())
+            .map(|i| !dirty[i] && self.is_short(i) && self.floors[i] > nth)
+            .collect();
+        if stale.contains(&true) {
+            let again = PathEnumerator {
+                cfg: enumr
+                    .cfg
+                    .clone()
+                    .with_source_filter(Arc::new(stale.clone())),
+                kernels: enumr.kernels.clone(),
+                ..*enumr
+            };
+            stats.merge(&self.search(&again));
         }
-        self.refill(enumr)
+        let searched = dirty.iter().zip(&stale).map(|(&d, &s)| d || s).collect();
+        (stats, searched)
     }
 
-    /// Runs `enumr`, files each path under its source, and applies the
-    /// top-N rule to every slot (a no-op on the slots the run skipped).
-    fn refill(&mut self, enumr: &PathEnumerator) -> EnumerationStats {
-        let (paths, stats) = enumr.run_unsorted();
+    /// Runs `enumr` over the sources its filter selects (all of them
+    /// without one), its admission set seeded by the worst arrivals of
+    /// every other slot, and refills the searched slots: each keeps its
+    /// source's paths at or above the run's final threshold, up to its
+    /// `n_worst`, and takes that threshold as its floor.
+    fn search(&mut self, enumr: &PathEnumerator) -> EnumerationStats {
+        let filter = enumr.cfg.source_filter.clone();
+        let searched = |i: usize| filter.as_ref().is_none_or(|f| f[i]);
+        let seed: Vec<f64> = self
+            .per_source
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !searched(i))
+            .flat_map(|(_, slot)| slot.iter().map(TruePath::worst_arrival))
+            .collect();
+        let (paths, stats, floor) = enumr.run_seeded(&seed);
+        for i in (0..self.per_source.len()).filter(|&i| searched(i)) {
+            self.per_source[i].clear();
+            self.floors[i] = floor;
+        }
         let pos = pi_positions(enumr.nl);
-        for p in paths {
+        for p in paths.into_iter().filter(|p| p.worst_arrival() >= floor) {
             self.per_source[pos[&p.source]].push(p);
         }
-        for slot in &mut self.per_source {
-            canonical_top_n(slot, self.n_worst);
+        for i in (0..self.per_source.len()).filter(|&i| searched(i)) {
+            canonical_top_n(&mut self.per_source[i], self.n_worst);
         }
         stats
+    }
+
+    /// Whether slot `i` holds fewer than `n_worst` paths (always, in full
+    /// enumeration).
+    fn is_short(&self, i: usize) -> bool {
+        self.n_worst.is_none_or(|n| self.per_source[i].len() < n)
+    }
+
+    /// The splice's N-th worst arrival: `−∞` while the slots hold fewer
+    /// than N paths, and in full enumeration.
+    fn nth_arrival(&self) -> f64 {
+        let Some(k) = self.n_worst.and_then(|n| n.checked_sub(1)) else {
+            return f64::NEG_INFINITY;
+        };
+        let mut arrivals: Vec<f64> = self
+            .per_source
+            .iter()
+            .flatten()
+            .map(TruePath::worst_arrival)
+            .collect();
+        if arrivals.len() <= k {
+            return f64::NEG_INFINITY;
+        }
+        *arrivals.select_nth_unstable_by(k, |a, b| b.total_cmp(a)).1
     }
 
     /// The global answer: all cached lists concatenated, canonically
@@ -215,6 +312,13 @@ impl SourceCache {
     pub fn source_paths(&self, i: usize) -> &[TruePath] {
         &self.per_source[i]
     }
+
+    /// The floor of one source slot: the slot holds every path of its
+    /// source at or above it, up to `n_worst` (read-only, for the audit
+    /// layer).
+    pub fn floor(&self, i: usize) -> f64 {
+        self.floors[i]
+    }
 }
 
 /// Which [`SourceCache`] structural invariant [`corrupt_source_cache`]
@@ -227,8 +331,12 @@ pub enum CacheCorruption {
     Misfile,
     /// Swap two adjacent paths out of canonical order (sort order).
     Unsort,
-    /// Duplicate a path past the `n_worst` truncation limit (overfill).
+    /// Pad a slot with copies of a path past the `n_worst` truncation
+    /// limit (overfill).
     Overfill,
+    /// Raise the floor of a slot holding fewer than `n_worst` paths above
+    /// the splice's N-th arrival (a slot the splice cannot trust).
+    LiftFloor,
 }
 
 /// Fault injector: break exactly one structural invariant of a built
@@ -236,7 +344,8 @@ pub enum CacheCorruption {
 /// (cache untouched) when the cache has no slot shaped so the chosen
 /// corruption is observable — e.g. `Unsort` needs a slot with two
 /// strictly-ordered paths, `Misfile` needs at least two source slots
-/// with one non-empty.
+/// with one non-empty, `Overfill` a non-empty slot under an `n_worst`,
+/// and `LiftFloor` a slot holding fewer than `n_worst` paths.
 pub fn corrupt_source_cache(cache: &mut SourceCache, mode: CacheCorruption) -> bool {
     match mode {
         CacheCorruption::Misfile => {
@@ -264,19 +373,23 @@ pub fn corrupt_source_cache(cache: &mut SourceCache, mode: CacheCorruption) -> b
             false
         }
         CacheCorruption::Overfill => {
-            let n = match cache.n_worst {
-                Some(n) => n,
-                None => return false,
+            let Some(n) = cache.n_worst else {
+                return false;
             };
-            for slot in &mut cache.per_source {
-                if slot.len() == n {
-                    let dup = slot[slot.len() - 1].clone();
-                    slot.push(dup);
-                    return true;
-                }
-            }
-            false
+            let Some(slot) = cache.per_source.iter_mut().find(|s| !s.is_empty()) else {
+                return false;
+            };
+            let dup = slot[slot.len() - 1].clone();
+            slot.resize(n + 1, dup);
+            true
         }
+        CacheCorruption::LiftFloor => match (0..cache.num_sources()).find(|&i| cache.is_short(i)) {
+            Some(i) => {
+                cache.floors[i] = f64::INFINITY;
+                true
+            }
+            None => false,
+        },
     }
 }
 
@@ -287,7 +400,6 @@ mod tests {
     use sta_cells::{Corner, Library, Technology};
     use sta_charlib::{characterize_cached, CharConfig, TimingLibrary};
     use sta_circuits::{catalog, resize_gate, rewire_net, swap_gate};
-    use std::sync::Arc;
 
     fn setup() -> (Library, TimingLibrary, Corner) {
         let tech = Technology::n90();
@@ -340,9 +452,8 @@ mod tests {
         let (lib, tlib, corner) = setup();
         let mut nl = catalog::mapped("c17", &lib).unwrap().unwrap();
         let cfg = EnumerationConfig::new(corner).with_n_worst(10);
-        let per_src = cfg.clone().with_per_source_n_worst(true);
 
-        let enumr = PathEnumerator::new(&nl, &lib, &tlib, per_src.clone());
+        let enumr = PathEnumerator::new(&nl, &lib, &tlib, cfg.clone());
         let (mut cache, stats) = SourceCache::build(&enumr);
         assert!(!stats.truncated);
         let kernel = enumr.kernel_arc();
@@ -357,7 +468,7 @@ mod tests {
         let edit = swap_gate(&mut nl, &lib, &inst, "NAND2_X2").unwrap();
         assert!(!edit.function_changed);
         let dirty = dirty_sources(&nl, &edit);
-        let filtered = per_src.clone().with_source_filter(Arc::new(dirty));
+        let filtered = cfg.clone().with_source_filter(Arc::new(dirty));
         let upd = PathEnumerator::with_prebuilt(&nl, &lib, &tlib, filtered, kernel, None);
         let stats = cache.update(&upd);
         assert!(!stats.truncated);

@@ -96,19 +96,13 @@ pub struct EnumerationConfig {
     pub threads: usize,
     /// Restricts the run to a subset of the primary inputs: entry `i`
     /// gates the source at position `i` of `Netlist::inputs()`. `None`
-    /// runs every source. The paths emitted for an enabled source are
-    /// identical to what a run over all sources emits for it *when
-    /// [`EnumerationConfig::per_source_n_worst`] isolates the admission
-    /// threshold* (or in full enumeration) — the property the ECO
-    /// incremental re-analysis relies on (see `sta_core::eco`).
+    /// runs every source. In full enumeration an enabled source emits
+    /// exactly what a run over all sources emits for it. In N-worst mode
+    /// the run prunes against the worst paths of the enabled sources
+    /// alone, and admits every path of theirs at or above the threshold
+    /// it ends at; the ECO cache seeds that threshold with the paths of
+    /// the sources it skips (see `sta_core::eco`).
     pub source_filter: Option<Arc<Vec<bool>>>,
-    /// Isolate the N-worst admission threshold per source: each worker
-    /// resets its threshold and admitted-arrival set at every source
-    /// switch and shares a per-source bound, so each source's emitted
-    /// superset contains its own N worst paths and is independent of
-    /// which other sources run. Costs pruning power on multi-source
-    /// runs; the point is cacheability, not speed.
-    pub per_source_n_worst: bool,
     /// Observability handle. Disabled by default; when enabled the run
     /// records phase spans, per-worker metrics and (if installed) progress
     /// counters. Observation is strictly read-only with respect to the
@@ -131,7 +125,6 @@ impl PartialEq for EnumerationConfig {
             && self.justify_decision_limit == other.justify_decision_limit
             && self.threads == other.threads
             && self.source_filter == other.source_filter
-            && self.per_source_n_worst == other.per_source_n_worst
     }
 }
 
@@ -149,7 +142,6 @@ impl EnumerationConfig {
             justify_decision_limit: 20_000,
             threads: 1,
             source_filter: None,
-            per_source_n_worst: false,
             obs: sta_obs::Observer::disabled(),
         }
     }
@@ -185,10 +177,12 @@ impl EnumerationConfig {
         self
     }
 
-    /// Isolates the N-worst admission threshold per source; see
-    /// [`EnumerationConfig::per_source_n_worst`].
-    pub fn with_per_source_n_worst(mut self, on: bool) -> Self {
-        self.per_source_n_worst = on;
+    /// Retired: a no-op. The ECO cache searches under the run-wide
+    /// N-worst threshold (see `sta_core::eco`), so there is no per-source
+    /// isolation left to switch on. The method stays for one release so
+    /// that existing callers keep compiling, and goes with the next
+    /// change to the benchmark harness.
+    pub fn with_per_source_n_worst(self, _retired: bool) -> Self {
         self
     }
 }
@@ -414,25 +408,28 @@ impl<'a> PathEnumerator<'a> {
     /// sorted and truncated as [`PathEnumerator::run`] does, with the
     /// search's own statistics.
     pub fn run_corners(&self) -> CornerRuns {
-        let mut runs = self.run_corners_unsorted();
+        let (mut runs, _) = crate::parallel::run(self, &[]);
+        self.ingest_stats(&runs.search);
         for (paths, _) in &mut runs.corners {
             canonical_top_n(paths, self.cfg.n_worst);
         }
         runs
     }
 
-    /// [`PathEnumerator::run`] before its final sort and truncation: every
-    /// admitted path, in root-task order. With `n_worst` configured this
-    /// is a superset of the N worst — paths admitted before the threshold
-    /// rose past them stay in it.
-    pub(crate) fn run_unsorted(&self) -> (Vec<TruePath>, EnumerationStats) {
-        self.run_corners_unsorted().corners.swap_remove(0)
-    }
-
-    fn run_corners_unsorted(&self) -> CornerRuns {
-        let runs = crate::parallel::run(self);
+    /// The first corner's [`PathEnumerator::run`] before its final sort
+    /// and truncation, with its admission set seeded by `seed`: the worst
+    /// arrivals of real paths of this netlist that the caller already
+    /// holds (empty for a plain run). Returns every admitted path, in
+    /// root-task order, and the admission threshold the run ended at.
+    /// With `n_worst` configured the paths are a superset of the N worst
+    /// of the sources searched — paths admitted before the threshold rose
+    /// past them stay in it — and hold every path of those sources at or
+    /// above the returned threshold (see the `parallel` module).
+    pub(crate) fn run_seeded(&self, seed: &[f64]) -> (Vec<TruePath>, EnumerationStats, f64) {
+        let (mut runs, threshold) = crate::parallel::run(self, seed);
         self.ingest_stats(&runs.search);
-        runs
+        let (paths, stats) = runs.corners.swap_remove(0);
+        (paths, stats, threshold)
     }
 
     /// Per-arc delay bound tables of the dominance cut, one per corner
@@ -640,9 +637,8 @@ pub(crate) struct CornerSearch<'a> {
     /// A `−∞` entry marks a net with no true continuation to an output;
     /// those entries are the same at every corner.
     pub(crate) rem: &'a [f64],
-    /// The N-worst admission set this corner admits into and prunes
-    /// against: the run's, or under threshold isolation the current
-    /// source's (see the `parallel` module).
+    /// The run's N-worst admission set of this corner, which it admits
+    /// into and prunes against (see the `parallel` module).
     pub(crate) admissions: &'a Admissions,
     /// The run-wide decision and path tally of this corner, which every
     /// worker spends from.
@@ -1445,11 +1441,11 @@ mod tests {
         let (lib, tlib) = setup(&tech);
         let nl = sta_circuits::catalog::mapped("c17", lib).unwrap().unwrap();
         let cfg = EnumerationConfig::new(Corner::nominal(&tech));
-        let (one, _) = PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_unsorted();
+        let (one, ..) = PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_seeded(&[]);
         assert!(!one.is_empty());
         for threads in [2, 4] {
             let enumr = PathEnumerator::new(&nl, lib, tlib, cfg.clone().with_threads(threads));
-            assert_eq!(enumr.run_unsorted().0, one, "{threads} threads");
+            assert_eq!(enumr.run_seeded(&[]).0, one, "{threads} threads");
         }
     }
 

@@ -42,9 +42,15 @@
 //! search-effort counters) may differ with the schedule. Because every
 //! worker prunes against the N worst paths of the whole run rather than
 //! of its own admissions, a multi-worker search spends about the
-//! decisions of a one-worker search. Under
-//! [`EnumerationConfig::per_source_n_worst`] each source has its own
-//! admission sets.
+//! decisions of a one-worker search.
+//!
+//! A caller may seed the first corner's set with the worst arrivals of
+//! paths it already holds (the ECO cache's clean sources, see
+//! [`crate::eco`]). The same argument covers them as long as they are
+//! arrivals of real paths of the netlist at that corner: the seeded
+//! heap's N-th largest still never exceeds `T`, and every path the run's
+//! sources launch at or above the threshold the run ends at is admitted.
+//! [`run`] returns that final threshold.
 //!
 //! # Budgets
 //!
@@ -182,12 +188,18 @@ pub(crate) struct Admissions {
 }
 
 impl Admissions {
-    fn new(n: usize) -> Self {
-        Admissions {
+    /// A set of capacity `n` that already holds the largest `n` of
+    /// `seed`, whose entries must be worst arrivals of real paths.
+    fn seeded(n: usize, seed: &[f64]) -> Self {
+        let set = Admissions {
             n,
             top: Mutex::new(BinaryHeap::new()),
             threshold: AtomicU64::new(encode_bound(f64::NEG_INFINITY)),
+        };
+        for &arrival in seed {
+            set.insert(arrival);
         }
+        set
     }
 
     /// The admission threshold in force: a path whose worst arrival is
@@ -261,10 +273,7 @@ struct WorkerCtx<'a> {
     tasks: &'a [RootTask],
     /// Index of the next unclaimed task in `tasks`.
     cursor: &'a AtomicUsize,
-    /// The run's N-worst admission sets, one per corner; one per corner
-    /// of each source, indexed `source × corners + corner` like `plans`,
-    /// when [`EnumerationConfig::per_source_n_worst`] isolates the
-    /// admission threshold per source.
+    /// The run's N-worst admission sets, one per corner.
     admissions: &'a [Admissions],
     /// One run-wide budget tally per corner.
     budgets: &'a [RunBudget],
@@ -283,14 +292,29 @@ struct WorkerOutcome {
 }
 
 /// Runs the enumeration of `enumr` over `cfg.threads` workers and returns
-/// every path each corner admitted, unsorted, in task order.
-pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
+/// every path each corner admitted, unsorted, in task order, with the
+/// admission threshold the first corner's set ended at (`−∞` in full
+/// enumeration). That set starts out holding `seed`: worst arrivals,
+/// timed at the first corner, of real paths of the netlist that the
+/// caller already has (see the module docs).
+pub(crate) fn run(enumr: &PathEnumerator<'_>, seed: &[f64]) -> (CornerRuns, f64) {
     let nl = enumr.nl;
     let lib = enumr.lib;
     let corners = enumr.kernels.len();
     let is_output = enumr.output_flags();
     let fanouts = enumr.fanouts();
     let arc_bounds = enumr.arc_bound_tables();
+    // Full enumeration never touches its sets, so their thresholds stay
+    // −∞.
+    let n = enumr.cfg.n_worst.unwrap_or(usize::MAX);
+    let seed = if enumr.cfg.n_worst.is_some() {
+        seed
+    } else {
+        &[]
+    };
+    let admissions: Vec<Admissions> = (0..corners)
+        .map(|k| Admissions::seeded(n, if k == 0 { seed } else { &[] }))
+        .collect();
 
     // Plan phase: the per-source setup, and the root arcs in opening
     // order.
@@ -358,10 +382,11 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
         plans.push(SrcPlan { src, deltas, rem });
     }
     if tasks.is_empty() {
-        return CornerRuns {
+        let runs = CornerRuns {
             corners: vec![(Vec::new(), EnumerationStats::default()); corners],
             search: EnumerationStats::default(),
         };
+        return (runs, admissions[0].threshold());
     }
 
     let threads = enumr.cfg.threads.clamp(1, tasks.len());
@@ -369,17 +394,6 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
     // worker starts), so relaxed `fetch_add` suffices to hand out each
     // index exactly once.
     let cursor = AtomicUsize::new(0);
-    // Threshold isolation (see the config docs) keeps one admission set
-    // per corner of each planned source: workers on the same source share
-    // pruning progress while sources stay independent. Full enumeration
-    // never touches its sets, so their thresholds stay −∞.
-    let sets = if enumr.cfg.per_source_n_worst {
-        plans.len()
-    } else {
-        1
-    };
-    let n = enumr.cfg.n_worst.unwrap_or(usize::MAX);
-    let admissions: Vec<Admissions> = (0..sets * corners).map(|_| Admissions::new(n)).collect();
     let budgets: Vec<RunBudget> = (0..corners).map(|_| RunBudget::new(&enumr.cfg)).collect();
     let ctx = WorkerCtx {
         nl,
@@ -422,7 +436,7 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
         }
     }
     search.truncated = merged.iter().any(|(s, _)| s.truncated);
-    CornerRuns {
+    let runs = CornerRuns {
         corners: merged
             .into_iter()
             .map(|(stats, mut found)| {
@@ -434,7 +448,8 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>) -> CornerRuns {
             })
             .collect(),
         search,
-    }
+    };
+    (runs, admissions[0].threshold())
 }
 
 /// One worker: claims root tasks in index order until none is left or
@@ -502,8 +517,7 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
             // Install the per-source state: toggle deltas, the launched
             // transition (whose trail entries persist across this
             // source's tasks — each try_arc rolls back to its own mark),
-            // and each corner's remaining-bound table and, under
-            // threshold isolation, this source's own admission sets.
+            // and each corner's remaining-bound table.
             search.eng.reset();
             search.eng.set_toggles(Some(plan.deltas.clone()));
             let conflicts = search
@@ -511,15 +525,8 @@ fn worker_loop(ctx: &WorkerCtx<'_>) -> WorkerOutcome {
                 .assign(plan.src, Dual::transition(false), Mask::BOTH);
             mask = Mask::BOTH.minus(conflicts);
             search.obligations.clear();
-            let set = if ctx.cfg.per_source_n_worst {
-                task.src
-            } else {
-                0
-            };
-            let k_count = search.corners.len();
             for (k, c) in search.corners.iter_mut().enumerate() {
                 c.rem = plan.rem(k);
-                c.admissions = &ctx.admissions[set * k_count + k];
             }
             current_src = Some(task.src);
         }

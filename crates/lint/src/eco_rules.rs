@@ -17,8 +17,10 @@
 //! * **ECO002** — structural `SourceCache` invariants behind the splice:
 //!   slot count equals the PI count, each slot is canonically sorted and
 //!   within `n_worst`, every cached path is filed under its own source,
-//!   and (when the live certificate set is supplied) the splice
-//!   reproduces it exactly.
+//!   every slot holding fewer than `n_worst` paths has its floor at or
+//!   below the splice's N-th arrival (the exactness condition of
+//!   `sta_core::eco`), and (when the live certificate set is supplied)
+//!   the splice reproduces it exactly.
 //! * **ECO003** — the dirty mask itself is malformed: wrong length, or a
 //!   function-changing edit whose mask is not all-dirty (the dirty-cone
 //!   argument only covers delay-only edits).
@@ -118,6 +120,13 @@ pub fn audit_source_cache(
         ));
         return ds;
     }
+    let splice = cache.splice();
+    // The splice's N-th worst arrival; −∞ while it holds fewer than N
+    // paths, and in full enumeration.
+    let nth = cache
+        .n_worst()
+        .and_then(|n| splice.get(n.checked_sub(1)?))
+        .map_or(f64::NEG_INFINITY, TruePath::worst_arrival);
     for (i, &pi) in inputs.iter().enumerate() {
         let slot = cache.source_paths(i);
         if let Some(n) = cache.n_worst() {
@@ -128,6 +137,19 @@ pub fn audit_source_cache(
                     format!("slot {i} holds {} paths past n_worst {n}", slot.len()),
                 ));
             }
+        }
+        let short = cache.n_worst().is_none_or(|n| slot.len() < n);
+        if short && cache.floor(i) > nth {
+            ds.push(Diagnostic::new(
+                RuleCode::EcoCacheInvariant,
+                format!("{circuit}:{}", nl.net_label(pi)),
+                format!(
+                    "slot {i} holds {} paths under a floor of {} ps, above the splice's \
+                     N-th arrival {nth} ps",
+                    slot.len(),
+                    cache.floor(i)
+                ),
+            ));
         }
         for w in slot.windows(2) {
             if TruePath::canonical_cmp(&w[0], &w[1]).is_gt() {
@@ -154,7 +176,7 @@ pub fn audit_source_cache(
         }
     }
     if let Some(certs) = certs {
-        if cache.splice() != certs.paths {
+        if splice != certs.paths {
             ds.push(Diagnostic::new(
                 RuleCode::EcoCacheInvariant,
                 format!("{circuit}:cache"),

@@ -247,9 +247,7 @@ proptest! {
         // ECO002 — every cache corruption mode breaks an invariant the
         // auditor checks; the pristine cache passes with the splice
         // cross-check attached.
-        let cfg = EnumerationConfig::new(nominal())
-            .with_n_worst(n_worst)
-            .with_per_source_n_worst(true);
+        let cfg = EnumerationConfig::new(nominal()).with_n_worst(n_worst);
         let enumr = PathEnumerator::new(&nl, &lib, fast_tlib(), cfg);
         let (cache, stats) = SourceCache::build(&enumr);
         drop(enumr);
@@ -261,12 +259,12 @@ proptest! {
             CacheCorruption::Misfile,
             CacheCorruption::Unsort,
             CacheCorruption::Overfill,
+            CacheCorruption::LiftFloor,
         ] {
             let mut broken = cache.clone();
-            if corrupt_source_cache(&mut broken, mode) {
-                let ds = sta_lint::audit_source_cache(name, &nl, &broken, None);
-                prop_assert!(codes(&ds).contains(&"ECO002"), "{mode:?}: {ds:?}");
-            }
+            prop_assert!(corrupt_source_cache(&mut broken, mode), "{mode:?} does not apply");
+            let ds = sta_lint::audit_source_cache(name, &nl, &broken, None);
+            prop_assert!(codes(&ds).contains(&"ECO002"), "{mode:?}: {ds:?}");
         }
     }
 }

@@ -77,9 +77,8 @@ struct CircuitSession {
     tlib: Arc<TimingLibrary>,
     /// Corner kernel table: netlist-independent, survives every edit.
     kernel: Arc<CompiledCorner>,
-    /// The search configuration of every cache build and update, with
-    /// the N-worst threshold isolated per source. `verify`'s cold run is
-    /// the same configuration without that isolation.
+    /// The search configuration of every cache build and update, and of
+    /// `verify`'s cold run.
     search: EnumerationConfig,
     cache: SourceCache,
     /// Last spliced result and its digest (the path-set identity).
@@ -339,9 +338,7 @@ impl Server {
             .map_err(|e| format!("mapping {circuit:?} failed: {e}"))?
             .ok_or_else(|| format!("unknown benchmark {circuit:?}"))?;
         let tlib = self.timing_for(&tech)?;
-        let mut search = EnumerationConfig::new(Corner::nominal(&tech))
-            .with_threads(threads)
-            .with_per_source_n_worst(true);
+        let mut search = EnumerationConfig::new(Corner::nominal(&tech)).with_threads(threads);
         if let Some(n) = n_worst {
             search = search.with_n_worst(n);
         }
@@ -428,7 +425,7 @@ impl Server {
         // The netlist changed; the corner kernel did not (it depends only
         // on (timing library, corner)).
         let cfg = session.search.clone().with_source_filter(Arc::new(dirty));
-        {
+        let searched = {
             let enumr = PathEnumerator::with_prebuilt(
                 &session.netlist,
                 &lib,
@@ -437,8 +434,10 @@ impl Server {
                 session.kernel.clone(),
                 None,
             );
-            session.stats.merge(&session.cache.update(&enumr));
-        }
+            let (stats, searched) = session.cache.update_searched(&enumr);
+            session.stats.merge(&stats);
+            searched.iter().filter(|&&s| s).count()
+        };
         session.certs = CertificateSet::new(&session.netlist, input_slew, session.cache.splice());
         session.digest = digest_string(session.certs.to_json().as_bytes());
         session.slack = default_slack(
@@ -453,6 +452,7 @@ impl Server {
             ("revision", Value::UInt(session.revision)),
             ("function_changed", Value::Bool(edit.function_changed)),
             ("dirty_sources", Value::UInt(n_dirty as u64)),
+            ("searched_sources", Value::UInt(searched as u64)),
             ("total_sources", Value::UInt(n_sources as u64)),
             ("paths", Value::UInt(session.certs.paths.len() as u64)),
             ("digest", jstr(session.digest.clone())),
@@ -639,7 +639,7 @@ impl Server {
     }
 
     /// The splice-identity proof as a service: cold re-run the current
-    /// netlist revision with the plain (non-per-source) configuration and
+    /// netlist revision with the session's search configuration and
     /// compare certificate digests. `identical` is the proof verdict;
     /// truncation on either side voids it, and the completeness verdict
     /// covers both sides (reported honestly). With a
@@ -657,12 +657,11 @@ impl Server {
         let input_slew = self.cfg.input_slew;
         let lib = self.lib.clone();
         let session = self.session(circuit)?;
-        let cfg = session.search.clone().with_per_source_n_worst(false);
         let (paths, stats) = PathEnumerator::with_prebuilt(
             &session.netlist,
             &lib,
             &session.tlib,
-            cfg,
+            session.search.clone(),
             Arc::clone(&session.kernel),
             None,
         )
@@ -1070,6 +1069,40 @@ mod tests {
         assert_eq!(manifest.circuits[0].revision, 1);
         assert_eq!(manifest.circuits[0].incremental_updates, 1);
         assert_eq!(manifest.circuits[0].full_rebuilds, 0);
+    }
+
+    /// A c432 N=50 session is complete and exact: the load is one global
+    /// run and every edit searches under the global threshold, seeded by
+    /// the clean sources, so no reply makes a justification call that the
+    /// cold global search does not make, and every digest is a cold run's.
+    #[test]
+    fn c432_nworst_session_is_complete_and_matches_cold_runs() {
+        let mut server = fast_server();
+        let complete = |doc: &Value| {
+            assert_ok(doc);
+            assert_eq!(as_u64(get(doc, "justify_aborts")), 0, "{doc:?}");
+            assert_eq!(get(doc, "complete"), &Value::Bool(true), "{doc:?}");
+        };
+        let loaded = reply(&mut server, r#"{"op":"load","circuit":"c432","nworst":50}"#);
+        complete(&loaded);
+        for inst in ["n217", "n251"] {
+            let edited = reply(
+                &mut server,
+                &format!(r#"{{"op":"edit","circuit":"c432","kind":"resize","instance":"{inst}"}}"#),
+            );
+            complete(&edited);
+            let (dirty, searched) = (
+                as_u64(get(&edited, "dirty_sources")),
+                as_u64(get(&edited, "searched_sources")),
+            );
+            assert!(
+                dirty <= searched && searched <= as_u64(get(&edited, "total_sources")),
+                "{edited:?}"
+            );
+            let verified = reply(&mut server, r#"{"op":"verify","circuit":"c432"}"#);
+            complete(&verified);
+            assert_eq!(get(&verified, "identical"), &Value::Bool(true));
+        }
     }
 
     /// c432's full enumeration aborts 3 justification calls at the

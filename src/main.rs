@@ -1110,7 +1110,7 @@ fn cmd_cell(opts: &Opts) -> Result<(), CliError> {
 ///   through the compiled kernels, so the audit sees the delay tables the
 ///   search sees: every enumerated certificate's enclosure
 ///   (AI001/AI003/AI004), the structural static bound against the
-///   interval hull (AI002), and a fresh per-source cache's structural and
+///   interval hull (AI002), and a fresh source cache's structural and
 ///   splice invariants (ECO002).
 /// * **sampled edit** — applies one deterministic delay-only resize edit
 ///   and audits the dirty-source mask against per-source interval tables
@@ -1137,12 +1137,10 @@ fn audit_flow_circuit(
     let arcs = intervals_for(&ctx.netlist);
     let prune_margin = ctx.config().prune_margin;
     let st = static_bounds_compiled(&ctx.netlist, &ctx.timing, kernel, slew, prune_margin);
-    // The cache runs the facade's configuration, decision budget
-    // included, since per-source enumeration prunes far more weakly than
-    // a global N-worst run.
-    let per_source_cfg = ctx.config().clone().with_per_source_n_worst(true);
+    // The cache build is the facade's global run again, decision budget
+    // included, filed by source.
     let (mut cache, build_stats) =
-        SourceCache::build(&enumerator(&ctx.netlist, per_source_cfg.clone()));
+        SourceCache::build(&enumerator(&ctx.netlist, ctx.config().clone()));
     let outcome = sta_lint::audit_flow(
         sta_lint::FlowAuditInput {
             circuit: name,
@@ -1194,7 +1192,7 @@ fn audit_flow_circuit(
                 slew,
             ));
             // An incremental update must preserve the cache invariants.
-            let cfg = per_source_cfg.with_source_filter(Arc::new(dirty));
+            let cfg = ctx.config().clone().with_source_filter(Arc::new(dirty));
             cache.update(&enumerator(&edited, cfg));
             edit_findings.extend(sta_lint::audit_source_cache(name, &edited, &cache, None));
             obs.counter("audit.eco_samples").add(1);

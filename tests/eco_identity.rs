@@ -30,9 +30,13 @@ fn setup() -> (&'static Library, &'static TimingLibrary, Technology) {
     (lib, tlib, tech)
 }
 
-/// Applies `edit_fn` to a copy of `nl` and checks, at every requested
-/// thread count, that incremental re-analysis of the edit splices to the
-/// exact bytes of a cold run over the edited netlist.
+/// Runs an edit session at every requested thread count: builds the
+/// cache on `nl`, applies `edit_fn(netlist, step)` for `steps` steps to
+/// one netlist copy and one cache, and checks that every incremental
+/// re-analysis splices to the exact bytes of a cold run over the netlist
+/// at that step. Returns how many clean sources the updates re-searched
+/// (the second pass of `SourceCache::update`), summed over the steps and
+/// thread counts.
 #[allow(clippy::too_many_arguments)]
 fn assert_eco_identity(
     name: &str,
@@ -42,57 +46,68 @@ fn assert_eco_identity(
     tech: &Technology,
     n_worst: Option<usize>,
     threads_list: &[usize],
-    edit_fn: impl Fn(&mut Netlist) -> GateEdit,
-) {
+    steps: usize,
+    edit_fn: impl Fn(&mut Netlist, usize) -> GateEdit,
+) -> usize {
     let corner = Corner::nominal(tech);
+    let mut researched = 0;
     for &threads in threads_list {
-        let mut per_src = EnumerationConfig::new(corner)
-            .with_threads(threads)
-            .with_per_source_n_worst(true);
-        let mut plain = EnumerationConfig::new(corner).with_threads(threads);
+        let mut cfg = EnumerationConfig::new(corner).with_threads(threads);
         if let Some(n) = n_worst {
-            per_src = per_src.with_n_worst(n);
-            plain = plain.with_n_worst(n);
+            cfg = cfg.with_n_worst(n);
         }
 
         // Build the cache on the pre-edit netlist; keep the corner
         // kernel resident the way the daemon does.
-        let enumr = PathEnumerator::new(nl, lib, tlib, per_src.clone());
+        let enumr = PathEnumerator::new(nl, lib, tlib, cfg.clone());
         let (mut cache, stats) = SourceCache::build(&enumr);
         assert!(!stats.truncated, "{name}: cache build truncated");
         let kernel = enumr.kernel_arc();
         drop(enumr);
 
         let mut edited = nl.clone();
-        let edit = edit_fn(&mut edited);
-        let dirty = dirty_sources(&edited, &edit);
-        assert!(
-            dirty.iter().any(|&d| d),
-            "{name}: an applied edit must dirty at least one source"
-        );
-        if edit.function_changed {
+        for step in 0..steps {
+            let edit = edit_fn(&mut edited, step);
+            let dirty = dirty_sources(&edited, &edit);
             assert!(
-                dirty.iter().all(|&d| d),
-                "{name}: function-changing edits must dirty every source"
+                dirty.iter().any(|&d| d),
+                "{name}: an applied edit must dirty at least one source"
+            );
+            if edit.function_changed {
+                assert!(
+                    dirty.iter().all(|&d| d),
+                    "{name}: function-changing edits must dirty every source"
+                );
+            }
+
+            let upd_cfg = cfg.clone().with_source_filter(Arc::new(dirty.clone()));
+            let upd =
+                PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, kernel.clone(), None);
+            let (stats, searched) = cache.update_searched(&upd);
+            assert!(!stats.truncated, "{name}: incremental update truncated");
+            assert!(
+                dirty.iter().zip(&searched).all(|(&d, &s)| s || !d),
+                "{name}: every dirty source is searched"
+            );
+            researched += searched.iter().filter(|&&s| s).count();
+            researched -= dirty.iter().filter(|&&d| d).count();
+            let spliced = CertificateSet::new(&edited, 60.0, cache.splice());
+
+            let (cold_paths, cold_stats) =
+                PathEnumerator::new(&edited, lib, tlib, cfg.clone()).run();
+            assert!(!cold_stats.truncated, "{name}: cold run truncated");
+            let cold = CertificateSet::new(&edited, 60.0, cold_paths);
+
+            assert_eq!(
+                spliced.to_json(),
+                cold.to_json(),
+                "{name}: spliced certificates differ from the cold run at edit {} of the \
+                 session, {threads} thread(s)",
+                step + 1
             );
         }
-
-        let upd_cfg = per_src.clone().with_source_filter(Arc::new(dirty));
-        let upd = PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, kernel, None);
-        let stats = cache.update(&upd);
-        assert!(!stats.truncated, "{name}: incremental update truncated");
-        let spliced = CertificateSet::new(&edited, 60.0, cache.splice());
-
-        let (cold_paths, cold_stats) = PathEnumerator::new(&edited, lib, tlib, plain).run();
-        assert!(!cold_stats.truncated, "{name}: cold run truncated");
-        let cold = CertificateSet::new(&edited, 60.0, cold_paths);
-
-        assert_eq!(
-            spliced.to_json(),
-            cold.to_json(),
-            "{name}: spliced certificates differ from the cold run at {threads} thread(s)"
-        );
     }
+    researched
 }
 
 /// A deterministic in-range instance name (gate `idx` modulo the gate
@@ -102,24 +117,50 @@ fn instance(nl: &Netlist, idx: usize) -> String {
     nl.net_label(nl.gate(gid).output())
 }
 
-/// Delay-only resize edits splice identically on the debug-tier catalog
-/// circuits at 1/2/4 threads.
+/// An edit session of `steps` resizes: step `i` resizes gate
+/// `first + i * stride`. A resize toggles a cell between its drive
+/// variants, so a gate that comes round again is sized back.
+fn resize_session(
+    lib: &Library,
+    first: usize,
+    stride: usize,
+) -> impl Fn(&mut Netlist, usize) -> GateEdit + '_ {
+    move |edited, step| {
+        let inst = instance(edited, first + step * stride);
+        resize_gate(edited, lib, &inst).expect("every cell has a drive variant")
+    }
+}
+
+/// Delay-only resize sessions splice identically on the debug-tier
+/// catalog circuits at 1/2/4 threads, every edit of them. c17's session
+/// moves the threshold enough to need the second pass.
 #[test]
 fn resize_splices_identically_on_catalog_circuits() {
     let (lib, tlib, tech) = setup();
-    for (name, gate_idx) in [("c17", 2), ("sample", 0), ("c432", 17)] {
+    for (name, n_worst, first, steps) in [
+        ("c17", 10, 2, 14),
+        ("sample", 10, 0, 4),
+        ("c432", 10, 17, 4),
+        ("c432", 50, 17, 3),
+    ] {
         let nl = catalog::mapped(name, lib).unwrap().unwrap();
-        let inst = instance(&nl, gate_idx);
-        assert_eco_identity(
+        let researched = assert_eco_identity(
             name,
             &nl,
             lib,
             tlib,
             &tech,
-            Some(10),
+            Some(n_worst),
             &[1, 2, 4],
-            |edited| resize_gate(edited, lib, &inst).expect("every cell has a drive variant"),
+            steps,
+            resize_session(lib, first, 7),
         );
+        if name == "c17" {
+            assert!(
+                researched > 0,
+                "c17's session never re-searched a clean source"
+            );
+        }
     }
 }
 
@@ -139,22 +180,34 @@ fn rewire_splices_identically_on_c17() {
         &tech,
         Some(10),
         &[1, 2, 4],
-        |edited| {
+        1,
+        |edited, _| {
             rewire_net(edited, &inst, 0, &pi).expect("rewiring an input pin to a PI is acyclic")
         },
     );
 }
 
-/// Full-enumeration mode (no `n_worst`) splices identically too: the
-/// per-source lists are then simply complete.
+/// Full-enumeration mode (no `n_worst`) splices identically too: every
+/// floor stays −∞ and the slots simply hold their sources' whole lists.
 #[test]
 fn full_enumeration_splices_identically_on_c17() {
     let (lib, tlib, tech) = setup();
     let nl = catalog::mapped("c17", lib).unwrap().unwrap();
-    let inst = instance(&nl, 1);
-    assert_eco_identity("c17-full", &nl, lib, tlib, &tech, None, &[1, 2], |edited| {
-        resize_gate(edited, lib, &inst).expect("resize applies")
-    });
+    let researched = assert_eco_identity(
+        "c17-full",
+        &nl,
+        lib,
+        tlib,
+        &tech,
+        None,
+        &[1, 2],
+        3,
+        resize_session(lib, 1, 3),
+    );
+    assert_eq!(
+        researched, 0,
+        "full enumeration never re-searches a clean source"
+    );
 }
 
 /// The heavier catalog tier, exercised only in release builds (the
@@ -163,9 +216,13 @@ fn full_enumeration_splices_identically_on_c17() {
 #[test]
 fn resize_splices_identically_on_heavy_circuits() {
     let (lib, tlib, tech) = setup();
-    for (name, gate_idx) in [("c880", 31), ("c499", 11), ("c1908", 77)] {
+    for (name, first, steps) in [
+        ("c432", 17, 12),
+        ("c880", 31, 2),
+        ("c499", 11, 2),
+        ("c1908", 77, 2),
+    ] {
         let nl = catalog::mapped(name, lib).unwrap().unwrap();
-        let inst = instance(&nl, gate_idx);
         assert_eco_identity(
             name,
             &nl,
@@ -174,7 +231,8 @@ fn resize_splices_identically_on_heavy_circuits() {
             &tech,
             Some(50),
             &[1, 2, 4],
-            |edited| resize_gate(edited, lib, &inst).expect("resize applies"),
+            steps,
+            resize_session(lib, first, 7),
         );
     }
 }
@@ -182,10 +240,16 @@ fn resize_splices_identically_on_heavy_circuits() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random logic, random edit site: resize splices identically at
-    /// 1 and 2 threads.
+    /// Random logic, random edit sites: resize sessions splice
+    /// identically at 1/2/4 threads. Small N moves the threshold most
+    /// from edit to edit, which is where the second pass fires.
     #[test]
-    fn random_edits_splice_identically(seed in 0u64..1_000, gate_idx in 0usize..64) {
+    fn random_edits_splice_identically(
+        seed in 0u64..1_000,
+        first in 0usize..64,
+        which_n in 0usize..3,
+    ) {
+        let n_worst = [1, 4, 15][which_n];
         let (lib, tlib, tech) = setup();
         let raw = random_logic(&RandParams {
             name: "eco".into(),
@@ -196,16 +260,16 @@ proptest! {
             window: 18,
         });
         let nl = map_netlist(&raw, lib).expect("mapping succeeds");
-        let inst = instance(&nl, gate_idx);
         assert_eco_identity(
             "randlogic",
             &nl,
             lib,
             tlib,
             &tech,
-            Some(15),
-            &[1, 2],
-            |edited| resize_gate(edited, lib, &inst).expect("resize applies"),
+            Some(n_worst),
+            &[1, 2, 4],
+            6,
+            resize_session(lib, first, 11),
         );
     }
 }

@@ -25,12 +25,15 @@
 //!    Each slot records that threshold as its *floor* and holds every
 //!    path of its source whose worst arrival is at or above the floor,
 //!    truncated to the source's canonical `n_worst`. A build is one
-//!    global run. An update re-searches the dirty sources (via
-//!    [`EnumerationConfig::source_filter`]) with the run's admission set
-//!    seeded by the worst arrivals of the clean slots' paths. Then, once,
-//!    it re-searches, seeded the same way, every clean slot that holds
-//!    fewer than N paths and whose floor lies above the spliced N-th
-//!    arrival. [`SourceCache::splice`] rebuilds the global answer:
+//!    global run. An update empties the dirty slots and re-searches their
+//!    sources (via [`EnumerationConfig::source_filter`]) with the run's
+//!    admission set seeded by the worst arrivals of every cached path.
+//!    Then, once, it re-searches, seeded the same way, every clean slot
+//!    that holds fewer than N paths and whose floor lies above the
+//!    spliced N-th arrival; such a slot holds every path of its source at
+//!    or above its floor, so the run keeps those paths when it finds them
+//!    again but does not count them twice. [`SourceCache::splice`]
+//!    rebuilds the global answer:
 //!    concatenate, sort by [`TruePath::canonical_cmp`], truncate to
 //!    `n_worst` — the same top-N rule `PathEnumerator::run` and every
 //!    slot apply.
@@ -50,13 +53,15 @@
 //!   its floor `≤ S`, `p` included. So the slots hold the global N worst,
 //!   and sorting their union canonically and truncating to N reproduces
 //!   the cold run byte for byte.
-//! * *Seeding is sound.* A clean slot's paths are true paths of the
-//!   edited netlist, timed as before (the dirty-cone argument above), so
-//!   the seeded admission set never rises above `T`, and with
-//!   tie-inclusive admission a run admits every path of the sources it
-//!   searches at or above the threshold `θ` it ends at. Keeping those,
-//!   up to N per source, gives every searched slot its invariant with
-//!   floor `θ`.
+//! * *Seeding is sound.* Once the dirty slots are emptied, every cached
+//!   path is a true path of the edited netlist, timed as before (the
+//!   dirty-cone argument above). The run enters each of them once: a
+//!   searched slot's own paths it finds again at or above the slot's
+//!   floor are already in the seed. So the seeded admission set never
+//!   rises above `T`, and with tie-inclusive admission a run admits
+//!   every path of the sources it searches at or above the threshold `θ`
+//!   it ends at. Keeping those, up to N per source, gives every searched
+//!   slot its invariant with floor `θ`.
 //! * *The run's threshold becomes the splice's N-th arrival.* The set
 //!   ends holding N arrivals at or above `θ`, each a path now in the
 //!   slots (or displaced from a slot by N paths at or above it), and
@@ -64,12 +69,10 @@
 //!   afterwards, and every slot the run searched meets the exactness
 //!   condition with equality. A build is such a run over every source.
 //! * *One second pass suffices.* After the dirty run, `S` equals its
-//!   threshold `S₁`. The second run ends at `S₂ ≥ S₁`: had it ended
-//!   below `S₁`, it would have admitted every path of the slots it
-//!   re-searched, all above `S₁` (their floors were), and with the seed
-//!   it would have held N arrivals at or above `S₁`. So every slot that
-//!   met the condition at `S₁` meets it at `S₂`, and the re-searched
-//!   slots meet it with equality.
+//!   threshold `S₁`. The second run is seeded with every cached path,
+//!   whose N-th largest arrival is `S₁`, and thresholds only rise, so it
+//!   ends at `S₂ ≥ S₁`. So every slot that met the condition at `S₁`
+//!   meets it at `S₂`, and the re-searched slots meet it with equality.
 //!
 //! In full enumeration every floor stays `−∞` and each slot holds its
 //! source's whole path list. The guarantee requires untruncated
@@ -83,6 +86,7 @@ use sta_circuits::GateEdit;
 use sta_netlist::{NetId, Netlist};
 
 use crate::enumerate::{EnumerationStats, PathEnumerator};
+use crate::parallel::Seed;
 use crate::path::{canonical_top_n, TruePath};
 
 #[cfg(doc)]
@@ -140,7 +144,8 @@ pub struct SourceCache {
     n_worst: Option<usize>,
     per_source: Vec<Vec<TruePath>>,
     /// Per slot, the admission threshold the last run that searched its
-    /// source ended at (`−∞` in full enumeration).
+    /// source ended at (`−∞` in full enumeration); `+∞` for a slot
+    /// emptied for a search, which holds every path at or above it.
     floors: Vec<f64>,
 }
 
@@ -169,7 +174,7 @@ impl SourceCache {
         let mut cache = SourceCache {
             n_worst: enumr.cfg.n_worst,
             per_source: vec![Vec::new(); sources],
-            floors: vec![f64::NEG_INFINITY; sources],
+            floors: vec![f64::INFINITY; sources],
         };
         let stats = cache.search(enumr);
         (cache, stats)
@@ -213,6 +218,11 @@ impl SourceCache {
             enumr.cfg.n_worst, self.n_worst,
             "incremental update must keep the cache's n_worst"
         );
+        // The dirty slots' paths are timed on the old netlist.
+        for i in (0..dirty.len()).filter(|&i| dirty[i]) {
+            self.per_source[i].clear();
+            self.floors[i] = f64::INFINITY;
+        }
         let mut stats = self.search(enumr);
         let nth = self.nth_arrival();
         let stale: Vec<bool> = (0..dirty.len())
@@ -234,20 +244,33 @@ impl SourceCache {
     }
 
     /// Runs `enumr` over the sources its filter selects (all of them
-    /// without one), its admission set seeded by the worst arrivals of
-    /// every other slot, and refills the searched slots: each keeps its
-    /// source's paths at or above the run's final threshold, up to its
-    /// `n_worst`, and takes that threshold as its floor.
+    /// without one), its admission set seeded by every cached path, and
+    /// refills the searched slots: each keeps its source's paths at or
+    /// above the run's final threshold, up to its `n_worst`, and takes
+    /// that threshold as its floor. Every searched slot must hold fewer
+    /// than `n_worst` paths, so that it holds every path of its source at
+    /// or above its floor: those the run does not count twice.
     fn search(&mut self, enumr: &PathEnumerator) -> EnumerationStats {
         let filter = enumr.cfg.source_filter.clone();
         let searched = |i: usize| filter.as_ref().is_none_or(|f| f[i]);
-        let seed: Vec<f64> = self
-            .per_source
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !searched(i))
-            .flat_map(|(_, slot)| slot.iter().map(TruePath::worst_arrival))
-            .collect();
+        let mut seed = Seed {
+            arrivals: self
+                .per_source
+                .iter()
+                .flatten()
+                .map(TruePath::worst_arrival)
+                .collect(),
+            held: vec![f64::INFINITY; enumr.nl.num_nets()],
+        };
+        for (i, &pi) in enumr.nl.inputs().iter().enumerate() {
+            if searched(i) {
+                debug_assert!(
+                    self.is_short(i) || self.per_source[i].is_empty(),
+                    "slot {i} is full"
+                );
+                seed.held[pi.index()] = self.floors[i];
+            }
+        }
         let (paths, stats, floor) = enumr.run_seeded(&seed);
         for i in (0..self.per_source.len()).filter(|&i| searched(i)) {
             self.per_source[i].clear();

@@ -48,7 +48,7 @@ use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
 use crate::arrival::ArcBounds;
-use crate::parallel::{Admissions, RunBudget};
+use crate::parallel::{Admissions, RunBudget, Seed};
 use crate::path::{canonical_top_n, LaunchTiming, PathArc, PiValue, TruePath};
 
 /// Configuration of a true-path enumeration run.
@@ -100,8 +100,8 @@ pub struct EnumerationConfig {
     /// exactly what a run over all sources emits for it. In N-worst mode
     /// the run prunes against the worst paths of the enabled sources
     /// alone, and admits every path of theirs at or above the threshold
-    /// it ends at; the ECO cache seeds that threshold with the paths of
-    /// the sources it skips (see `sta_core::eco`).
+    /// it ends at; the ECO cache seeds that threshold with the paths it
+    /// holds (see `sta_core::eco`).
     pub source_filter: Option<Arc<Vec<bool>>>,
     /// Observability handle. Disabled by default; when enabled the run
     /// records phase spans, per-worker metrics and (if installed) progress
@@ -408,7 +408,7 @@ impl<'a> PathEnumerator<'a> {
     /// sorted and truncated as [`PathEnumerator::run`] does, with the
     /// search's own statistics.
     pub fn run_corners(&self) -> CornerRuns {
-        let (mut runs, _) = crate::parallel::run(self, &[]);
+        let (mut runs, _) = crate::parallel::run(self, &Seed::default());
         self.ingest_stats(&runs.search);
         for (paths, _) in &mut runs.corners {
             canonical_top_n(paths, self.cfg.n_worst);
@@ -417,15 +417,15 @@ impl<'a> PathEnumerator<'a> {
     }
 
     /// The first corner's [`PathEnumerator::run`] before its final sort
-    /// and truncation, with its admission set seeded by `seed`: the worst
-    /// arrivals of real paths of this netlist that the caller already
-    /// holds (empty for a plain run). Returns every admitted path, in
-    /// root-task order, and the admission threshold the run ended at.
-    /// With `n_worst` configured the paths are a superset of the N worst
-    /// of the sources searched — paths admitted before the threshold rose
-    /// past them stay in it — and hold every path of those sources at or
-    /// above the returned threshold (see the `parallel` module).
-    pub(crate) fn run_seeded(&self, seed: &[f64]) -> (Vec<TruePath>, EnumerationStats, f64) {
+    /// and truncation, with its admission set seeded by `seed`: real
+    /// paths of this netlist that the caller already holds (empty for a
+    /// plain run). Returns every admitted path, in root-task order, and
+    /// the admission threshold the run ended at. With `n_worst`
+    /// configured the paths are a superset of the N worst of the sources
+    /// searched — paths admitted before the threshold rose past them stay
+    /// in it — and hold every path of those sources at or above the
+    /// returned threshold (see the `parallel` module).
+    pub(crate) fn run_seeded(&self, seed: &Seed) -> (Vec<TruePath>, EnumerationStats, f64) {
         let (mut runs, threshold) = crate::parallel::run(self, seed);
         self.ingest_stats(&runs.search);
         let (paths, stats) = runs.corners.swap_remove(0);
@@ -1147,8 +1147,10 @@ impl Search<'_> {
         let c = &mut self.corners[k];
         c.budget.admit();
         let w = path.worst_arrival();
+        let source = path.source;
         c.found.push((self.task, path));
-        if self.cfg.n_worst.is_some() {
+        // A path the seed holds is in the set already.
+        if self.cfg.n_worst.is_some() && !c.admissions.holds(source, w) {
             if let Some(threshold) = c.admissions.insert(w) {
                 self.bound_updates.inc();
                 if let Some(p) = &self.progress {
@@ -1441,11 +1443,16 @@ mod tests {
         let (lib, tlib) = setup(&tech);
         let nl = sta_circuits::catalog::mapped("c17", lib).unwrap().unwrap();
         let cfg = EnumerationConfig::new(Corner::nominal(&tech));
-        let (one, ..) = PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_seeded(&[]);
+        let (one, ..) =
+            PathEnumerator::new(&nl, lib, tlib, cfg.clone()).run_seeded(&Seed::default());
         assert!(!one.is_empty());
         for threads in [2, 4] {
             let enumr = PathEnumerator::new(&nl, lib, tlib, cfg.clone().with_threads(threads));
-            assert_eq!(enumr.run_seeded(&[]).0, one, "{threads} threads");
+            assert_eq!(
+                enumr.run_seeded(&Seed::default()).0,
+                one,
+                "{threads} threads"
+            );
         }
     }
 

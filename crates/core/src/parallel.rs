@@ -45,12 +45,16 @@
 //! decisions of a one-worker search.
 //!
 //! A caller may seed the first corner's set with the worst arrivals of
-//! paths it already holds (the ECO cache's clean sources, see
-//! [`crate::eco`]). The same argument covers them as long as they are
-//! arrivals of real paths of the netlist at that corner: the seeded
-//! heap's N-th largest still never exceeds `T`, and every path the run's
+//! paths it already holds (the ECO cache's slots, see [`crate::eco`]).
+//! The same argument covers them as long as they are arrivals of
+//! distinct real paths of the netlist at that corner: the seeded heap's
+//! N-th largest still never exceeds `T`, and every path the run's
 //! sources launch at or above the threshold the run ends at is admitted.
-//! [`run`] returns that final threshold.
+//! A seed may hold paths of the sources the run searches, as long as it
+//! holds every one of a source's paths at or above some arrival, its
+//! [`Seed::held`] entry: the run keeps such a path when it finds it again
+//! but does not enter it into the set a second time, so the set still
+//! counts each path once. [`run`] returns the final threshold.
 //!
 //! # Budgets
 //!
@@ -185,21 +189,47 @@ pub(crate) struct Admissions {
     /// before; encoded by [`encode_bound`]. Written under the lock only,
     /// so it never decreases.
     threshold: AtomicU64,
+    /// The seed's [`Seed::held`] arrivals, per net.
+    held: Vec<f64>,
+}
+
+/// Paths a caller already holds when it starts a search: they enter the
+/// first corner's admission set before any worker runs (see the module
+/// docs).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Seed {
+    /// Their worst arrivals, timed at the first corner, one per distinct
+    /// real path of the netlist.
+    pub(crate) arrivals: Vec<f64>,
+    /// Per net, indexed by [`NetId::index`]: an arrival at or above which
+    /// every path launched from that net is among `arrivals`. A path the
+    /// run finds there is kept but not entered again. Nets past the end
+    /// hold nothing.
+    pub(crate) held: Vec<f64>,
 }
 
 impl Admissions {
-    /// A set of capacity `n` that already holds the largest `n` of
-    /// `seed`, whose entries must be worst arrivals of real paths.
-    fn seeded(n: usize, seed: &[f64]) -> Self {
+    /// A set of capacity `n` that already holds the largest `n` of the
+    /// seed's arrivals.
+    fn seeded(n: usize, seed: &Seed) -> Self {
         let set = Admissions {
             n,
             top: Mutex::new(BinaryHeap::new()),
             threshold: AtomicU64::new(encode_bound(f64::NEG_INFINITY)),
+            held: seed.held.clone(),
         };
-        for &arrival in seed {
+        for &arrival in &seed.arrivals {
             set.insert(arrival);
         }
         set
+    }
+
+    /// Whether the seed already counts the path launched from `source`
+    /// with worst arrival `arrival`.
+    pub(crate) fn holds(&self, source: NetId, arrival: f64) -> bool {
+        self.held
+            .get(source.index())
+            .is_some_and(|&held| arrival >= held)
     }
 
     /// The admission threshold in force: a path whose worst arrival is
@@ -294,10 +324,9 @@ struct WorkerOutcome {
 /// Runs the enumeration of `enumr` over `cfg.threads` workers and returns
 /// every path each corner admitted, unsorted, in task order, with the
 /// admission threshold the first corner's set ended at (`−∞` in full
-/// enumeration). That set starts out holding `seed`: worst arrivals,
-/// timed at the first corner, of real paths of the netlist that the
-/// caller already has (see the module docs).
-pub(crate) fn run(enumr: &PathEnumerator<'_>, seed: &[f64]) -> (CornerRuns, f64) {
+/// enumeration). That set starts out holding `seed`, paths of the
+/// netlist that the caller already has (see the module docs).
+pub(crate) fn run(enumr: &PathEnumerator<'_>, seed: &Seed) -> (CornerRuns, f64) {
     let nl = enumr.nl;
     let lib = enumr.lib;
     let corners = enumr.kernels.len();
@@ -307,13 +336,12 @@ pub(crate) fn run(enumr: &PathEnumerator<'_>, seed: &[f64]) -> (CornerRuns, f64)
     // Full enumeration never touches its sets, so their thresholds stay
     // −∞.
     let n = enumr.cfg.n_worst.unwrap_or(usize::MAX);
-    let seed = if enumr.cfg.n_worst.is_some() {
-        seed
-    } else {
-        &[]
-    };
+    let unseeded = Seed::default();
     let admissions: Vec<Admissions> = (0..corners)
-        .map(|k| Admissions::seeded(n, if k == 0 { seed } else { &[] }))
+        .map(|k| {
+            let first = k == 0 && enumr.cfg.n_worst.is_some();
+            Admissions::seeded(n, if first { seed } else { &unseeded })
+        })
         .collect();
 
     // Plan phase: the per-source setup, and the root arcs in opening

@@ -212,7 +212,8 @@ pub struct FlowAuditInput<'a> {
     pub certs: &'a CertificateSet,
     /// The per-source path cache of `netlist`.
     pub cache: &'a SourceCache,
-    /// Whether the cache's splice must reproduce `certs` byte for byte —
+    /// Whether the cache must meet its exactness conditions — every
+    /// slot's floor and a splice that reproduces `certs` byte for byte —
     /// only when neither side was truncated.
     pub check_splice: bool,
     /// Primary-input transition time, ps.
@@ -255,6 +256,7 @@ pub fn audit_flow(input: FlowAuditInput, obs: &sta_obs::Observer) -> FlowAuditOu
         circuit,
         netlist,
         cache,
+        check_splice,
         check_splice.then_some(certs),
     ));
     obs.counter("audit.circuits").add(1);

@@ -3,8 +3,9 @@
 //! The PR 8 daemon's ECO path is only byte-identical to a cold run
 //! because of two invariants proved in `sta_core::eco`: the dirty-source
 //! set *over*-approximates the sources an edit can affect, and every
-//! `SourceCache` slot stays a canonically-sorted, truncated, correctly
-//! filed per-source answer. These rules audit both statically.
+//! `SourceCache` slot stays canonically sorted, truncated, correctly
+//! filed, and complete down to a floor the splice can trust. These rules
+//! audit both statically.
 //!
 //! * **ECO001** — for a sampled edit, every source the mask marks clean
 //!   must have a bitwise-unchanged *single-source* interval table between
@@ -17,9 +18,10 @@
 //! * **ECO002** — structural `SourceCache` invariants behind the splice:
 //!   slot count equals the PI count, each slot is canonically sorted and
 //!   within `n_worst`, every cached path is filed under its own source,
+//!   and, when every search that filled the cache ended untruncated,
 //!   every slot holding fewer than `n_worst` paths has its floor at or
 //!   below the splice's N-th arrival (the exactness condition of
-//!   `sta_core::eco`), and (when the live certificate set is supplied)
+//!   `sta_core::eco`) and (when the live certificate set is supplied)
 //!   the splice reproduces it exactly.
 //! * **ECO003** — the dirty mask itself is malformed: wrong length, or a
 //!   function-changing edit whose mask is not all-dirty (the dirty-cone
@@ -98,12 +100,17 @@ pub fn audit_dirty_sources(
 
 /// ECO002: structural invariants of a built [`SourceCache`], optionally
 /// cross-checked against the certificate set its splice is meant to
-/// reproduce. Pass `certs` only when neither side truncated its search
-/// (the splice identity does not hold under truncation).
+/// reproduce. The floor clause is an exactness condition, checked only
+/// when `untruncated` says every search that filled the cache ended
+/// untruncated: a budget can stop an update after it cleared a slot and
+/// before it found that slot's paths again. Pass `certs` only when
+/// neither side truncated its search (the splice identity does not hold
+/// under truncation).
 pub fn audit_source_cache(
     circuit: &str,
     nl: &Netlist,
     cache: &SourceCache,
+    untruncated: bool,
     certs: Option<&CertificateSet>,
 ) -> Vec<Diagnostic> {
     let mut ds = Vec::new();
@@ -139,7 +146,7 @@ pub fn audit_source_cache(
             }
         }
         let short = cache.n_worst().is_none_or(|n| slot.len() < n);
-        if short && cache.floor(i) > nth {
+        if untruncated && short && cache.floor(i) > nth {
             ds.push(Diagnostic::new(
                 RuleCode::EcoCacheInvariant,
                 format!("{circuit}:{}", nl.net_label(pi)),

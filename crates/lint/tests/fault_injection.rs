@@ -251,9 +251,9 @@ proptest! {
         let enumr = PathEnumerator::new(&nl, &lib, fast_tlib(), cfg);
         let (cache, stats) = SourceCache::build(&enumr);
         drop(enumr);
+        prop_assert!(!stats.truncated, "the floor clause needs a whole search");
         let certs = enumerate(&nl, &lib, n_worst);
-        let splice_certs = (!stats.truncated).then_some(&certs);
-        let ds = sta_lint::audit_source_cache(name, &nl, &cache, splice_certs);
+        let ds = sta_lint::audit_source_cache(name, &nl, &cache, true, Some(&certs));
         prop_assert!(ds.is_empty(), "{ds:?}");
         for mode in [
             CacheCorruption::Misfile,
@@ -263,8 +263,12 @@ proptest! {
         ] {
             let mut broken = cache.clone();
             prop_assert!(corrupt_source_cache(&mut broken, mode), "{mode:?} does not apply");
-            let ds = sta_lint::audit_source_cache(name, &nl, &broken, None);
+            let ds = sta_lint::audit_source_cache(name, &nl, &broken, true, None);
             prop_assert!(codes(&ds).contains(&"ECO002"), "{mode:?}: {ds:?}");
+            // A truncated search voids the floor clause, and only that.
+            let ds = sta_lint::audit_source_cache(name, &nl, &broken, false, None);
+            let floor_only = mode == CacheCorruption::LiftFloor;
+            prop_assert_eq!(ds.is_empty(), floor_only, "{:?}: {:?}", mode, ds);
         }
     }
 }

@@ -1138,7 +1138,9 @@ fn audit_flow_circuit(
     let prune_margin = ctx.config().prune_margin;
     let st = static_bounds_compiled(&ctx.netlist, &ctx.timing, kernel, slew, prune_margin);
     // The cache build is the facade's global run again, decision budget
-    // included, filed by source.
+    // included, filed by source. It stays a second search rather than a
+    // filing of `run`'s paths: the splice check then compares two
+    // independent searches, not one search with its own filing.
     let (mut cache, build_stats) =
         SourceCache::build(&enumerator(&ctx.netlist, ctx.config().clone()));
     let outcome = sta_lint::audit_flow(
@@ -1193,8 +1195,17 @@ fn audit_flow_circuit(
             ));
             // An incremental update must preserve the cache invariants.
             let cfg = ctx.config().clone().with_source_filter(Arc::new(dirty));
-            cache.update(&enumerator(&edited, cfg));
-            edit_findings.extend(sta_lint::audit_source_cache(name, &edited, &cache, None));
+            let update_stats = cache.update(&enumerator(&edited, cfg));
+            // A budget can stop the update between clearing a slot and
+            // refilling it, so the floor clause needs both searches whole.
+            let untruncated = !build_stats.truncated && !update_stats.truncated;
+            edit_findings.extend(sta_lint::audit_source_cache(
+                name,
+                &edited,
+                &cache,
+                untruncated,
+                None,
+            ));
             obs.counter("audit.eco_samples").add(1);
         }
         None => eprintln!("{name}: audit: no resizable gate, ECO edit sample skipped"),
